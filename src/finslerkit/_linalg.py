@@ -16,10 +16,6 @@ from .diffcore import Jet, value
 from .errors import MetricError
 
 
-def has_jets(mat) -> bool:
-    return any(isinstance(e, Jet) for row in mat for e in row)
-
-
 def _sqrt_pd(u):
     base = value(u)
     if isinstance(base, np.ndarray):

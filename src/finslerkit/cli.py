@@ -17,17 +17,17 @@ import time
 import numpy as np
 
 from . import __version__, gallery
-from .curvature import flag_curvature, riemann
+from .curvature import flag_curvature, flag_curvatures, riemann, riemann_entries
+from .diffcore import basis, values_array
 from .errors import FinslerError
-from .measures import (
-    constant_density_field,
-    randers_density_field,
-    s_curvature,
-)
-from .metrics import RiemannianField, ball_domain
+from .measures import s_curvature
+from .metrics import RiemannianField, ball_domain, cartan_norm, cartan_second_norm
 from .navigation import DriftField, volume_preservation_check, zermelo_general, zermelo_riemannian
 from .spray import geodesic_integrate, randers_spray, spray_from_metric
-from .verify import run_verification
+from .verify import density_field, run_verification
+
+# grid sites per array pass of `finsler scan`: bounds its memory (a torsion-norm site is --samples points)
+SCAN_CHUNK = 128
 
 
 def _default_seed() -> int:
@@ -66,14 +66,6 @@ def _entry_and_spray(spec: str):
     return entry, G
 
 
-def _density(entry):
-    if entry.randers is not None:
-        return randers_density_field(entry.randers)
-    if entry.name == "minkowski":
-        return constant_density_field(1.0)
-    return None
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -110,7 +102,7 @@ def cmd_curvature(args) -> int:
         "ricci": R.ricci,
         "seed": args.seed,
     }
-    sigma = _density(entry)
+    sigma = density_field(entry)
     if sigma is not None:
         payload["s_curvature"] = s_curvature(G, sigma, x, y)
     if args.flag:
@@ -165,50 +157,55 @@ def _parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
     return axes
 
 
+def _scan_values(args, entry, G, sigma, y, u, rows: np.ndarray) -> np.ndarray:
+    """The scanned quantity at the chart points `rows` (k, n), in one array pass."""
+    k = len(rows)
+    x, ys = list(rows.T), [np.full(k, v) for v in y]
+    if args.quantity == "K":
+        values = flag_curvatures(entry.metric, G, x, ys, [np.full(k, v) for v in u])[0]
+    elif args.quantity == "Ric":
+        values = np.trace(values_array(riemann_entries(G, x, ys), sites=(k,)))
+    elif args.quantity == "S":
+        values = s_curvature(G, sigma, x, ys)
+    elif args.quantity in ("cartan", "cartan2"):
+        norm = cartan_norm if args.quantity == "cartan" else cartan_second_norm
+        values = norm(entry.metric, x, samples=args.samples, seed=args.seed)
+    else:
+        raise UsageError(f"unknown quantity {args.quantity!r}")
+    return np.broadcast_to(np.asarray(values, dtype=float), (k,))
+
+
 def cmd_scan(args) -> int:
     entry, G = _entry_and_spray(args.metric)
     axes = _parse_grid(args.grid)
     if len(axes) != entry.dim:
         raise UsageError(f"grid must have {entry.dim} axes for {entry.name}")
-    y = _parse_vector(args.dir, "--dir") if args.dir else [1.0] + [0.0] * (entry.dim - 1)
-    u = _parse_vector(args.flag, "--flag") if args.flag else None
-    sigma = _density(entry)
-    quantity = args.quantity
-    from .metrics import cartan_norm, cartan_second_norm
+    y = _parse_vector(args.dir, "--dir") if args.dir else basis(entry.dim, 0)
+    u = _parse_vector(args.flag, "--flag") if args.flag else basis(entry.dim, 1)
+    sigma = density_field(entry)
+    if args.quantity == "S" and sigma is None:
+        raise UsageError(f"no differentiable density available for {entry.name}")
 
     grids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    shape = grids[0].shape
-    values = np.full(shape, np.nan)
-    it = np.nditer(grids[0], flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        x = [float(g[idx]) for g in grids]
-        if not entry.metric.domain.contains(x):
-            continue
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    values = np.full(len(pts), np.nan)
+    inside = np.flatnonzero([entry.metric.domain.contains(p) for p in pts])
+    for start in range(0, len(inside), SCAN_CHUNK):
+        chunk = inside[start : start + SCAN_CHUNK]
         try:
-            if quantity == "K":
-                uu = u if u is not None else ([0.0, 1.0] + [0.0] * (entry.dim - 2))
-                values[idx] = flag_curvature(entry.metric, x, y, uu, G=G)
-            elif quantity == "Ric":
-                values[idx] = riemann(G, x, y).ricci
-            elif quantity == "S":
-                if sigma is None:
-                    raise UsageError(f"no differentiable density available for {entry.name}")
-                values[idx] = s_curvature(G, sigma, x, y)
-            elif quantity == "cartan":
-                values[idx] = cartan_norm(entry.metric, x, samples=args.samples, seed=args.seed)
-            elif quantity == "cartan2":
-                values[idx] = cartan_second_norm(
-                    entry.metric, x, samples=args.samples, seed=args.seed
-                )
-            else:
-                raise UsageError(f"unknown quantity {quantity!r}")
+            values[chunk] = _scan_values(args, entry, G, sigma, y, u, pts[chunk])
         except FinslerError:
-            continue
+            # some site of the chunk failed: evaluate its sites one by one
+            for i in chunk:
+                try:
+                    values[i] = _scan_values(args, entry, G, sigma, y, u, pts[i : i + 1])[0]
+                except FinslerError:
+                    pass
+    values = values.reshape(grids[0].shape)
     payload = {
         "metric": entry.name,
         "params": entry.params,
-        "quantity": quantity,
+        "quantity": args.quantity,
         "axes": [{"name": a[0], "values": a[1].tolist()} for a in axes],
         "dir": y,
         "seed": args.seed,

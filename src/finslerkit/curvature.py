@@ -17,16 +17,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diffcore import TaylorResult, directional_derivatives, value
+from . import _linalg
+from .diffcore import TaylorResult, basis, directional_derivatives, value, values_array
 from .errors import DegenerateFlagError
-from .metrics import FinslerField, RandersData, RiemannianField, fundamental_tensor
-from .spray import (
-    SprayField,
-    beta_table,
-    levi_civita_spray,
-    randers_spray,
-    spray_from_metric,
-)
+from .metrics import FinslerField, RandersData, RiemannianField, fundamental_tensor, metric_entries
+from .spray import SprayField, beta_table, levi_civita_spray, spray_from_metric
 
 
 @dataclass
@@ -41,12 +36,6 @@ class RiemannOperator:
         return self.matrix @ np.asarray(u, dtype=float)
 
 
-def _basis(n, i):
-    e = [0.0] * n
-    e[i] = 1.0
-    return e
-
-
 def _spray_derivatives(G: SprayField, x, y):
     """Values and the spray partials entering R^i_k, all at (x, y).
 
@@ -57,13 +46,13 @@ def _spray_derivatives(G: SprayField, x, y):
     Gval = G(list(x), list(y))
     dGdx = []
     for k in range(n):
-        res = directional_derivatives(lambda xs, ys: G(xs, ys), x, y, x_dirs=[(_basis(n, k), 1)])
+        res = directional_derivatives(lambda xs, ys: G(xs, ys), x, y, x_dirs=[(basis(n, k), 1)])
         dGdx.append([TaylorResult(res.root[i], res.tags, res.orders).partial([1]) for i in range(n)])
     mixed = []
     for k in range(n):
         res = directional_derivatives(
             lambda xs, ys: G(xs, ys), x, y,
-            x_dirs=[(list(y), 1)], y_dirs=[(_basis(n, k), 1)],
+            x_dirs=[(list(y), 1)], y_dirs=[(basis(n, k), 1)],
         )
         mixed.append(
             [TaylorResult(res.root[i], res.tags, res.orders).partial([1, 1]) for i in range(n)]
@@ -74,7 +63,7 @@ def _spray_derivatives(G: SprayField, x, y):
         for k in range(j, n):
             if j == k:
                 res = directional_derivatives(
-                    lambda xs, ys: G(xs, ys), x, y, y_dirs=[(_basis(n, j), 2)]
+                    lambda xs, ys: G(xs, ys), x, y, y_dirs=[(basis(n, j), 2)]
                 )
                 for i in range(n):
                     sub = TaylorResult(res.root[i], res.tags, res.orders)
@@ -83,7 +72,7 @@ def _spray_derivatives(G: SprayField, x, y):
             else:
                 res = directional_derivatives(
                     lambda xs, ys: G(xs, ys), x, y,
-                    y_dirs=[(_basis(n, j), 1), (_basis(n, k), 1)],
+                    y_dirs=[(basis(n, j), 1), (basis(n, k), 1)],
                 )
                 for i in range(n):
                     sub = TaylorResult(res.root[i], res.tags, res.orders)
@@ -122,8 +111,9 @@ def ricci(G: SprayField, x, y) -> float:
     return riemann(G, x, y).ricci
 
 
-def ricci_2d(G: SprayField, x, y) -> float:
-    """Two-dimensional Ricci shortcut.
+def ricci_2d(G: SprayField, x, y):
+    """Two-dimensional Ricci shortcut (a float at one site, an array over
+    column arrays of sites).
 
     With S = dG^1/du + dG^2/dv (u, v the tangent coordinates):
 
@@ -142,17 +132,17 @@ def ricci_2d(G: SprayField, x, y) -> float:
     S0 = S_func(list(x), list(y))
     dS = []
     for k in range(2):
-        res = directional_derivatives(lambda xs, ys: S_func(xs, ys), x, y, x_dirs=[(_basis(2, k), 1)])
+        res = directional_derivatives(lambda xs, ys: S_func(xs, ys), x, y, x_dirs=[(basis(2, k), 1)])
         dS.append(res.partial([1]))
     for k in range(2):
-        res = directional_derivatives(lambda xs, ys: S_func(xs, ys), x, y, y_dirs=[(_basis(2, k), 1)])
+        res = directional_derivatives(lambda xs, ys: S_func(xs, ys), x, y, y_dirs=[(basis(2, k), 1)])
         dS.append(res.partial([1]))
     val = (
         2.0 * (dGdx[0][0] + dGdx[1][1] + dGdy[0][0] * dGdy[1][1] - dGdy[0][1] * dGdy[1][0])
         - S0 * S0
         - (y[0] * dS[0] + y[1] * dS[1] - 2.0 * Gval[0] * dS[2] - 2.0 * Gval[1] * dS[3])
     )
-    return float(value(val))
+    return value(val)
 
 
 def flag_curvature(F: FinslerField, x, y, u, G: Optional[SprayField] = None) -> float:
@@ -172,6 +162,25 @@ def flag_curvature(F: FinslerField, x, y, u, G: Optional[SprayField] = None) -> 
         G = spray_from_metric(F)
     R = riemann(G, x, y)
     return float(np.asarray(u) @ g.g @ R.apply(u)) / denom
+
+
+def flag_curvatures(F: FinslerField, G: SprayField, x, y, u):
+    """Flag curvatures K(span{y, u}, y) at a batch of sites in one array pass.
+
+    x, y and u hold column arrays (one per coordinate, one element per site).
+    Returns (K, degenerate): `degenerate` marks the flags whose edge is
+    numerically parallel to the pole (where flag_curvature raises
+    DegenerateFlagError), and K is NaN there.
+    """
+    g = metric_entries(F, x, y)
+    R = riemann_entries(G, x, y)
+    gyy, guu, gyu = (_linalg.quad_form(g, a, b) for a, b in ((y, y), (u, u), (y, u)))
+    denom = np.asarray(value(gyy * guu - gyu * gyu), dtype=float)
+    num = np.asarray(value(_linalg.quad_form(g, u, _linalg.matvec(R, u))), dtype=float)
+    degenerate = denom <= 1e-10 * np.asarray(value(gyy * guu), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.where(degenerate, np.nan, num / denom)
+    return K, degenerate
 
 
 # -- curvature via a reference spray ------------------------------------------
@@ -201,7 +210,7 @@ class DifferenceField:
         Hval = H(xs, ys)
         dHdx = []
         for k in range(n):
-            res = directional_derivatives(H, xs, ys, x_dirs=[(_basis(n, k), 1)])
+            res = directional_derivatives(H, xs, ys, x_dirs=[(basis(n, k), 1)])
             dHdx.append(
                 [TaylorResult(res.root[i], res.tags, res.orders).partial([1]) for i in range(n)]
             )
@@ -211,8 +220,8 @@ class DifferenceField:
         for j in range(n):
             for k in range(j, n):
                 if j == k:
-                    res = directional_derivatives(H, xs, ys, y_dirs=[(_basis(n, j), 2)])
-                    resR = directional_derivatives(G_ref, xs, ys, y_dirs=[(_basis(n, j), 2)])
+                    res = directional_derivatives(H, xs, ys, y_dirs=[(basis(n, j), 2)])
+                    resR = directional_derivatives(G_ref, xs, ys, y_dirs=[(basis(n, j), 2)])
                     for i in range(n):
                         sub = TaylorResult(res.root[i], res.tags, res.orders)
                         subR = TaylorResult(resR.root[i], resR.tags, resR.orders)
@@ -221,7 +230,7 @@ class DifferenceField:
                         refHess[i][j][j] = subR.partial([2])
                 else:
                     resR = directional_derivatives(
-                        G_ref, xs, ys, y_dirs=[(_basis(n, j), 1), (_basis(n, k), 1)]
+                        G_ref, xs, ys, y_dirs=[(basis(n, j), 1), (basis(n, k), 1)]
                     )
                     for i in range(n):
                         subR = TaylorResult(resR.root[i], resR.tags, resR.orders)
@@ -260,7 +269,7 @@ def riemann_via_difference(
     dHc = [[[None] * n for _ in range(n)] for _ in range(n)]  # [i][j][k]
     for k in range(n):
         res = directional_derivatives(
-            lambda xs, ys: H_cov(xs, ys), x, y, y_dirs=[(_basis(n, k), 1)]
+            lambda xs, ys: H_cov(xs, ys), x, y, y_dirs=[(basis(n, k), 1)]
         )
         for i in range(n):
             for j in range(n):
@@ -272,14 +281,14 @@ def riemann_via_difference(
     for j in range(n):
         for k in range(j, n):
             if j == k:
-                res = directional_derivatives(H, x, y, y_dirs=[(_basis(n, j), 2)])
+                res = directional_derivatives(H, x, y, y_dirs=[(basis(n, j), 2)])
                 for i in range(n):
                     sub = TaylorResult(res.root[i], res.tags, res.orders)
                     dHdy[i][j] = sub.partial([1])
                     hessH[i][j][j] = sub.partial([2])
             else:
                 res = directional_derivatives(
-                    H, x, y, y_dirs=[(_basis(n, j), 1), (_basis(n, k), 1)]
+                    H, x, y, y_dirs=[(basis(n, j), 1), (basis(n, k), 1)]
                 )
                 for i in range(n):
                     sub = TaylorResult(res.root[i], res.tags, res.orders)
@@ -325,13 +334,13 @@ def _k0_blocks(randers: RandersData, x, y):
     c = tbl.contract(y)
     a2 = c.alpha2
     ylow = c.y_low
-    A = np.zeros((n, n))
-    B = np.zeros((n, n))
-    s_j_sj0 = float(sum(tbl.s_form[j] * c.si0[j] for j in range(n)))
+    A = [[None] * n for _ in range(n)]
+    B = [[None] * n for _ in range(n)]
+    s_j_sj0 = sum(tbl.s_form[j] * c.si0[j] for j in range(n))
     for i in range(n):
         for k in range(n):
             d = 1.0 if i == k else 0.0
-            a_ik = (
+            A[i][k] = (
                 (c.s00 * d - c.s0k[k] * y[i])
                 + (c.sk0_cov[k] - c.s0k[k]) * y[i]
                 + c.s0 * (c.s0 * d - tbl.s_form[k] * y[i])
@@ -341,41 +350,39 @@ def _k0_blocks(randers: RandersData, x, y):
                 )
                 + 3.0 * c.sk0[k] * c.si0[i]
             )
-            b_ik = (
+            B[i][k] = (
                 s_j_sj0 * (a2 * d - ylow[k] * y[i])
                 + a2 * (s_j_sj0 * d - sum(tbl.s_form[j] * tbl.s_up[j][k] for j in range(n)) * y[i])
                 + a2 * (c.si_k0[i][k] - c.si_0k[i][k])
                 - (a2 * c.si_0k[i][k] - c.si_00[i] * ylow[k])
             )
-            A[i][k] = float(value(a_ik))
-            B[i][k] = float(value(b_ik))
-    s_zero = np.array(
-        [
-            [
-                float(value(tbl.r[i][j] + tbl.b[i] * tbl.s_form[j] + tbl.b[j] * tbl.s_form[i]))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
-    return A, B, float(np.max(np.abs(s_zero))), tbl, c
+    return values_array(A), values_array(B), tbl
+
+
+def _alpha_riemann(randers: RandersData, x, y) -> np.ndarray:
+    """Riemann curvature matrix of alpha (Levi-Civita spray) as a float array."""
+    return values_array(riemann_entries(levi_civita_spray(randers.alpha), x, y))
 
 
 def k0_residuals(randers: RandersData, x, y) -> K0Residuals:
     """Residuals of the two curvature-vanishing conditions at (x, y).
 
     residual_a = Rbar^i_k + [rational block]; residual_b = [1/alpha block].
-    Rbar is the Riemann curvature of alpha (Levi-Civita spray).
+    Rbar is the Riemann curvature of alpha (Levi-Civita spray).  With column
+    arrays of sites the residuals are (n, n, m) arrays and `s_zero_max` has
+    one entry per site.
     """
-    A, B, s_zero_max, _, _ = _k0_blocks(randers, x, y)
-    Rbar = riemann(levi_civita_spray(randers.alpha), x, y).matrix
-    return K0Residuals(residual_a=Rbar + A, residual_b=B, s_zero_max=s_zero_max)
+    A, B, tbl = _k0_blocks(randers, x, y)
+    s_zero_max = np.max(np.abs(tbl.s_zero_residual()), axis=(0, 1))
+    return K0Residuals(
+        residual_a=_alpha_riemann(randers, x, y) + A, residual_b=B, s_zero_max=s_zero_max
+    )
 
 
 @dataclass
 class RicciTrace:
     """Traced curvature of an S = 0 Randers metric plus the two
-    Ricci-vanishing condition residuals."""
+    Ricci-vanishing condition residuals (arrays over column arrays of sites)."""
 
     value: float
     trace_condition: float       # s^k_{0|k} - (n-1) s_j s^j_0
@@ -391,27 +398,17 @@ def randers_ricci_trace(randers: RandersData, x, y) -> RicciTrace:
     n = randers.dim
     tbl = beta_table(randers, x, order=2)
     c = tbl.contract(y)
-    alpha = float(value(c.alpha2)) ** 0.5
-    ric_bar = riemann(levi_civita_spray(randers.alpha), x, y).ricci
-    sk0_sk0 = float(sum(c.sk0[k] * c.si0[k] for k in range(n)))
-    skj_sjk = float(sum(tbl.s_up[k][j] * tbl.s_up[j][k] for k in range(n) for j in range(n)))
-    sk_0k = float(sum(c.si_0k[k][k] for k in range(n)))
-    s_j_sj0 = float(sum(tbl.s_form[j] * c.si0[j] for j in range(n)))
-    a2 = float(value(c.alpha2))
-    val = (
-        ric_bar
-        + (n - 1) * (float(value(c.s00)) + float(value(c.s0)) ** 2)
-        + 2.0 * sk0_sk0
-        - a2 * skj_sjk
-        + 2.0 * (sk_0k - (n - 1) * s_j_sj0) * alpha
-    )
+    a2 = c.alpha2
+    alpha = a2 ** 0.5
+    ric_bar = np.trace(_alpha_riemann(randers, x, y))
+    sk0_sk0 = sum(c.sk0[k] * c.si0[k] for k in range(n))
+    skj_sjk = sum(tbl.s_up[k][j] * tbl.s_up[j][k] for k in range(n) for j in range(n))
+    sk_0k = sum(c.si_0k[k][k] for k in range(n))
+    s_j_sj0 = sum(tbl.s_form[j] * c.si0[j] for j in range(n))
+    ricci_bar = ric_bar + (n - 1) * (c.s00 + c.s0**2) - a2 * skj_sjk + 2.0 * sk0_sk0
+    trace = sk_0k - (n - 1) * s_j_sj0
     return RicciTrace(
-        value=val,
-        trace_condition=sk_0k - (n - 1) * s_j_sj0,
-        ricci_bar_condition=ric_bar
-        + (n - 1) * (float(value(c.s00)) + float(value(c.s0)) ** 2)
-        - a2 * skj_sjk
-        + 2.0 * sk0_sk0,
+        value=ricci_bar + 2.0 * trace * alpha, trace_condition=trace, ricci_bar_condition=ricci_bar
     )
 
 
@@ -426,8 +423,3 @@ def gauss_curvature_riemannian(alpha: RiemannianField, x) -> float:
     a = alpha.value(x)
     denom = float((np.array(y) @ a @ y) * (np.array(u) @ a @ u) - (np.array(y) @ a @ u) ** 2)
     return float(np.asarray(u) @ a @ R.apply(u)) / denom
-
-
-def randers_riemann(randers: RandersData, x, y) -> RiemannOperator:
-    """Riemann operator through the Randers closed-form spray (fast path)."""
-    return riemann(randers_spray(randers), x, y)

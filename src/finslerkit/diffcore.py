@@ -327,28 +327,32 @@ def directional_derivatives(
     return TaylorResult(root, tx + ty, ox + oy)
 
 
-def coordinate_derivatives(
-    f: Callable,
-    x: Sequence,
-    y: Sequence,
-    orders_x: Sequence[int],
-    orders_y: Sequence[int],
-) -> TaylorResult:
-    """Taylor data with one jet per coordinate carrying a nonzero order.
-
-    Result variables are ordered: x coordinates with order > 0 (ascending
-    index), then y coordinates with order > 0.
-    """
-    n = len(x)
-    x_dirs = [(_basis(n, i), k) for i, k in enumerate(orders_x) if k > 0]
-    y_dirs = [(_basis(len(y), i), k) for i, k in enumerate(orders_y) if k > 0]
-    return directional_derivatives(f, x, y, x_dirs, y_dirs)
-
-
-def _basis(n: int, i: int):
+def basis(n: int, i: int) -> list:
+    """The i-th standard basis vector of R^n, as a list."""
     e = [0.0] * n
     e[i] = 1.0
     return e
+
+
+def values_array(entries, sites: tuple = ()) -> np.ndarray:
+    """Base values of a nested list of generic scalars as one float array.
+
+    Entries evaluated on a batch of sites are arrays; they broadcast the
+    scalar entries (and `sites`), so the nesting dimensions come first and
+    the site dimensions last: a matrix of entries over m sites becomes an
+    (n, n, m) array, at one site an (n, n) array.
+    """
+    leaves = []
+
+    def index(obj):
+        if isinstance(obj, (list, tuple)):
+            return [index(e) for e in obj]
+        leaves.append(np.asarray(value(obj), dtype=float))
+        return len(leaves) - 1
+
+    where = np.array(index(entries))
+    site_shape = np.broadcast_shapes(tuple(sites), *(v.shape for v in leaves))
+    return np.stack([np.broadcast_to(v, site_shape) for v in leaves])[where]
 
 
 # -- public request / value types ------------------------------------------
@@ -403,12 +407,15 @@ def jet_eval(f: Callable, req: JetRequest) -> JetValue:
     Returns every partial with multi-index componentwise at most the request.
     Deterministic and exact to floating point rounding for smooth fields.
     """
-    try:
-        res = coordinate_derivatives(f, req.base_x, req.base_y, req.orders_x, req.orders_y)
-    except DomainError as e:
-        raise DomainError(f"field evaluation failed at x={req.base_x}, y={req.base_y}: {e}") from e
+    # one jet per coordinate with a nonzero order: x coordinates, then y
     xi = [i for i, k in enumerate(req.orders_x) if k > 0]
     yi = [i for i, k in enumerate(req.orders_y) if k > 0]
+    x_dirs = [(basis(len(req.base_x), i), req.orders_x[i]) for i in xi]
+    y_dirs = [(basis(len(req.base_y), i), req.orders_y[i]) for i in yi]
+    try:
+        res = directional_derivatives(f, req.base_x, req.base_y, x_dirs, y_dirs)
+    except DomainError as e:
+        raise DomainError(f"field evaluation failed at x={req.base_x}, y={req.base_y}: {e}") from e
     out = {}
     for ox in _sub_multi_indices(req.orders_x):
         for oy in _sub_multi_indices(req.orders_y):

@@ -16,9 +16,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _linalg
-from .diffcore import directional_derivatives, log, sqrt, value
+from .diffcore import basis, directional_derivatives, log, sqrt, value, values_array
 from .errors import MetricError
-from .metrics import FinslerField, RandersData, RiemannianField, fundamental_tensor
+from .metrics import FinslerField, RandersData, RiemannianField, metric_entries, require_nonzero
 from .spray import SprayField, beta_table, geodesic_integrate
 
 DIFFERENTIABLE_METHODS = ("closed-form-randers", "riemannian-det", "constant")
@@ -164,10 +164,12 @@ def bh_density_mc(
 # -- distortion and S-curvature -------------------------------------------------
 
 
-def distortion(F: FinslerField, sigma: VolumeDensity, x, y) -> float:
-    """mu(x, y) = ln( sqrt(det g(x, y)) / sigma(x) )."""
-    g = fundamental_tensor(F, x, y)
-    return 0.5 * math.log(g.det) - math.log(float(value(sigma(x))))
+def distortion(F: FinslerField, sigma: VolumeDensity, x, y):
+    """mu(x, y) = ln( sqrt(det g(x, y)) / sigma(x) ); raises MetricError
+    where g is not positive definite."""
+    require_nonzero(y)
+    det = value(_det_generic(metric_entries(F, x, y)))
+    return 0.5 * log(det) - log(value(sigma(x)))
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,8 @@ def s_curvature(G: SprayField, sigma: VolumeDensity, x, y) -> float:
     """S(x, y) = dG^i/dy^i - y^i d/dx^i [ ln sigma(x) ].
 
     Requires a differentiable density source; Monte-Carlo densities are
-    rejected so sampling noise is never presented as curvature.
+    rejected so sampling noise is never presented as curvature.  Column
+    arrays of sites give an array of values.
     """
     if not sigma.differentiable:
         raise MetricError(
@@ -196,13 +199,10 @@ def s_curvature(G: SprayField, sigma: VolumeDensity, x, y) -> float:
     n = len(y)
     div = 0.0
     for i in range(n):
-        e = [0.0] * n
-        e[i] = 1.0
-        res = directional_derivatives(lambda xs, ys: G(xs, ys)[i], x, y, y_dirs=[(e, 1)])
-        div += float(value(res.partial([1])))
+        res = directional_derivatives(lambda xs, ys: G(xs, ys)[i], x, y, y_dirs=[(basis(n, i), 1)])
+        div = div + value(res.partial([1]))
     res = directional_derivatives(lambda xs, ys: log(sigma(xs)), x, y, x_dirs=[(list(y), 1)])
-    dlog = float(value(res.partial([1])))
-    return div - dlog
+    return div - value(res.partial([1]))
 
 
 def s_curvature_dynamic(
@@ -214,22 +214,27 @@ def s_curvature_dynamic(
     G: Optional[SprayField] = None,
 ) -> float:
     """S as the t-derivative of the distortion along the geodesic through (x, y):
-    central difference of mu(c'(t)) at t = 0 with a short Runge-Kutta arc."""
+    central difference of mu(c'(t)) at t = 0 with a short Runge-Kutta arc.
+    Column arrays of sites are integrated as one geodesic ensemble per
+    direction of time and give an array of values."""
     from .spray import spray_from_metric
 
     if G is None:
         G = spray_from_metric(F)
     sub = 8
-    fwd = geodesic_integrate(G, x, y, dt, dt / sub)
-    bwd = geodesic_integrate(G, x, y, -dt, dt / sub)
-    mu_f = distortion(F, sigma, list(fwd.x[-1]), list(fwd.v[-1]))
-    mu_b = distortion(F, sigma, list(bwd.x[-1]), list(bwd.v[-1]))
+    x0, y0 = np.asarray(x, dtype=float).T, np.asarray(y, dtype=float).T
+    fwd = geodesic_integrate(G, x0, y0, dt, dt / sub)
+    bwd = geodesic_integrate(G, x0, y0, -dt, dt / sub)
+    mu_f = distortion(F, sigma, list(fwd.x[-1].T), list(fwd.v[-1].T))
+    mu_b = distortion(F, sigma, list(bwd.x[-1].T), list(bwd.v[-1].T))
     return (mu_f - mu_b) / (2.0 * dt)
 
 
 @dataclass
 class RhoGradient:
-    """rho = ln sqrt(1 - ||beta||^2) and its gradient rho_i = -b^j b_{j|i} / (1 - ||beta||^2)."""
+    """rho = ln sqrt(1 - ||beta||^2) and its gradient rho_i = -b^j b_{j|i} / (1 - ||beta||^2).
+
+    Column arrays of sites give arrays: `grad` is then (n, m)."""
 
     value: float
     grad: np.ndarray
@@ -240,41 +245,32 @@ def rho_gradient(randers: RandersData, x) -> RhoGradient:
     n = randers.dim
     b_up = _linalg.matvec(tbl.a_inv, tbl.b)
     beta2 = _linalg.sum_prod(tbl.b, b_up)
-    denom = 1.0 - float(value(beta2))
-    if denom <= 0.0:
+    denom = 1.0 - value(beta2)
+    if np.any(denom <= 0.0):
         raise MetricError("||beta|| >= 1: invalid Randers data")
-    grad = np.array(
-        [
-            -float(value(sum(b_up[j] * tbl.b_cov[j][i] for j in range(n)))) / denom
-            for i in range(n)
-        ]
-    )
-    return RhoGradient(value=0.5 * math.log(denom), grad=grad)
+    grad = values_array(
+        [-sum(b_up[j] * tbl.b_cov[j][i] for j in range(n)) for i in range(n)],
+        sites=np.shape(denom),
+    ) / denom
+    return RhoGradient(value=0.5 * log(denom), grad=grad)
 
 
-def randers_s_curvature(randers: RandersData, x, y) -> float:
-    """Closed form S = (n+1) { P - rho_0 } with P = (r_00 - 2 alpha s_0)/(2F)."""
+def randers_s_curvature(randers: RandersData, x, y):
+    """Closed form S = (n+1) { P - rho_0 } with P = (r_00 - 2 alpha s_0)/(2F);
+    an array of values over column arrays of sites."""
     n = randers.dim
     tbl = beta_table(randers, x, order=1)
     c = tbl.contract(y)
-    alpha = math.sqrt(float(value(c.alpha2)))
-    beta_v = float(value(_linalg.sum_prod(tbl.b, y)))
-    P = (float(value(c.r00)) - 2.0 * alpha * float(value(c.s0))) / (2.0 * (alpha + beta_v))
+    alpha = sqrt(value(c.alpha2))
+    beta_v = value(_linalg.sum_prod(tbl.b, y))
+    P = (value(c.r00) - 2.0 * alpha * value(c.s0)) / (2.0 * (alpha + beta_v))
     rho = rho_gradient(randers, x)
-    rho0 = float(rho.grad @ np.asarray(y, dtype=float))
+    rho0 = _linalg.sum_prod(list(rho.grad), y)
     return (n + 1) * (P - rho0)
 
 
 def s_zero_criterion(randers: RandersData, x) -> np.ndarray:
-    """Symmetric residual r_ij + b_i s_j + b_j s_i; zero iff S = 0 at x."""
-    tbl = beta_table(randers, x, order=1)
-    n = randers.dim
-    return np.array(
-        [
-            [
-                float(value(tbl.r[i][j] + tbl.b[i] * tbl.s_form[j] + tbl.b[j] * tbl.s_form[i]))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+    """Symmetric residual r_ij + b_i s_j + b_j s_i; zero iff S = 0 at x.
+
+    An (n, n) array at one point, (n, n, m) over column arrays of m sites."""
+    return beta_table(randers, x, order=1).s_zero_residual()

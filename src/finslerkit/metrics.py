@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _linalg
-from .diffcore import directional_derivatives, sqrt, value
+from .diffcore import basis, directional_derivatives, sqrt, value
 from .errors import DomainError, MetricError
 
 BOUNDARY_BETA_GUARD = 1.0 - 1e-12
@@ -183,12 +183,15 @@ class RandersData:
         return self.field
 
 
-def beta_norm(randers: RandersData, x) -> float:
-    """||beta||_alpha(x) = sqrt(a^{ij} b_i b_j); must be < 1 for validity."""
-    a = [[float(value(e)) for e in row] for row in randers.alpha.matrix(x)]
-    b = [float(value(e)) for e in randers.beta.covector(x)]
+def beta_norm(randers: RandersData, x):
+    """||beta||_alpha(x) = sqrt(a^{ij} b_i b_j); must be < 1 for validity.
+
+    A float at one chart point; an array when x holds column arrays of sites.
+    """
+    a = [[value(e) for e in row] for row in randers.alpha.matrix(x)]
+    b = [value(e) for e in randers.beta.covector(x)]
     a_inv, _ = _linalg.spd_factor(a)
-    return math.sqrt(max(_linalg.quad_form(a_inv, b, b), 0.0))
+    return sqrt(np.maximum(_linalg.quad_form(a_inv, b, b), 0.0))
 
 
 def require_valid_randers(randers: RandersData, x) -> None:
@@ -219,31 +222,26 @@ def metric_entries(F: FinslerField, x, y) -> list:
     for i in range(n):
         for j in range(i, n):
             if i == j:
-                res = directional_derivatives(F.squared, x, y, y_dirs=[(_basis(n, i), 2)])
+                res = directional_derivatives(F.squared, x, y, y_dirs=[(basis(n, i), 2)])
                 gij = res.partial([2])
             else:
                 res = directional_derivatives(
-                    F.squared, x, y, y_dirs=[(_basis(n, i), 1), (_basis(n, j), 1)]
+                    F.squared, x, y, y_dirs=[(basis(n, i), 1), (basis(n, j), 1)]
                 )
                 gij = res.partial([1, 1])
             g[i][j] = g[j][i] = gij * 0.5
     return g
 
 
-def _basis(n, i):
-    e = [0.0] * n
-    e[i] = 1.0
-    return e
-
-
-def _require_nonzero(y):
-    if all(float(value(v)) == 0.0 for v in y):
+def require_nonzero(y) -> None:
+    """Raise MetricError if y (or y at some site of column arrays) is zero."""
+    if np.any(np.all([np.asarray(value(v)) == 0.0 for v in y], axis=0)):
         raise MetricError("tangent vector must be nonzero (slit tangent bundle)")
 
 
 def fundamental_tensor(F: FinslerField, x, y) -> FundamentalTensor:
     """Fundamental tensor at (x, y); raises MetricError when not PD."""
-    _require_nonzero(y)
+    require_nonzero(y)
     g = metric_entries(F, x, y)
     g_arr = np.array([[float(value(e)) for e in row] for row in g])
     try:
@@ -277,7 +275,9 @@ def cartan_second(F: FinslerField, x, y, u, v, w, z):
 # Both y and u are search variables.  In dimension 2 the orthogonal
 # complement of y is a line, so a fine angle grid plus local refinement is
 # effectively exact; in higher dimension the estimate is a seeded sampled
-# lower bound.
+# lower bound.  Every norm routine takes one chart point (floats) or column
+# arrays of m sites, in which case all sites are searched in one array pass
+# and the norms come back as an array.
 
 
 def _perp_2d(g, y):
@@ -301,30 +301,44 @@ def _torsion_ratio_2d(F, x, theta, second: bool):
 
 
 def _golden_max(fun, lo, hi, tol=1e-10):
+    """Golden-section maximum of fun over [lo, hi]; lo and hi may be arrays of
+    brackets, refined together (brackets of equal width shrink in lockstep)
+    with one evaluation of fun per step on the array of probe points."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    batched = np.ndim(lo) > 0
+    pick = np.where if batched else (lambda cond, p, q: p if cond else q)
+    any_ = np.any if batched else bool
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    while abs(b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return max(fc, fd)
+    while any_(abs(b - a) > tol):
+        left = fc > fd  # the maximum lies in [a, d]
+        a, b = pick(left, a, c), pick(left, d, b)
+        probe = pick(left, b - invphi * (b - a), a + invphi * (b - a))
+        fp = fun(probe)
+        c, fc, d, fd = (
+            pick(left, probe, d), pick(left, fp, fd), pick(left, c, probe), pick(left, fc, fp)
+        )
+    return np.maximum(fc, fd)
+
+
+def _site_grid(x, samples):
+    """Each site of x (floats or column arrays) repeated `samples` times."""
+    return [np.repeat(np.asarray(v, dtype=float), samples) for v in x]
 
 
 def _norm_2d(F, x, samples, second):
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    vals = _torsion_ratio_2d(F, x, thetas, second)
-    k = int(np.argmax(vals))
+    sites = np.shape(x[0])
+    xg = _site_grid(x, samples) if sites else x  # one point broadcasts over the angles
+    grid = _torsion_ratio_2d(F, xg, np.tile(thetas, int(np.prod(sites))), second)
+    k = np.argmax(np.reshape(grid, sites + (samples,)), axis=-1)
     dt = 2.0 * math.pi / samples
-    scalar = lambda t: float(_torsion_ratio_2d(F, x, float(t), second))
-    return _golden_max(scalar, thetas[k] - dt, thetas[k] + dt)
+    best = _golden_max(
+        lambda t: _torsion_ratio_2d(F, x, t, second), thetas[k] - dt, thetas[k] + dt
+    )
+    return best if sites else float(best)
 
 
 def _fibonacci_sphere(m: int) -> np.ndarray:
@@ -339,7 +353,8 @@ def _fibonacci_sphere(m: int) -> np.ndarray:
 def _norm_sampled(F, x, samples, seed, second):
     """Batched sampled lower bound: y on the unit sphere (Fibonacci lattice
     when the sphere is 2-dimensional), u Gram-Schmidt orthogonalized against
-    y in g_y."""
+    y in g_y.  Every site uses the same sample set.  Raises MetricError at a
+    site where no sample has g_y(u, u) > 1e-14."""
     n = F.dim
     rng = np.random.default_rng([seed, 0xC2 if second else 0xC1])
     if n == 3:
@@ -348,9 +363,11 @@ def _norm_sampled(F, x, samples, seed, second):
         ys = rng.normal(size=(samples, n))
         ys /= np.linalg.norm(ys, axis=1)[:, None]
     us = rng.normal(size=(samples, n))
-    cx = [np.full(samples, float(v)) for v in x]
-    cy = [ys[:, i] for i in range(n)]
-    cu = [us[:, i] for i in range(n)]
+    sites = np.shape(x[0])
+    m = int(np.prod(sites))
+    cx = _site_grid(x, samples)
+    cy = [np.tile(ys[:, i], m) for i in range(n)]
+    cu = [np.tile(us[:, i], m) for i in range(n)]
     g = metric_entries(F, cx, cy)
     gyy = _linalg.quad_form(g, cy, cy)
     gyu = _linalg.quad_form(g, cy, cu)
@@ -358,25 +375,30 @@ def _norm_sampled(F, x, samples, seed, second):
     u = [cu[i] - coef * cy[i] for i in range(n)]
     guu = _linalg.quad_form(g, u, u)
     fval = np.asarray(F(cx, cy), dtype=float)
-    good = guu > 1e-14
     if second:
         val = np.abs(np.asarray(cartan_second(F, cx, cy, u, u, u, u), dtype=float))
-        ratio = fval * fval * val / (guu * guu)
     else:
         val = np.abs(np.asarray(cartan_first(F, cx, cy, u, u, u), dtype=float))
-        ratio = fval * val / guu**1.5
-    return float(np.max(ratio[good])) if np.any(good) else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # unusable samples are dropped below
+        ratio = fval * fval * val / (guu * guu) if second else fval * val / guu**1.5
+    good = np.reshape(guu > 1e-14, sites + (samples,))
+    if not np.all(np.any(good, axis=-1)):
+        raise MetricError(f"no sampled flag with g_y(u, u) > 1e-14 at some site of {F.name}")
+    best = np.max(np.where(good, np.reshape(ratio, sites + (samples,)), -np.inf), axis=-1)
+    return best if sites else float(best)
 
 
-def cartan_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0) -> float:
-    """Sampled estimate of ||C||_x (exact up to refinement in dimension 2)."""
+def cartan_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0):
+    """Sampled estimate of ||C||_x (exact up to refinement in dimension 2);
+    an array of estimates when x holds column arrays of sites."""
     if F.dim == 2:
         return _norm_2d(F, x, samples, second=False)
     return _norm_sampled(F, x, samples, seed, second=False)
 
 
-def cartan_second_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0) -> float:
-    """Sampled estimate of ||C~||_x (exact up to refinement in dimension 2)."""
+def cartan_second_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0):
+    """Sampled estimate of ||C~||_x (exact up to refinement in dimension 2);
+    an array of estimates when x holds column arrays of sites."""
     if F.dim == 2:
         return _norm_2d(F, x, samples, second=True)
     return _norm_sampled(F, x, samples, seed, second=True)
@@ -387,26 +409,25 @@ def cartan_second_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0) -
 
 def check_metric(F: FinslerField, n_points: int = 100, seed: int = 7) -> dict:
     """Homogeneity, Euler identity, positive definiteness and g-recovers-F^2
-    residuals over seeded samples; raises MetricError on non-PD g."""
+    residuals over seeded samples, evaluated at all samples in one array
+    pass; raises MetricError on non-PD g.  A NaN residual stays NaN."""
     pts = F.domain.sample_points(n_points, seed)
     rng = np.random.default_rng([seed, 0xA1])
     dirs = rng.normal(size=(n_points, F.dim))
-    hom = euler = recover = 0.0
-    for x, y in zip(pts, dirs):
-        x = list(x)
-        y = list(y / np.linalg.norm(y))
-        f1 = float(F(x, y))
-        for lam in (0.5, 2.0, 7.0):
-            flam = float(F(x, [lam * v for v in y]))
-            hom = max(hom, abs(flam - lam * f1) / max(abs(f1), 1e-30))
-        res = directional_derivatives(F.func, x, y, y_dirs=[(y, 1)])
-        euler = max(euler, abs(float(res.partial([1])) - f1) / max(abs(f1), 1e-30))
-        g = fundamental_tensor(F, x, y)
-        recover = max(recover, abs(g.inner(y, y) - f1 * f1) / max(f1 * f1, 1e-30))
+    # row by row, so each direction is rounded exactly as a single-site caller's
+    dirs = np.array([d / np.linalg.norm(d) for d in dirs])
+    x, y = list(pts.T), list(dirs.T)
+    f1 = np.asarray(F(x, y), dtype=float)
+    scale = np.maximum(np.abs(f1), 1e-30)
+    hom = [np.abs(F(x, [lam * v for v in y]) - lam * f1) / scale for lam in (0.5, 2.0, 7.0)]
+    euler = np.abs(directional_derivatives(F.func, x, y, y_dirs=[(y, 1)]).partial([1]) - f1) / scale
+    g = metric_entries(F, x, y)
+    _linalg.cholesky(g)  # raises MetricError where g is not positive definite
+    recover = np.abs(_linalg.quad_form(g, y, y) - f1 * f1) / np.maximum(f1 * f1, 1e-30)
     return {
-        "homogeneity": hom,
-        "euler": euler,
-        "g_recovers_F2": recover,
+        "homogeneity": float(np.max(hom)),
+        "euler": float(np.max(euler)),
+        "g_recovers_F2": float(np.max(recover)),
         "n_points": n_points,
         "seed": seed,
     }

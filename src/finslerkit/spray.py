@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _linalg
-from .diffcore import TaylorResult, directional_derivatives, sqrt, value
+from .diffcore import TaylorResult, basis, directional_derivatives, sqrt, value, values_array
 from .errors import DomainError, IntegrationError, MetricError
 from .metrics import (
     ChartDomain,
@@ -46,12 +46,6 @@ class SprayField:
         return self.domain.dim
 
 
-def _basis(n, i):
-    e = [0.0] * n
-    e[i] = 1.0
-    return e
-
-
 # -- generic spray from the metric itself ------------------------------------
 
 
@@ -70,10 +64,10 @@ def spray_from_metric(F: FinslerField) -> SprayField:
         rhs = []
         for l in range(n):
             mixed = directional_derivatives(
-                F.squared, x, y, x_dirs=[(y, 1)], y_dirs=[(_basis(n, l), 1)]
+                F.squared, x, y, x_dirs=[(y, 1)], y_dirs=[(basis(n, l), 1)]
             ).partial([1, 1])
             grad = directional_derivatives(
-                F.squared, x, y, x_dirs=[(_basis(n, l), 1)]
+                F.squared, x, y, x_dirs=[(basis(n, l), 1)]
             ).partial([1])
             rhs.append(mixed - grad)
         return [0.25 * _linalg.sum_prod(g_inv[i], rhs) for i in range(n)]
@@ -91,9 +85,6 @@ class ChristoffelField:
     x: tuple
     gamma: np.ndarray  # (n, n, n), symmetric in the last two slots
 
-    def spray_value(self, y) -> np.ndarray:
-        return 0.5 * np.einsum("ijk,j,k->i", self.gamma, y, y)
-
 
 def _christoffel_entries(alpha: RiemannianField, x):
     """Gamma as nested lists of generic scalars (jet-safe)."""
@@ -102,7 +93,7 @@ def _christoffel_entries(alpha: RiemannianField, x):
     da = [None] * n  # da[k][i][j] = d a_ij / d x^k
     for k in range(n):
         res = directional_derivatives(
-            lambda xs, ys: alpha.matrix(xs), x, [], x_dirs=[(_basis(n, k), 1)]
+            lambda xs, ys: alpha.matrix(xs), x, [], x_dirs=[(basis(n, k), 1)]
         )
         da[k] = [
             [TaylorResult(res.root[i][j], res.tags, res.orders).partial([1]) for j in range(n)]
@@ -175,6 +166,12 @@ class BetaTable:
     s_form_cov: Optional[list] = None  # s_{j|k}
     s_up_cov: Optional[list] = None    # s^i_{j|k}
 
+    def s_zero_residual(self) -> np.ndarray:
+        """r_ij + b_i s_j + b_j s_i as a float array; zero iff S = 0 at x."""
+        r, b, s = self.r, self.b, self.s_form
+        n = len(b)
+        return values_array([[r[i][j] + b[i] * s[j] + b[j] * s[i] for j in range(n)] for i in range(n)])
+
     def contract(self, y) -> "BetaContractions":
         n = len(self.b)
         y = list(y)
@@ -242,7 +239,7 @@ def _vector_partials(fn, x, n, order):
                 continue
             if k == l:
                 res = directional_derivatives(
-                    lambda xs, ys: fn(xs), x, [], x_dirs=[(_basis(n, k), 2 if order >= 2 else 1)]
+                    lambda xs, ys: fn(xs), x, [], x_dirs=[(basis(n, k), 2 if order >= 2 else 1)]
                 )
                 for i in range(m):
                     sub = TaylorResult(res.root[i], res.tags, res.orders)
@@ -252,7 +249,7 @@ def _vector_partials(fn, x, n, order):
             else:
                 res = directional_derivatives(
                     lambda xs, ys: fn(xs), x, [],
-                    x_dirs=[(_basis(n, k), 1), (_basis(n, l), 1)],
+                    x_dirs=[(basis(n, k), 1), (basis(n, l), 1)],
                 )
                 for i in range(m):
                     sub = TaylorResult(res.root[i], res.tags, res.orders)
@@ -425,7 +422,12 @@ def randers_spray(randers: RandersData) -> SprayField:
 
 @dataclass
 class Trajectory:
-    """Sampled geodesic: times, positions, velocities and an exit flag."""
+    """Sampled geodesic: times, positions, velocities and an exit flag.
+
+    For an ensemble of m geodesics `x` and `v` are (steps, m, n) arrays,
+    `speed` is (steps, m) and `boundary_exit` is a per-row boolean array; a
+    row that stopped early keeps its last good state in the later samples.
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -433,9 +435,13 @@ class Trajectory:
     boundary_exit: bool
     speed: Optional[np.ndarray] = None
 
-    def rows(self):
-        for k in range(len(self.t)):
-            yield self.t[k], self.x[k], self.v[k]
+
+def _on_rows(fn, X, V) -> np.ndarray:
+    """fn(x, v) at each row of X and V: on floats for a single row, on column
+    arrays otherwise; the row axis comes last in the result."""
+    if len(X) == 1:
+        return np.array(fn(list(X[0]), list(V[0])), dtype=float)[..., None]
+    return values_array(fn(list(X.T), list(V.T)), sites=(len(X),))
 
 
 def geodesic_integrate(
@@ -450,65 +456,76 @@ def geodesic_integrate(
 ) -> Trajectory:
     """Fixed-step classical Runge-Kutta solution of x'' + 2 G(x, x') = 0.
 
-    Integration stops with `boundary_exit=True` when the path leaves the
-    chart domain (or the optional guard fails).  If `speed_check` is given,
-    F(x'(t)) is recorded and a drift beyond `speed_rtol` raises
-    IntegrationError.
+    `x0` and `y0` are one start point and velocity, or (m, n) arrays of m of
+    them integrated as an ensemble: every Runge-Kutta stage evaluates the
+    spray once for all rows still running.  A row stops, with its
+    `boundary_exit` flag set, when it leaves the chart domain (or the
+    optional guard fails), when a stage raises MetricError or DomainError,
+    or when its state turns non-finite.  If `speed_check` is given,
+    F(x'(t)) is recorded and a drift beyond `speed_rtol` (or a non-finite
+    speed) raises IntegrationError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    G.domain.require(x0)
-    n = len(x0)
+    single = np.ndim(x0) == 1
+    X0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    V0 = np.atleast_2d(np.asarray(y0, dtype=float))
+    for x in X0:
+        G.domain.require(x)
+    m, n = X0.shape
     steps = max(1, int(round(abs(T) / dt)))
     h = (T / steps) if T != 0 else dt
 
-    def rhs(state):
-        x = state[:n]
-        v = state[n:]
-        acc = G(list(x), list(v))
-        return np.concatenate([v, -2.0 * np.array([float(value(a)) for a in acc])])
+    def rhs(s):
+        return np.concatenate([s[:, n:], -2.0 * _on_rows(G, s[:, :n], s[:, n:]).T], axis=1)
 
-    state = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
-    ts = [0.0]
-    xs = [state[:n].copy()]
-    vs = [state[n:].copy()]
-    speeds = None
-    f0 = None
-    if speed_check is not None:
-        f0 = float(speed_check(list(state[:n]), list(state[n:])))
-        speeds = [f0]
-    exited = False
-    for k in range(steps):
+    def rk4(s):
+        """One step for the rows of s; a row whose stages fail comes back NaN."""
         try:
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * h * k1)
-            k3 = rhs(state + 0.5 * h * k2)
-            k4 = rhs(state + h * k3)
+            k1 = rhs(s)
+            k2 = rhs(s + 0.5 * h * k1)
+            k3 = rhs(s + 0.5 * h * k2)
+            k4 = rhs(s + h * k3)
         except (MetricError, DomainError):
-            # a Runge-Kutta stage left the chart; stop at the last good state
-            exited = True
+            # a Runge-Kutta stage left the chart; find the rows that did
+            if len(s) == 1:
+                return np.full_like(s, np.nan)
+            return np.concatenate([rk4(s[i : i + 1]) for i in range(len(s))])
+        return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    state = np.concatenate([X0, V0], axis=1)
+    exited = np.zeros(m, dtype=bool)
+    ts, states = [0.0], [state.copy()]
+    speeds = None if speed_check is None else [_on_rows(speed_check, X0, V0)]
+    for k in range(steps):
+        live = np.flatnonzero(~exited)
+        new = rk4(state[live])
+        ok = np.array([
+            bool(np.all(np.isfinite(s)) and G.domain.contains(s[:n]) and (guard is None or guard(s[:n])))
+            for s in new
+        ])
+        exited[live[~ok]] = True
+        if not ok.any():
             break
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xk = state[:n]
-        if not G.domain.contains(xk) or (guard is not None and not guard(xk)):
-            exited = True
-            break
+        moved = live[ok]
+        state[moved] = new[ok]
         ts.append((k + 1) * h)
-        xs.append(xk.copy())
-        vs.append(state[n:].copy())
-        if speed_check is not None:
-            fk = float(speed_check(list(xk), list(state[n:])))
+        states.append(state.copy())
+        if speeds is not None:
+            f0, fk = speeds[0], speeds[-1].copy()
+            fk[moved] = _on_rows(speed_check, state[moved, :n], state[moved, n:])
             speeds.append(fk)
-            if abs(fk - f0) > speed_rtol * abs(f0):
+            bad = moved[~(np.abs(fk[moved] - f0[moved]) <= speed_rtol * np.abs(f0[moved]))]
+            if bad.size:
                 raise IntegrationError(
-                    f"geodesic speed drifted from {f0} to {fk} at t={(k + 1) * h}"
+                    f"geodesic speed drifted from {f0[bad[0]]} to {fk[bad[0]]} at t={(k + 1) * h}"
                 )
+    path = np.array(states)
+    speed = None if speeds is None else np.array(speeds)
+    if single:
+        path, speed, exited = path[:, 0], None if speed is None else speed[:, 0], bool(exited[0])
     return Trajectory(
-        t=np.array(ts),
-        x=np.array(xs),
-        v=np.array(vs),
-        boundary_exit=exited,
-        speed=None if speeds is None else np.array(speeds),
+        t=np.array(ts), x=path[..., :n], v=path[..., n:], boundary_exit=exited, speed=speed
     )
 
 
@@ -517,7 +534,8 @@ def projective_residual(G: SprayField, x, y) -> np.ndarray:
 
     Chart-level proxy for straight-line geodesics (projective flatness in the
     chart): the matrix vanishes at (x, y) exactly when G^i = P y^i there.
+    Column arrays of sites give an (n, n, m) array.
     """
-    gv = np.array([float(value(t)) for t in G(list(x), list(y))])
     yv = np.asarray(y, dtype=float)
-    return np.outer(gv, yv) - np.outer(yv, gv)
+    gv = values_array(G(list(x), list(y)), sites=yv.shape[1:])
+    return gv[:, None] * yv[None, :] - yv[:, None] * gv[None, :]

@@ -7,7 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from finslerkit import cli, gallery
 from finslerkit.cli import main
+from finslerkit.curvature import riemann
+from finslerkit.errors import MetricError
+from finslerkit.spray import randers_spray
 
 
 def run_cli(args, capsys):
@@ -110,6 +114,57 @@ def test_scan_grid(capsys):
     vals = np.array(payload["values"], dtype=float)
     assert vals.shape == (3, 3)
     assert np.nanmax(np.abs(vals)) <= 1e-8
+
+
+def _scan(args, capsys):
+    code, out, _ = run_cli(["scan"] + args, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    axes = [np.array(a["values"]) for a in payload["axes"]]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    values = np.array(payload["values"], dtype=object).ravel()
+    return pts, values
+
+
+def test_scan_off_domain_sites_are_null_and_the_rest_match_per_point(capsys):
+    entry = gallery.funk(2)
+    G = randers_spray(entry.randers)
+    pts, values = _scan(
+        ["funk", "--quantity", "Ric", "--grid", "x=-1.1:1.1:6,y=-1.1:1.1:6", "--dir", "1,0.5"], capsys
+    )
+    inside = [entry.metric.domain.contains(p) for p in pts]
+    assert 0 < sum(inside) < len(pts)
+    for p, v, ins in zip(pts, values, inside):
+        if not ins:
+            assert v is None
+        else:
+            assert v == pytest.approx(riemann(G, list(p), [1.0, 0.5]).ricci, rel=1e-12, abs=1e-12)
+
+
+def test_scan_degenerate_flag_gives_all_null_grid(capsys):
+    _, values = _scan(
+        ["rotation2d", "--quantity", "K", "--grid", "x=-0.4:0.4:3,y=-0.4:0.4:3",
+         "--dir", "1,1", "--flag", "1,1"], capsys
+    )
+    assert all(v is None for v in values)
+
+
+def test_scan_falls_back_to_single_sites_when_a_chunk_fails(monkeypatch, capsys):
+    real = cli.s_curvature
+
+    def failing_right_half(G, sigma, x, y):
+        if np.any(np.asarray(x[0]) > 0.1):
+            raise MetricError("right half")
+        return real(G, sigma, x, y)
+
+    monkeypatch.setattr(cli, "s_curvature", failing_right_half)
+    pts, values = _scan(
+        ["rotation2d", "--quantity", "S", "--grid", "x=-0.4:0.4:5,y=-0.4:0.4:3"], capsys
+    )
+    for p, v in zip(pts, values):
+        assert (v is None) == (p[0] > 0.1)
+        if v is not None:
+            assert abs(v) <= 1e-8
 
 
 def test_navigate_zero_drift(capsys):

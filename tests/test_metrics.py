@@ -237,3 +237,10 @@ def test_domain_predicate_is_open_at_samples(entries):
                 bump = rng.normal(size=entry.dim)
                 bump *= 1e-6 / np.linalg.norm(bump)
                 assert entry.metric.domain.contains(x + bump)
+
+
+def test_sampled_norm_without_usable_flags_raises():
+    # g_y has rank one, so every u orthogonalized against y has g_y(u, u) = 0
+    F = M.FinslerField(M.whole_space_domain(3), lambda x, y: dc.sqrt(y[0] * y[0]))
+    with pytest.raises(MetricError):
+        M.cartan_norm(F, [0.0, 0.0, 0.0], samples=64, seed=1)

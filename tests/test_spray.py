@@ -7,7 +7,7 @@ from finslerkit import diffcore as dc
 from finslerkit import gallery
 from finslerkit import spray as S
 from finslerkit.errors import IntegrationError
-from finslerkit.metrics import RandersData, zero_one_form
+from finslerkit.metrics import FinslerField, RandersData, whole_space_domain, zero_one_form
 
 from conftest import RANDERS_SPECS, sample_sites
 
@@ -272,6 +272,55 @@ def test_speed_drift_raises(rotation2d):
             bad, [0.5, 0.0], [1.0, 1.0], T=1.0, dt=1e-2,
             speed_check=rotation2d.metric, speed_rtol=0.01,
         )
+
+
+def _nan_past(x_max):
+    """A zero spray on the plane that turns NaN once x^1 exceeds x_max."""
+
+    def G(x, y):
+        past = np.asarray(dc.value(x[0])) > x_max
+        return [np.where(past, np.nan, 0.0) * y[0], 0.0 * y[1]]
+
+    return S.SprayField(whole_space_domain(2), G, provenance="test")
+
+
+def test_non_finite_state_stops_the_geodesic():
+    traj = S.geodesic_integrate(_nan_past(0.05), [0.0, 0.0], [1.0, 0.0], T=0.2, dt=0.01)
+    assert traj.boundary_exit
+    assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.v))
+    assert 0.05 <= traj.x[-1][0] < 0.07
+
+
+def test_non_finite_state_stops_only_its_row_of_an_ensemble():
+    traj = S.geodesic_integrate(
+        _nan_past(0.05), np.zeros((2, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]]), T=0.2, dt=0.01
+    )
+    assert traj.boundary_exit.tolist() == [True, False]
+    assert np.all(np.isfinite(traj.x))
+    assert 0.05 <= traj.x[-1, 0, 0] < 0.07
+    assert traj.x[-1, 1, 0] == pytest.approx(-0.2)
+
+
+def test_non_finite_speed_raises():
+    flat = S.SprayField(whole_space_domain(2), lambda x, y: [0.0 * y[0], 0.0 * y[1]], "test")
+    speed = FinslerField(
+        whole_space_domain(2),
+        lambda x, y: (np.nan if float(x[0]) > 0.05 else 1.0) * (y[0] * y[0] + y[1] * y[1]) ** 0.5,
+    )
+    with pytest.raises(IntegrationError):
+        S.geodesic_integrate(flat, [0.0, 0.0], [1.0, 0.0], T=0.2, dt=0.01, speed_check=speed)
+
+
+def test_ensemble_matches_single_geodesics(rotation2d):
+    G = S.randers_spray(rotation2d.randers)
+    pts, dirs = sample_sites(rotation2d, 3, seed=9)
+    ens = S.geodesic_integrate(G, pts, 0.5 * dirs, T=0.1, dt=1e-2, speed_check=rotation2d.metric)
+    for i in range(3):
+        one = S.geodesic_integrate(
+            G, list(pts[i]), list(0.5 * dirs[i]), T=0.1, dt=1e-2, speed_check=rotation2d.metric
+        )
+        np.testing.assert_allclose(ens.x[:, i], one.x, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(ens.speed[:, i], one.speed, rtol=1e-13)
 
 
 # -- projective residual -----------------------------------------------------------------

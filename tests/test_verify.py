@@ -1,0 +1,30 @@
+"""The verification battery's reductions: NaN residuals and degenerate samples fail."""
+
+import math
+
+import numpy as np
+import pytest
+
+from finslerkit import verify
+from finslerkit.errors import DegenerateFlagError
+from finslerkit.spray import randers_spray
+
+
+def test_nan_residuals_fail_the_report(monkeypatch, rotation2d):
+    monkeypatch.setattr(verify, "ricci_2d", lambda G, x, y: np.full(np.shape(x[0]), np.nan))
+    monkeypatch.setattr(
+        verify, "s_zero_criterion", lambda rd, x: np.full((2, 2) + np.shape(x[0]), np.nan)
+    )
+    report = verify.run_verification(rotation2d, points=20, seed=3)
+    checks = {c.check_id: c for c in report.checks}
+    for check_id in ("ricci_2d_agrees", "s_zero_criterion"):
+        assert math.isnan(checks[check_id].max_residual)
+        assert checks[check_id].passed is False
+    assert report.passed is False
+
+
+def test_all_degenerate_flags_raise(rotation2d):
+    G = randers_spray(rotation2d.randers)
+    pts, dirs = verify._sample_sites(rotation2d, 8, seed=2)
+    with pytest.raises(DegenerateFlagError):
+        verify.max_flag_deviation(rotation2d.metric, G, pts, dirs, 3.0 * dirs, 0.0)
