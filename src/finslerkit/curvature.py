@@ -169,10 +169,11 @@ def flag_curvatures(F: FinslerField, G: SprayField, x, y, u):
 
     x, y and u hold column arrays (one per coordinate, one element per site).
     Returns (K, degenerate): `degenerate` marks the flags whose edge is
-    numerically parallel to the pole (where flag_curvature raises
-    DegenerateFlagError), and K is NaN there.
+    numerically parallel to the pole, where K is NaN (and flag_curvature raises
+    DegenerateFlagError).  Raises MetricError where g is not positive definite.
     """
     g = metric_entries(F, x, y)
+    _linalg.cholesky(g)  # MetricError where g is not positive definite, as in flag_curvature
     R = riemann_entries(G, x, y)
     gyy, guu, gyu = (_linalg.quad_form(g, a, b) for a, b in ((y, y), (u, u), (y, u)))
     denom = np.asarray(value(gyy * guu - gyu * gyu), dtype=float)

@@ -468,8 +468,7 @@ def geodesic_integrate(
     if dt <= 0:
         raise ValueError("dt must be positive")
     single = np.ndim(x0) == 1
-    X0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    V0 = np.atleast_2d(np.asarray(y0, dtype=float))
+    X0, V0 = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x0, y0))
     for x in X0:
         G.domain.require(x)
     m, n = X0.shape

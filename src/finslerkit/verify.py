@@ -3,8 +3,9 @@
 Runs every check applicable to a metric (homogeneity, positive definiteness,
 spray cross-oracles, curvature and S-curvature identities, torsion bounds,
 volume checks) with seeded sampling and produces a machine-readable report.
-Each check carries the mathematical claim it certifies, the sample count,
-seed, tolerance, and the worst residual observed.
+Each check evaluates all its sites in one array pass and carries the
+mathematical claim it certifies, the sample count, seed, tolerance, and the
+worst residual observed; it passes only on a finite residual within tolerance.
 """
 
 from __future__ import annotations
