@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _linalg
-from .diffcore import TaylorResult, basis, directional_derivatives, value, values_array
+from .diffcore import basis, derivative_blocks, directional_derivatives, value, values_array
 from .errors import DegenerateFlagError
 from .metrics import FinslerField, RandersData, RiemannianField, fundamental_tensor, metric_entries
 from .spray import SprayField, beta_table, levi_civita_spray, spray_from_metric
@@ -40,43 +40,18 @@ def _spray_derivatives(G: SprayField, x, y):
     """Values and the spray partials entering R^i_k, all at (x, y).
 
     Returns (Gval, dGdx[k][i], mixed[k][i] = y^j d2G^i/dx^j dy^k,
-    dGdy[i][j], hess[i][j][k]).
+    dGdy[j][i], hess[j][k][i] = d2G^i/dy^j dy^k).
     """
     n = len(y)
     Gval = G(list(x), list(y))
-    dGdx = []
-    for k in range(n):
-        res = directional_derivatives(lambda xs, ys: G(xs, ys), x, y, x_dirs=[(basis(n, k), 1)])
-        dGdx.append([TaylorResult(res.root[i], res.tags, res.orders).partial([1]) for i in range(n)])
-    mixed = []
-    for k in range(n):
-        res = directional_derivatives(
-            lambda xs, ys: G(xs, ys), x, y,
-            x_dirs=[(list(y), 1)], y_dirs=[(basis(n, k), 1)],
-        )
-        mixed.append(
-            [TaylorResult(res.root[i], res.tags, res.orders).partial([1, 1]) for i in range(n)]
-        )
-    dGdy = [[None] * n for _ in range(n)]
-    hess = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            if j == k:
-                res = directional_derivatives(
-                    lambda xs, ys: G(xs, ys), x, y, y_dirs=[(basis(n, j), 2)]
-                )
-                for i in range(n):
-                    sub = TaylorResult(res.root[i], res.tags, res.orders)
-                    dGdy[i][j] = sub.partial([1])
-                    hess[i][j][j] = sub.partial([2])
-            else:
-                res = directional_derivatives(
-                    lambda xs, ys: G(xs, ys), x, y,
-                    y_dirs=[(basis(n, j), 1), (basis(n, k), 1)],
-                )
-                for i in range(n):
-                    sub = TaylorResult(res.root[i], res.tags, res.orders)
-                    hess[i][j][k] = hess[i][k][j] = sub.partial([1, 1])
+    dGdx, _ = derivative_blocks(G, x, y, "x")
+    mixed = [
+        directional_derivatives(
+            G, x, y, x_dirs=[(list(y), 1)], y_dirs=[(basis(n, k), 1)]
+        ).partial([1, 1])
+        for k in range(n)
+    ]
+    dGdy, hess = derivative_blocks(G, x, y, "y", order=2)
     return Gval, dGdx, mixed, dGdy, hess
 
 
@@ -89,7 +64,7 @@ def riemann_entries(G: SprayField, x, y) -> list:
         for k in range(n):
             acc = 2.0 * dGdx[k][i] - mixed[k][i]
             for j in range(n):
-                acc = acc + 2.0 * (Gval[j] * hess[i][j][k]) - dGdy[i][j] * dGdy[j][k]
+                acc = acc + 2.0 * (Gval[j] * hess[j][k][i]) - dGdy[j][i] * dGdy[k][j]
             R[i][k] = acc
     return R
 
@@ -125,22 +100,16 @@ def ricci_2d(G: SprayField, x, y):
     Gval, dGdx, mixed, dGdy, hess = _spray_derivatives(G, x, y)
 
     def S_func(xs, ys):
-        r1 = directional_derivatives(lambda a, b: G(a, b)[0], xs, ys, y_dirs=[([1.0, 0.0], 1)])
-        r2 = directional_derivatives(lambda a, b: G(a, b)[1], xs, ys, y_dirs=[([0.0, 1.0], 1)])
-        return r1.partial([1]) + r2.partial([1])
+        dG, _ = derivative_blocks(G, xs, ys, "y")
+        return dG[0][0] + dG[1][1]
 
     S0 = S_func(list(x), list(y))
-    dS = []
-    for k in range(2):
-        res = directional_derivatives(lambda xs, ys: S_func(xs, ys), x, y, x_dirs=[(basis(2, k), 1)])
-        dS.append(res.partial([1]))
-    for k in range(2):
-        res = directional_derivatives(lambda xs, ys: S_func(xs, ys), x, y, y_dirs=[(basis(2, k), 1)])
-        dS.append(res.partial([1]))
+    dSdx, _ = derivative_blocks(S_func, x, y, "x")
+    dSdy, _ = derivative_blocks(S_func, x, y, "y")
     val = (
-        2.0 * (dGdx[0][0] + dGdx[1][1] + dGdy[0][0] * dGdy[1][1] - dGdy[0][1] * dGdy[1][0])
+        2.0 * (dGdx[0][0] + dGdx[1][1] + dGdy[0][0] * dGdy[1][1] - dGdy[1][0] * dGdy[0][1])
         - S0 * S0
-        - (y[0] * dS[0] + y[1] * dS[1] - 2.0 * Gval[0] * dS[2] - 2.0 * Gval[1] * dS[3])
+        - (y[0] * dSdx[0] + y[1] * dSdx[1] - 2.0 * Gval[0] * dSdy[0] - 2.0 * Gval[1] * dSdy[1])
     )
     return value(val)
 
@@ -160,8 +129,8 @@ def flag_curvature(F: FinslerField, x, y, u, G: Optional[SprayField] = None) -> 
         raise DegenerateFlagError("flag edge is parallel to the pole")
     if G is None:
         G = spray_from_metric(F)
-    R = riemann(G, x, y)
-    return float(np.asarray(u) @ g.g @ R.apply(u)) / denom
+    R = values_array(riemann_entries(G, x, y))
+    return float(np.asarray(u) @ g.g @ (R @ np.asarray(u, dtype=float))) / denom
 
 
 def flag_curvatures(F: FinslerField, G: SprayField, x, y, u):
@@ -206,42 +175,16 @@ class DifferenceField:
 
     def horizontal(self, xs, ys):
         n = len(ys)
-        H = self.value
-        G_ref = self.reference
-        Hval = H(xs, ys)
-        dHdx = []
-        for k in range(n):
-            res = directional_derivatives(H, xs, ys, x_dirs=[(basis(n, k), 1)])
-            dHdx.append(
-                [TaylorResult(res.root[i], res.tags, res.orders).partial([1]) for i in range(n)]
-            )
-        dHdy = [[None] * n for _ in range(n)]
-        dRefdy = [[None] * n for _ in range(n)]
-        refHess = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for j in range(n):
-            for k in range(j, n):
-                if j == k:
-                    res = directional_derivatives(H, xs, ys, y_dirs=[(basis(n, j), 2)])
-                    resR = directional_derivatives(G_ref, xs, ys, y_dirs=[(basis(n, j), 2)])
-                    for i in range(n):
-                        sub = TaylorResult(res.root[i], res.tags, res.orders)
-                        subR = TaylorResult(resR.root[i], resR.tags, resR.orders)
-                        dHdy[i][j] = sub.partial([1])
-                        dRefdy[i][j] = subR.partial([1])
-                        refHess[i][j][j] = subR.partial([2])
-                else:
-                    resR = directional_derivatives(
-                        G_ref, xs, ys, y_dirs=[(basis(n, j), 1), (basis(n, k), 1)]
-                    )
-                    for i in range(n):
-                        subR = TaylorResult(resR.root[i], resR.tags, resR.orders)
-                        refHess[i][j][k] = refHess[i][k][j] = subR.partial([1, 1])
+        Hval = self.value(xs, ys)
+        dHdx, _ = derivative_blocks(self.value, xs, ys, "x")
+        dHdy, _ = derivative_blocks(self.value, xs, ys, "y")
+        dRefdy, refHess = derivative_blocks(self.reference, xs, ys, "y", order=2)
         out = [[None] * n for _ in range(n)]
         for i in range(n):
             for k in range(n):
                 acc = dHdx[k][i]
                 for j in range(n):
-                    acc = acc + Hval[j] * refHess[i][j][k] - dHdy[i][j] * dRefdy[j][k]
+                    acc = acc + Hval[j] * refHess[j][k][i] - dHdy[j][i] * dRefdy[k][j]
                 out[i][k] = acc
         return out
 
@@ -267,41 +210,17 @@ def riemann_via_difference(
     base = riemann_ref(x, y) if riemann_ref is not None else riemann(G_ref, x, y)
     Hc = H_cov(list(x), list(y))
     # y^j (H^i_{|j})_{y^k}: differentiate each column j of H_cov in y^k, then contract
-    dHc = [[[None] * n for _ in range(n)] for _ in range(n)]  # [i][j][k]
-    for k in range(n):
-        res = directional_derivatives(
-            lambda xs, ys: H_cov(xs, ys), x, y, y_dirs=[(basis(n, k), 1)]
-        )
-        for i in range(n):
-            for j in range(n):
-                sub = TaylorResult(res.root[i][j], res.tags, res.orders)
-                dHc[i][j][k] = sub.partial([1])
+    dHc, _ = derivative_blocks(H_cov, x, y, "y")  # [k][i][j]
     Hval = H(list(x), list(y))
-    dHdy = [[None] * n for _ in range(n)]
-    hessH = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            if j == k:
-                res = directional_derivatives(H, x, y, y_dirs=[(basis(n, j), 2)])
-                for i in range(n):
-                    sub = TaylorResult(res.root[i], res.tags, res.orders)
-                    dHdy[i][j] = sub.partial([1])
-                    hessH[i][j][j] = sub.partial([2])
-            else:
-                res = directional_derivatives(
-                    H, x, y, y_dirs=[(basis(n, j), 1), (basis(n, k), 1)]
-                )
-                for i in range(n):
-                    sub = TaylorResult(res.root[i], res.tags, res.orders)
-                    hessH[i][j][k] = hessH[i][k][j] = sub.partial([1, 1])
+    dHdy, hessH = derivative_blocks(H, x, y, "y", order=2)
     mat = np.zeros((n, n))
     for i in range(n):
         for k in range(n):
             acc = base.matrix[i][k] + 2.0 * float(value(Hc[i][k]))
             for j in range(n):
-                acc -= float(value(y[j] * dHc[i][j][k]))
-                acc += 2.0 * float(value(Hval[j] * hessH[i][j][k]))
-                acc -= float(value(dHdy[i][j] * dHdy[j][k]))
+                acc -= float(value(y[j] * dHc[k][i][j]))
+                acc += 2.0 * float(value(Hval[j] * hessH[j][k][i]))
+                acc -= float(value(dHdy[j][i] * dHdy[k][j]))
             mat[i][k] = acc
     lowered = None
     if G.metric is not None:

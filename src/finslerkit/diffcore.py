@@ -257,7 +257,8 @@ class TaylorResult:
     """Result of evaluating a field on seeded jets.
 
     `tags` are in seeding order; `partial(multi)` returns the mixed partial
-    for per-variable derivative orders `multi` (aligned with `tags`).
+    for per-variable derivative orders `multi` (aligned with `tags`), with the
+    nesting of the root when the field returns a nested list.
     """
 
     def __init__(self, root, tags: list[int], orders: list[int]):
@@ -268,15 +269,19 @@ class TaylorResult:
         self._desc = sorted(range(len(tags)), key=lambda i: -tags[i])
 
     def partial(self, multi: Sequence[int]):
-        obj = self.root
-        for i in self._desc:
-            d = multi[i]
+        for i, d in enumerate(multi):
             if d > self.orders[i]:
                 raise OrderCapError(f"order {d} exceeds seeded order {self.orders[i]}")
-            obj = _component(obj, self.tags[i], d)
         scale = 1
         for d in multi:
             scale *= _FACT[d]
+        return self._extract(self.root, multi, scale)
+
+    def _extract(self, obj, multi, scale):
+        if isinstance(obj, (list, tuple)):
+            return [self._extract(e, multi, scale) for e in obj]
+        for i in self._desc:
+            obj = _component(obj, self.tags[i], multi[i])
         return obj * scale if scale != 1 else obj
 
     @property
@@ -325,6 +330,36 @@ def directional_derivatives(
     ys, ty, oy = _seed_linear(y, y_dirs)
     root = f(xs, ys)
     return TaylorResult(root, tx + ty, ox + oy)
+
+
+def derivative_blocks(f: Callable, x: Sequence, y: Sequence, wrt: str, order: int = 1):
+    """First and (with order=2) second partials of f in the `wrt` ("x" or
+    "y") coordinates, at (x, y).
+
+    f(xs, ys) returns a generic scalar or a nested list of them.  Returns
+    (d1, d2) with d1[k] = df/dz^k and d2[k][l] = d2f/dz^k dz^l, each nested
+    like the value of f; d2 is None at order 1.  One directional_derivatives
+    call per coordinate (seeded to `order`) and, at order 2, one per
+    coordinate pair k < l.
+    """
+    n = len(x) if wrt == "x" else len(y)
+
+    def taylor(dirs):
+        if wrt == "x":
+            return directional_derivatives(f, x, y, x_dirs=dirs)
+        return directional_derivatives(f, x, y, y_dirs=dirs)
+
+    d1 = [None] * n
+    d2 = [[None] * n for _ in range(n)] if order >= 2 else None
+    for k in range(n):
+        res = taylor([(basis(n, k), order)])
+        d1[k] = res.partial([1])
+        if d2 is None:
+            continue
+        d2[k][k] = res.partial([2])
+        for l in range(k + 1, n):
+            d2[k][l] = d2[l][k] = taylor([(basis(n, k), 1), (basis(n, l), 1)]).partial([1, 1])
+    return d1, d2
 
 
 def basis(n: int, i: int) -> list:

@@ -35,7 +35,6 @@ class Reference:
 
     flag_curvature: Optional[float] = None     # constant K, when known
     s_curvature: Optional[float] = None        # constant S (0 for the core examples)
-    s_curvature_fn: Optional[Callable] = None  # S(x, y) when non-constant but closed-form
     density: Optional[float] = None            # constant sigma_F, when known
     projectively_flat: Optional[bool] = None
     spray: Optional[Callable] = None           # G^i(x, y) closed form
@@ -134,7 +133,6 @@ def funk(n: int = 2) -> GalleryEntry:
         flag_curvature=-0.25,
         density=1.0,
         projectively_flat=True,
-        s_curvature_fn=lambda x, y: 0.5 * (n + 1) * float(F(list(x), list(y))),
         ricci_fn=lambda x, y: -0.25 * (n - 1) * float(F(list(x), list(y))) ** 2,
     )
     return GalleryEntry(
@@ -395,12 +393,11 @@ _BUILDERS = {
     "cylinder": cylinder,
     "bao_shen_s3": bao_shen_s3,
     "slab": slab_kappa,
-    "slab_kappa": slab_kappa,
 }
 
 
 def names() -> list[str]:
-    return sorted(set(_BUILDERS) - {"slab_kappa"})
+    return sorted(_BUILDERS)
 
 
 def make(name: str, **params) -> GalleryEntry:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _linalg
-from .diffcore import basis, directional_derivatives, log, sqrt, value, values_array
+from .diffcore import derivative_blocks, directional_derivatives, log, sqrt, value, values_array
 from .errors import MetricError
 from .metrics import FinslerField, RandersData, RiemannianField, metric_entries, require_nonzero
 from .spray import SprayField, beta_table, geodesic_integrate
@@ -196,11 +196,10 @@ def s_curvature(G: SprayField, sigma: VolumeDensity, x, y) -> float:
             f"density method {sigma.method!r} is not differentiable; "
             "use a closed-form or determinant density"
         )
-    n = len(y)
+    dGdy, _ = derivative_blocks(G, x, y, "y")
     div = 0.0
-    for i in range(n):
-        res = directional_derivatives(lambda xs, ys: G(xs, ys)[i], x, y, y_dirs=[(basis(n, i), 1)])
-        div = div + value(res.partial([1]))
+    for i in range(len(y)):
+        div = div + value(dGdy[i][i])
     res = directional_derivatives(lambda xs, ys: log(sigma(xs)), x, y, x_dirs=[(list(y), 1)])
     return div - value(res.partial([1]))
 
@@ -241,8 +240,11 @@ class RhoGradient:
 
 
 def rho_gradient(randers: RandersData, x) -> RhoGradient:
-    tbl = beta_table(randers, x, order=1)
-    n = randers.dim
+    return _rho_from_table(beta_table(randers, x, order=1))
+
+
+def _rho_from_table(tbl) -> RhoGradient:
+    n = len(tbl.b)
     b_up = _linalg.matvec(tbl.a_inv, tbl.b)
     beta2 = _linalg.sum_prod(tbl.b, b_up)
     denom = 1.0 - value(beta2)
@@ -264,7 +266,7 @@ def randers_s_curvature(randers: RandersData, x, y):
     alpha = sqrt(value(c.alpha2))
     beta_v = value(_linalg.sum_prod(tbl.b, y))
     P = (value(c.r00) - 2.0 * alpha * value(c.s0)) / (2.0 * (alpha + beta_v))
-    rho = rho_gradient(randers, x)
+    rho = _rho_from_table(tbl)
     rho0 = _linalg.sum_prod(list(rho.grad), y)
     return (n + 1) * (P - rho0)
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _linalg
-from .diffcore import basis, directional_derivatives, sqrt, value
+from .diffcore import derivative_blocks, directional_derivatives, sqrt, value
 from .errors import DomainError, MetricError
 
 BOUNDARY_BETA_GUARD = 1.0 - 1e-12
@@ -217,20 +217,8 @@ class FundamentalTensor:
 
 def metric_entries(F: FinslerField, x, y) -> list:
     """Entries of g as a nested list of generic scalars (jet-safe)."""
-    n = len(y)
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                res = directional_derivatives(F.squared, x, y, y_dirs=[(basis(n, i), 2)])
-                gij = res.partial([2])
-            else:
-                res = directional_derivatives(
-                    F.squared, x, y, y_dirs=[(basis(n, i), 1), (basis(n, j), 1)]
-                )
-                gij = res.partial([1, 1])
-            g[i][j] = g[j][i] = gij * 0.5
-    return g
+    _, hess = derivative_blocks(F.squared, x, y, "y", order=2)
+    return [[e * 0.5 for e in row] for row in hess]
 
 
 def require_nonzero(y) -> None:

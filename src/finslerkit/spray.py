@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _linalg
-from .diffcore import TaylorResult, basis, directional_derivatives, sqrt, value, values_array
+from .diffcore import basis, derivative_blocks, directional_derivatives, sqrt, value, values_array
 from .errors import DomainError, IntegrationError, MetricError
 from .metrics import (
     ChartDomain,
@@ -61,15 +61,13 @@ def spray_from_metric(F: FinslerField) -> SprayField:
     def G(x, y):
         g = metric_entries(F, x, y)
         g_inv, _ = _linalg.spd_factor(g)
-        rhs = []
-        for l in range(n):
-            mixed = directional_derivatives(
+        grad, _ = derivative_blocks(F.squared, x, y, "x")
+        rhs = [
+            directional_derivatives(
                 F.squared, x, y, x_dirs=[(y, 1)], y_dirs=[(basis(n, l), 1)]
-            ).partial([1, 1])
-            grad = directional_derivatives(
-                F.squared, x, y, x_dirs=[(basis(n, l), 1)]
-            ).partial([1])
-            rhs.append(mixed - grad)
+            ).partial([1, 1]) - grad[l]
+            for l in range(n)
+        ]
         return [0.25 * _linalg.sum_prod(g_inv[i], rhs) for i in range(n)]
 
     return SprayField(F.domain, G, provenance="generic-from-F", metric=F)
@@ -86,20 +84,10 @@ class ChristoffelField:
     gamma: np.ndarray  # (n, n, n), symmetric in the last two slots
 
 
-def _christoffel_entries(alpha: RiemannianField, x):
-    """Gamma as nested lists of generic scalars (jet-safe)."""
-    n = alpha.dim
-    a0 = alpha.matrix(x)
-    da = [None] * n  # da[k][i][j] = d a_ij / d x^k
-    for k in range(n):
-        res = directional_derivatives(
-            lambda xs, ys: alpha.matrix(xs), x, [], x_dirs=[(basis(n, k), 1)]
-        )
-        da[k] = [
-            [TaylorResult(res.root[i][j], res.tags, res.orders).partial([1]) for j in range(n)]
-            for i in range(n)
-        ]
-    a_inv, _ = _linalg.spd_factor(a0)
+def _christoffel(a_inv, da):
+    """Gamma^i_{jk} = 1/2 a^{il} (d_j a_kl + d_k a_jl - d_l a_jk) as nested
+    lists, from a^{ij} and da[k][i][j] = d a_ij / d x^k (jet-safe)."""
+    n = len(a_inv)
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -110,6 +98,13 @@ def _christoffel_entries(alpha: RiemannianField, x):
                     acc = t if acc is None else acc + t
                 gamma[i][j][k] = gamma[i][k][j] = acc * 0.5
     return gamma
+
+
+def _christoffel_entries(alpha: RiemannianField, x):
+    """Gamma as nested lists of generic scalars (jet-safe)."""
+    da, _ = derivative_blocks(lambda xs, ys: alpha.matrix(xs), x, [], "x")
+    a_inv, _ = _linalg.spd_factor(alpha.matrix(x))
+    return _christoffel(a_inv, da)
 
 
 def christoffels(alpha: RiemannianField, x) -> ChristoffelField:
@@ -227,57 +222,6 @@ class BetaContractions:
     si_0k: Optional[list] = None    # s^i_{0|k}
 
 
-def _vector_partials(fn, x, n, order):
-    """Values, first and (optionally) second partials of a vector-valued x-function."""
-    vals = fn(x)
-    m = len(vals)
-    d1 = [[None] * n for _ in range(m)]  # d1[i][k] = d f_i / dx^k
-    d2 = [[[None] * n for _ in range(n)] for _ in range(m)] if order >= 2 else None
-    for k in range(n):
-        for l in range(k, n):
-            if order < 2 and l != k:
-                continue
-            if k == l:
-                res = directional_derivatives(
-                    lambda xs, ys: fn(xs), x, [], x_dirs=[(basis(n, k), 2 if order >= 2 else 1)]
-                )
-                for i in range(m):
-                    sub = TaylorResult(res.root[i], res.tags, res.orders)
-                    d1[i][k] = sub.partial([1])
-                    if order >= 2:
-                        d2[i][k][k] = sub.partial([2])
-            else:
-                res = directional_derivatives(
-                    lambda xs, ys: fn(xs), x, [],
-                    x_dirs=[(basis(n, k), 1), (basis(n, l), 1)],
-                )
-                for i in range(m):
-                    sub = TaylorResult(res.root[i], res.tags, res.orders)
-                    d2[i][k][l] = d2[i][l][k] = sub.partial([1, 1])
-    return vals, d1, d2
-
-
-def _beta_raw(randers: RandersData, x, order: int):
-    """Raw partials of a_ij and b_i up to the requested x-order."""
-    n = randers.dim
-    a_flat = lambda xs: [e for row in randers.alpha.matrix(xs) for e in row]
-    a_vals, a_d1, a_d2 = _vector_partials(a_flat, x, n, order)
-    b_vals, b_d1, b_d2 = _vector_partials(randers.beta.covector, x, n, order)
-    a0 = [[a_vals[i * n + j] for j in range(n)] for i in range(n)]
-    da = [[[a_d1[i * n + j][k] for k in range(n)] for j in range(n)] for i in range(n)]
-    d2a = None
-    if order >= 2:
-        d2a = [
-            [[[a_d2[i * n + j][k][l] for l in range(n)] for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
-        d2b = [[[b_d2[i][k][l] for l in range(n)] for k in range(n)] for i in range(n)]
-    else:
-        d2b = None
-    db = [[b_d1[i][k] for k in range(n)] for i in range(n)]
-    return a0, da, d2a, b_vals, db, d2b
-
-
 def beta_table(randers: RandersData, x, order: int = 2) -> BetaTable:
     """Covariant derivative tables of beta with respect to alpha at x.
 
@@ -286,23 +230,16 @@ def beta_table(randers: RandersData, x, order: int = 2) -> BetaTable:
     data, not just metrics with closed-form tables.
     """
     n = randers.dim
-    a0, da, d2a, b, db, d2b = _beta_raw(randers, x, order)
+    a0, b = randers.alpha.matrix(x), randers.beta.covector(x)
+    # raw partials: da[k][i][j] = d a_ij / d x^k, db[k][i], d2b[k][l][i]
+    da, _ = derivative_blocks(lambda xs, ys: randers.alpha.matrix(xs), x, [], "x")
+    db, d2b = derivative_blocks(lambda xs, ys: randers.beta.covector(xs), x, [], "x", order)
     a_inv, _ = _linalg.spd_factor(a0)
+    gamma = _christoffel(a_inv, da)
 
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                acc = None
-                for l in range(n):
-                    t = a_inv[i][l] * (da[l][j][k] + da[l][k][j] - da[j][k][l])
-                    acc = t if acc is None else acc + t
-                gamma[i][j][k] = gamma[i][k][j] = acc * 0.5
-
-    # note index order: da[i][j][k] = d a_{i j} / d x^k
     b_cov = [
         [
-            db[i][j] - _sum(b[l] * gamma[l][i][j] for l in range(n))
+            db[j][i] - _sum(b[l] * gamma[l][i][j] for l in range(n))
             for j in range(n)
         ]
         for i in range(n)
@@ -321,14 +258,14 @@ def beta_table(randers: RandersData, x, order: int = 2) -> BetaTable:
 
     # raw coordinate partials of s_ij, a^{ij}, s^i_j and s_j
     ds = [
-        [[(d2b[i][j][k] - d2b[j][i][k]) * 0.5 for k in range(n)] for j in range(n)]
+        [[(d2b[j][k][i] - d2b[i][k][j]) * 0.5 for k in range(n)] for j in range(n)]
         for i in range(n)
     ]
     d_ainv = [
         [
             [
                 -_sum(
-                    a_inv[i][p] * da[p][q][k] * a_inv[q][j]
+                    a_inv[i][p] * da[k][p][q] * a_inv[q][j]
                     for p in range(n)
                     for q in range(n)
                 )
@@ -350,7 +287,7 @@ def beta_table(randers: RandersData, x, order: int = 2) -> BetaTable:
     ]
     d_sform = [
         [
-            _sum(db[i][k] * s_up[i][j] + b[i] * d_sup[i][j][k] for i in range(n))
+            _sum(db[k][i] * s_up[i][j] + b[i] * d_sup[i][j][k] for i in range(n))
             for k in range(n)
         ]
         for j in range(n)

@@ -119,6 +119,14 @@ def test_ricci_2d_matches_trace(rotation2d, funk2, rot_spray, funk_spray):
 # -- flag curvature ------------------------------------------------------------------
 
 
+def test_flag_curvature_builds_g_once(monkeypatch, rotation2d):
+    calls = []
+    real = C.fundamental_tensor
+    monkeypatch.setattr(C, "fundamental_tensor", lambda *a: calls.append(a) or real(*a))
+    C.flag_curvature(rotation2d.metric, [0.1, 0.2], [0.8, -0.3], [0.2, 0.9])
+    assert len(calls) == 1
+
+
 def test_flag_curvature_euclidean(entries):
     K = C.flag_curvature(entries["euclidean"].metric, [0.1, 0.3], [1.0, 0.0], [0.0, 1.0])
     assert K == pytest.approx(0.0, abs=1e-12)

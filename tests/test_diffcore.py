@@ -73,6 +73,54 @@ def test_schwarz_symmetry_exact_for_jets():
     assert a == b
 
 
+def _nested_field(x, y):
+    """A 2 x 2 nested-list field mixing x and y in every analytic helper."""
+    return [
+        [x[0] * y[1] + dc.sin(x[1]) * y[0] * y[0], dc.exp(x[0]) * y[1] * y[1]],
+        [dc.sqrt(1.0 + x[0] * x[0] + y[0] * y[0]), dc.log(2.0 + x[1]) * y[0] * y[1] * x[0]],
+    ]
+
+
+@pytest.mark.parametrize("wrt", ["x", "y"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_blocks_match_jet_eval_and_fd(wrt, order):
+    x, y = (0.3, -0.4), (0.7, 1.1)
+    d1, d2 = dc.derivative_blocks(_nested_field, list(x), list(y), wrt, order)
+    assert (d2 is None) == (order == 1)
+
+    def check(block, coords):
+        orders = tuple(sum(1 for c in coords if c == k) for k in range(2))
+        ox, oy = (orders, (0, 0)) if wrt == "x" else ((0, 0), orders)
+        req = dc.JetRequest(x, y, ox, oy)
+        for i in range(2):
+            for j in range(2):
+                comp = lambda xs, ys, i=i, j=j: _nested_field(xs, ys)[i][j]
+                got = float(block[i][j])
+                jet = dc.jet_eval(comp, req).partial(ox, oy)
+                assert got == pytest.approx(jet, rel=1e-14, abs=1e-14)
+                assert got == pytest.approx(dc.fd_oracle(comp, req).partial(ox, oy), abs=1e-6)
+
+    for k in range(2):
+        check(d1[k], (k,))
+        if order == 2:
+            for l in range(2):
+                check(d2[k][l], (k, l))
+
+
+def test_partial_maps_over_nested_root():
+    res = dc.directional_derivatives(
+        _nested_field, [0.3, -0.4], [0.7, 1.1], x_dirs=[([1.0, 0.5], 1)], y_dirs=[([0.0, 1.0], 2)]
+    )
+    for multi in ([0, 0], [1, 0], [0, 1], [0, 2], [1, 2]):
+        whole = res.partial(multi)
+        for i in range(2):
+            for j in range(2):
+                one = dc.TaylorResult(res.root[i][j], res.tags, res.orders)
+                assert whole[i][j] == one.partial(multi)
+    with pytest.raises(OrderCapError):
+        res.partial([2, 0])
+
+
 def test_order_caps_rejected():
     with pytest.raises(OrderCapError):
         dc.JetRequest((0.0,), (1.0,), (3,), (0,))

@@ -198,6 +198,14 @@ def test_criterion_discriminates():
     assert abs(ME.randers_s_curvature(rd, [0.2, 0.4], [1.0, 0.5])) > 1e-3
 
 
+def test_randers_s_curvature_builds_one_beta_table(monkeypatch, rotation2d):
+    calls = []
+    real = ME.beta_table
+    monkeypatch.setattr(ME, "beta_table", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    ME.randers_s_curvature(rotation2d.randers, [0.25, 0.35], [1.0, 0.5])
+    assert len(calls) == 1
+
+
 def test_rho_gradient_matches_finite_differences(rotation2d):
     x = [0.25, 0.35]
     rho = ME.rho_gradient(rotation2d.randers, x)
