@@ -13,6 +13,7 @@ spray that evaluates generically (closed-form or built from F) works.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,11 +27,23 @@ from .spray import SprayField, beta_table, levi_civita_spray, spray_from_metric
 
 @dataclass
 class RiemannOperator:
-    """R_y as a matrix R^i_k at (x, y), with trace and optional lowered form."""
+    """R_y as a matrix R^i_k at (x, y) with its trace.
+
+    `lowered` is g_y R_y (None without a metric); it builds the fundamental
+    tensor, so it is computed on first access only.
+    """
 
     matrix: np.ndarray
     ricci: float
-    lowered: Optional[np.ndarray] = None
+    metric: Optional[FinslerField] = None
+    x: tuple = ()
+    y: tuple = ()
+
+    @cached_property
+    def lowered(self) -> Optional[np.ndarray]:
+        if self.metric is None:
+            return None
+        return fundamental_tensor(self.metric, self.x, self.y).g @ self.matrix
 
     def apply(self, u) -> np.ndarray:
         return self.matrix @ np.asarray(u, dtype=float)
@@ -74,11 +87,13 @@ def riemann(G: SprayField, x, y) -> RiemannOperator:
     n = len(y)
     R = riemann_entries(G, x, y)
     mat = np.array([[float(value(R[i][k])) for k in range(n)] for i in range(n)])
-    lowered = None
-    if G.metric is not None:
-        g = fundamental_tensor(G.metric, x, y)
-        lowered = g.g @ mat
-    return RiemannOperator(matrix=mat, ricci=float(np.trace(mat)), lowered=lowered)
+    return _operator(G, x, y, mat)
+
+
+def _operator(G: SprayField, x, y, mat: np.ndarray) -> RiemannOperator:
+    return RiemannOperator(
+        matrix=mat, ricci=float(np.trace(mat)), metric=G.metric, x=tuple(x), y=tuple(y)
+    )
 
 
 def ricci(G: SprayField, x, y) -> float:
@@ -222,11 +237,7 @@ def riemann_via_difference(
                 acc += 2.0 * float(value(Hval[j] * hessH[j][k][i]))
                 acc -= float(value(dHdy[j][i] * dHdy[k][j]))
             mat[i][k] = acc
-    lowered = None
-    if G.metric is not None:
-        g = fundamental_tensor(G.metric, x, y)
-        lowered = g.g @ mat
-    return RiemannOperator(matrix=mat, ricci=float(np.trace(mat)), lowered=lowered)
+    return _operator(G, x, y, mat)
 
 
 # -- Randers zero-curvature residuals ------------------------------------------

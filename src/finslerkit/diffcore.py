@@ -58,15 +58,24 @@ class Jet:
         return Jet(self.tag, [c * s for c in self.coeffs])
 
     # -- ring operations --------------------------------------------------
+    #
+    # Same-tag operations between order-1 (two-coefficient) and, for + and *,
+    # order-2 (three-coefficient) jets dominate every derivative the engine
+    # takes; they run straight-line code that forms the same products and
+    # sums in the same order as the generic `_add`/`_convolve`/`_deconvolve`,
+    # so results are bit-identical to them.
 
     def __add__(self, other):
         if isinstance(other, Jet):
             if other.tag == self.tag:
                 a, b = self.coeffs, other.coeffs
-                if len(a) < len(b):
-                    a, b = b, a
-                out = [a[k] + b[k] if k < len(b) else a[k] for k in range(len(a))]
-                return Jet(self.tag, out)
+                n = len(a)
+                if n == len(b):
+                    if n == 2:
+                        return Jet(self.tag, [a[0] + b[0], a[1] + b[1]])
+                    if n == 3:
+                        return Jet(self.tag, [a[0] + b[0], a[1] + b[1], a[2] + b[2]])
+                return Jet(self.tag, _add(a, b))
             if other.tag > self.tag:
                 return other._scalar_add(self)
         return self._scalar_add(other)
@@ -78,6 +87,11 @@ class Jet:
 
     def __sub__(self, other):
         if isinstance(other, Jet):
+            if other.tag == self.tag:
+                a, b = self.coeffs, other.coeffs
+                if len(a) == 2 == len(b):
+                    # u - v equals u + (-v) exactly in floating point
+                    return Jet(self.tag, [a[0] - b[0], a[1] - b[1]])
             return self.__add__(-other)
         return self._scalar_add(-other)
 
@@ -88,16 +102,16 @@ class Jet:
         if isinstance(other, Jet):
             if other.tag == self.tag:
                 a, b = self.coeffs, other.coeffs
-                n = max(len(a), len(b))
-                out = []
-                for k in range(n):
-                    lo = max(0, k - len(b) + 1)
-                    hi = min(k, len(a) - 1)
-                    acc = a[lo] * b[k - lo]
-                    for i in range(lo + 1, hi + 1):
-                        acc = acc + a[i] * b[k - i]
-                    out.append(acc)
-                return Jet(self.tag, out)
+                n = len(a)
+                if n == len(b):
+                    if n == 2:
+                        a0 = a[0]
+                        return Jet(self.tag, [a0 * b[0], a0 * b[1] + a[1] * b[0]])
+                    if n == 3:
+                        a0, a1, a2 = a
+                        b0, b1, b2 = b
+                        return Jet(self.tag, [a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0])
+                return Jet(self.tag, _convolve(a, b))
             if other.tag > self.tag:
                 return other._scalar_mul(self)
         return self._scalar_mul(other)
@@ -108,16 +122,11 @@ class Jet:
         if isinstance(other, Jet):
             if other.tag == self.tag:
                 a, b = self.coeffs, other.coeffs
-                n = max(len(a), len(b))
-                out = []
-                for k in range(n):
-                    acc = a[k] if k < len(a) else 0.0
-                    for j in range(k):
-                        bi = k - j
-                        if bi < len(b):
-                            acc = acc - out[j] * b[bi]
-                    out.append(acc / b[0])
-                return Jet(self.tag, out)
+                if len(a) == 2 == len(b):
+                    b0 = b[0]
+                    q = a[0] / b0
+                    return Jet(self.tag, [q, (a[1] - q * b[1]) / b0])
+                return Jet(self.tag, _deconvolve(a, b))
             if other.tag > self.tag:
                 return Jet(other.tag, [self] + [0.0] * (len(other.coeffs) - 1)) / other
         return Jet(self.tag, [c / other for c in self.coeffs])
@@ -182,6 +191,41 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(tag={self.tag}, coeffs={self.coeffs!r})"
+
+
+def _add(a: list, b: list) -> list:
+    """Coefficients of the sum of two same-tag jets (generic lengths)."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [a[k] + b[k] if k < len(b) else a[k] for k in range(len(a))]
+
+
+def _convolve(a: list, b: list) -> list:
+    """Truncated Cauchy product of two same-tag coefficient lists."""
+    n = max(len(a), len(b))
+    out = []
+    for k in range(n):
+        lo = max(0, k - len(b) + 1)
+        hi = min(k, len(a) - 1)
+        acc = a[lo] * b[k - lo]
+        for i in range(lo + 1, hi + 1):
+            acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def _deconvolve(a: list, b: list) -> list:
+    """Coefficients q with q * b = a (truncated), by forward substitution."""
+    n = max(len(a), len(b))
+    out = []
+    for k in range(n):
+        acc = a[k] if k < len(a) else 0.0
+        for j in range(k):
+            bi = k - j
+            if bi < len(b):
+                acc = acc - out[j] * b[bi]
+        out.append(acc / b[0])
+    return out
 
 
 def _sincos(j: Jet):

@@ -23,6 +23,10 @@ from .spray import SprayField, beta_table, geodesic_integrate
 
 DIFFERENTIABLE_METHODS = ("closed-form-randers", "riemannian-det", "constant")
 
+# Monte Carlo samples drawn and evaluated per pass; the generator yields the
+# same stream in any chunking, so this bounds memory without moving estimates.
+MC_CHUNK = 25_000
+
 
 @dataclass(frozen=True)
 class VolumeDensity:
@@ -134,7 +138,6 @@ def bh_density_mc(
     box_vol = float(np.prod(hi - lo))
     rng = np.random.default_rng([seed, 0xB11])
     hits = 0
-    chunk = 200_000
     done = 0
     evaluate = values
     if evaluate is None:
@@ -145,7 +148,7 @@ def bh_density_mc(
             return np.asarray(F(xcols, ys_cols), dtype=float)
 
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(MC_CHUNK, n_samples - done)
         pts = rng.uniform(lo, hi, size=(m, n))
         fv = evaluate([pts[:, i] for i in range(n)])
         hits += int(np.count_nonzero(fv < 1.0))

@@ -8,6 +8,7 @@ are independent routes that must agree and are cross-checked in tests.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -23,6 +24,8 @@ from .metrics import (
     RiemannianField,
     metric_entries,
 )
+
+log = logging.getLogger("finslerkit")
 
 
 @dataclass(frozen=True)
@@ -374,10 +377,10 @@ class Trajectory:
 
 
 def _on_rows(fn, X, V) -> np.ndarray:
-    """fn(x, v) at each row of X and V: on floats for a single row, on column
-    arrays otherwise; the row axis comes last in the result."""
+    """fn(x, v) at each row of X and V: on Python floats for a single row, on
+    column arrays otherwise; the row axis comes last in the result."""
     if len(X) == 1:
-        return np.array(fn(list(X[0]), list(V[0])), dtype=float)[..., None]
+        return np.array(fn(X[0].tolist(), V[0].tolist()), dtype=float)[..., None]
     return values_array(fn(list(X.T), list(V.T)), sites=(len(X),))
 
 
@@ -397,8 +400,9 @@ def geodesic_integrate(
     them integrated as an ensemble: every Runge-Kutta stage evaluates the
     spray once for all rows still running.  A row stops, with its
     `boundary_exit` flag set, when it leaves the chart domain (or the
-    optional guard fails), when a stage raises MetricError or DomainError,
-    or when its state turns non-finite.  If `speed_check` is given,
+    optional guard fails), when a stage raises MetricError, DomainError or
+    an ArithmeticError, or when its state turns non-finite; each stop is
+    logged at debug level on the "finslerkit" logger.  If `speed_check` is given,
     F(x'(t)) is recorded and a drift beyond `speed_rtol` (or a non-finite
     speed) raises IntegrationError.
     """
@@ -416,18 +420,32 @@ def geodesic_integrate(
         return np.concatenate([s[:, n:], -2.0 * _on_rows(G, s[:, :n], s[:, n:]).T], axis=1)
 
     def rk4(s):
-        """One step for the rows of s; a row whose stages fail comes back NaN."""
+        """One step for the rows of s, and per row the error one of its
+        stages raised (that row comes back NaN) or None."""
         try:
             k1 = rhs(s)
             k2 = rhs(s + 0.5 * h * k1)
             k3 = rhs(s + 0.5 * h * k2)
             k4 = rhs(s + h * k3)
-        except (MetricError, DomainError):
-            # a Runge-Kutta stage left the chart; find the rows that did
+        except (MetricError, DomainError, ArithmeticError) as e:
+            # a Runge-Kutta stage left the chart (on Python floats a pole
+            # raises ZeroDivisionError); find the rows that did
             if len(s) == 1:
-                return np.full_like(s, np.nan)
-            return np.concatenate([rk4(s[i : i + 1]) for i in range(len(s))])
-        return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                return np.full_like(s, np.nan), [e]
+            rows = [rk4(s[i : i + 1]) for i in range(len(s))]
+            return np.concatenate([r[0] for r in rows]), [r[1][0] for r in rows]
+        return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), [None] * len(s)
+
+    def stop_reason(s, error):
+        if error is not None:
+            return f"a stage raised {type(error).__name__}: {error}"
+        if not np.all(np.isfinite(s)):
+            return "non-finite state"
+        if not G.domain.contains(s[:n]):
+            return "left the domain"
+        if guard is not None and not guard(s[:n]):
+            return "guard failed"
+        return None
 
     state = np.concatenate([X0, V0], axis=1)
     exited = np.zeros(m, dtype=bool)
@@ -435,11 +453,12 @@ def geodesic_integrate(
     speeds = None if speed_check is None else [_on_rows(speed_check, X0, V0)]
     for k in range(steps):
         live = np.flatnonzero(~exited)
-        new = rk4(state[live])
-        ok = np.array([
-            bool(np.all(np.isfinite(s)) and G.domain.contains(s[:n]) and (guard is None or guard(s[:n])))
-            for s in new
-        ])
+        new, errors = rk4(state[live])
+        reasons = [stop_reason(s, e) for s, e in zip(new, errors)]
+        ok = np.array([why is None for why in reasons])
+        for row, why in zip(live, reasons):
+            if why is not None:
+                log.debug("geodesic row %d stopped after t=%g: %s", row, k * h, why)
         exited[live[~ok]] = True
         if not ok.any():
             break

@@ -127,6 +127,18 @@ def test_flag_curvature_builds_g_once(monkeypatch, rotation2d):
     assert len(calls) == 1
 
 
+def test_riemann_builds_g_only_for_the_lowered_form(monkeypatch, rotation2d):
+    calls = []
+    real = C.fundamental_tensor
+    monkeypatch.setattr(C, "fundamental_tensor", lambda *a: calls.append(a) or real(*a))
+    R = C.riemann(S.randers_spray(rotation2d.randers), [0.1, 0.2], [0.8, -0.3])
+    R.ricci
+    assert len(calls) == 0
+    assert np.array_equal(R.lowered, real(rotation2d.metric, [0.1, 0.2], [0.8, -0.3]).g @ R.matrix)
+    R.lowered
+    assert len(calls) == 1
+
+
 def test_flag_curvature_euclidean(entries):
     K = C.flag_curvature(entries["euclidean"].metric, [0.1, 0.3], [1.0, 0.0], [0.0, 1.0])
     assert K == pytest.approx(0.0, abs=1e-12)

@@ -231,3 +231,77 @@ def test_batched_array_coordinates():
     d2 = res.partial([2])
     expect = 0.25 / (ys[0] ** 2 + 0.25) ** 1.5
     np.testing.assert_allclose(d2, expect, atol=1e-12)
+
+
+# -- order-1 and order-2 kernels against the generic convolution ------------
+
+def random_values(size, lead):
+    """Seeded values random to the last bit, so every product and sum rounds
+    and a change in the order of operations shows: in [-8, 8], or with
+    0.25 <= |v| <= 8 for the leading coefficient of a divisor."""
+
+    def make(seed):
+        rng = np.random.default_rng(seed)
+        if lead:
+            return rng.choice([-1.0, 1.0], size) * rng.uniform(0.25, 8.0, size)
+        return rng.uniform(-8.0, 8.0, size)
+
+    return st.integers(0, 2**32 - 1).map(make)
+
+
+def kernel_coeff(lead=False):
+    """A float, a 1-D array or a jet of the smaller tag 1; also a zero of
+    either sign unless it leads a divisor."""
+    floats = random_values(1, lead).map(lambda v: float(v[0]))
+    arrays = random_values(4, lead)
+    rest = st.sampled_from([1, 2]).flatmap(lambda k: random_values(k, False))
+    inner = st.builds(lambda c0, cs: dc.Jet(1, [c0] + cs.tolist()), floats, rest)
+    zeros = st.sampled_from([0.0, -0.0])
+    return st.one_of(floats, arrays, inner) if lead else st.one_of(floats, arrays, inner, zeros)
+
+
+@st.composite
+def same_tag_pair(draw):
+    n = draw(st.sampled_from([2, 3]))
+    a = [draw(kernel_coeff()) for _ in range(n)]
+    b = [draw(kernel_coeff(lead=k == 0)) for k in range(n)]
+    return a, b
+
+
+def exact(u):
+    """A form of a coefficient that compares equal only for identical bits."""
+    if isinstance(u, dc.Jet):
+        return ("jet", u.tag, [exact(c) for c in u.coeffs])
+    if isinstance(u, np.ndarray):
+        return ("array", u.dtype.str, u.shape, u.tobytes())
+    return ("float", float(u).hex())
+
+
+@given(pair=same_tag_pair())
+@settings(max_examples=200, deadline=None)
+def test_fast_jet_kernels_equal_the_generic_convolution(pair):
+    a, b = pair
+    A, B = dc.Jet(2, a), dc.Jet(2, b)
+    cases = [
+        (A + B, dc._add(a, b)),
+        (A - B, dc._add(a, [-c for c in b])),
+        (A * B, dc._convolve(a, b)),
+        (A / B, dc._deconvolve(a, b)),
+    ]
+    for fast, generic in cases:
+        assert fast.tag == 2
+        assert [exact(c) for c in fast.coeffs] == [exact(c) for c in generic]
+
+
+def test_mixed_lengths_take_the_generic_kernels(monkeypatch):
+    calls = []
+    for name in ("_add", "_convolve", "_deconvolve"):
+        real = getattr(dc, name)
+        monkeypatch.setattr(dc, name, lambda a, b, name=name, real=real: calls.append(name) or real(a, b))
+    o1, o2, o3 = (dc.Jet(2, [1.0, 2.0, 3.0, 4.0][:k]) for k in (2, 3, 4))
+    for u in (o1, o2):
+        u + u, u * u
+    o1 - o1, o1 / o1
+    assert calls == []
+    o1 + o2, o1 * o2, o2 / o1, o1 - o2, o3 * o3, o2 / o2
+    assert calls == ["_add", "_convolve", "_deconvolve", "_add", "_convolve", "_deconvolve"]

@@ -231,3 +231,11 @@ def test_s_form_equals_minus_rho_gradient_when_criterion_holds(rotation2d, cylin
             np.testing.assert_allclose(
                 np.array(tbl.s_form, dtype=float), -rho.grad, atol=1e-9
             )
+
+
+def test_mc_chunk_size_does_not_move_the_estimate(monkeypatch, entries):
+    F = entries["bao_shen_s3"].metric
+    x = F.domain.sample_points(1, seed=5)[0]
+    chunked = ME.bh_density_mc(F, x, n_samples=60_000, seed=2)
+    monkeypatch.setattr(ME, "MC_CHUNK", 60_000)
+    assert ME.bh_density_mc(F, x, n_samples=60_000, seed=2) == chunked

@@ -1,5 +1,7 @@
 """Geodesic coefficients, covariant tables, integration, projective residuals."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -342,3 +344,37 @@ def test_rotation_projective_residual_regression(rotation2d):
     assert res[0, 1] == pytest.approx(oracle, rel=1e-10)
     assert abs(oracle) > 1.0  # decisively not projectively flat
     assert oracle == pytest.approx(3.7004783375006587, rel=1e-9)
+
+
+def test_row_stops_are_logged(caplog, funk2):
+    # integrated backwards, a funk geodesic reaches the rim in finite time
+    G = S.randers_spray(funk2.randers)
+    with caplog.at_level(logging.DEBUG, logger="finslerkit"):
+        traj = S.geodesic_integrate(
+            G, np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.1]]),
+            T=-2.0, dt=1e-2,
+        )
+    assert traj.boundary_exit.tolist() == [True, False]
+    (record,) = caplog.records
+    assert record.name == "finslerkit" and record.levelno == logging.DEBUG
+    assert record.getMessage().startswith("geodesic row 0 stopped after t=-0.")
+    assert "MetricError" in record.getMessage()
+
+
+def test_row_stop_reasons_are_logged(caplog):
+    with caplog.at_level(logging.DEBUG, logger="finslerkit"):
+        S.geodesic_integrate(
+            _nan_past(0.05), np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 1.0]]),
+            T=0.2, dt=0.01, guard=lambda x: x[1] < 0.03,
+        )
+    assert [r.getMessage() for r in caplog.records] == [
+        "geodesic row 1 stopped after t=0.02: guard failed",
+        "geodesic row 0 stopped after t=0.05: non-finite state",
+    ]
+
+
+def test_a_stage_on_the_rim_stops_a_single_row(funk2):
+    # the second stage lands exactly on |x| = 1, where funk's F divides by zero
+    G = S.randers_spray(funk2.randers)
+    traj = S.geodesic_integrate(G, [0.9, 0.0], [20.0, 0.0], T=1.0, dt=1e-2)
+    assert traj.boundary_exit and len(traj.t) == 1
