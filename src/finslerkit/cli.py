@@ -51,6 +51,13 @@ class UsageError(Exception):
     pass
 
 
+def _parse_direction(text: str) -> list[float]:
+    y = _parse_vector(text, "--dir")
+    if not any(y):
+        raise UsageError("--dir must be nonzero: fields live on the slit tangent bundle")
+    return y
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
@@ -89,7 +96,7 @@ def cmd_verify(args) -> int:
 def cmd_curvature(args) -> int:
     entry, G = _entry_and_spray(args.metric)
     x = _parse_vector(args.at, "--at")
-    y = _parse_vector(args.dir, "--dir")
+    y = _parse_direction(args.dir)
     if len(x) != entry.dim or len(y) != entry.dim:
         raise UsageError(f"point and direction must have dimension {entry.dim}")
     R = riemann(G, x, y)
@@ -180,7 +187,7 @@ def cmd_scan(args) -> int:
     axes = _parse_grid(args.grid)
     if len(axes) != entry.dim:
         raise UsageError(f"grid must have {entry.dim} axes for {entry.name}")
-    y = _parse_vector(args.dir, "--dir") if args.dir else basis(entry.dim, 0)
+    y = _parse_direction(args.dir) if args.dir else basis(entry.dim, 0)
     u = _parse_vector(args.flag, "--flag") if args.flag else basis(entry.dim, 1)
     sigma = density_field(entry)
     if args.quantity == "S" and sigma is None:

@@ -21,7 +21,14 @@ import numpy as np
 from . import _linalg
 from .diffcore import basis, derivative_blocks, directional_derivatives, value, values_array
 from .errors import DegenerateFlagError
-from .metrics import FinslerField, RandersData, RiemannianField, fundamental_tensor, metric_entries
+from .metrics import (
+    FinslerField,
+    RandersData,
+    RiemannianField,
+    fundamental_tensor,
+    metric_entries,
+    require_nonzero,
+)
 from .spray import SprayField, beta_table, levi_civita_spray, spray_from_metric
 
 
@@ -83,7 +90,9 @@ def riemann_entries(G: SprayField, x, y) -> list:
 
 
 def riemann(G: SprayField, x, y) -> RiemannOperator:
-    """Riemann curvature operator at (x, y) from the four-term spray formula."""
+    """Riemann curvature operator at (x, y) from the four-term spray formula;
+    raises MetricError at y = 0."""
+    require_nonzero(y)
     n = len(y)
     R = riemann_entries(G, x, y)
     mat = np.array([[float(value(R[i][k])) for k in range(n)] for i in range(n)])
@@ -112,7 +121,9 @@ def ricci_2d(G: SprayField, x, y):
     """
     if G.dim != 2:
         raise ValueError("ricci_2d requires a two-dimensional spray")
-    Gval, dGdx, mixed, dGdy, hess = _spray_derivatives(G, x, y)
+    Gval = G(list(x), list(y))
+    dGdx, _ = derivative_blocks(G, x, y, "x")
+    dGdy, _ = derivative_blocks(G, x, y, "y")
 
     def S_func(xs, ys):
         dG, _ = derivative_blocks(G, xs, ys, "y")

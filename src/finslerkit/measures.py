@@ -120,16 +120,11 @@ def _indicatrix_box(F: FinslerField, x, n_dirs: int = 2048, inflate: float = 1.1
     return lo, hi
 
 
-def bh_density_mc(
-    F: FinslerField, x, n_samples: int = 1_000_000, seed: int = 0,
-    values: Optional[Callable] = None,
-) -> McDensity:
+def bh_density_mc(F: FinslerField, x, n_samples: int = 1_000_000, seed: int = 0) -> McDensity:
     """Busemann-Hausdorff density sigma_F(x) = Vol(B^n) / Vol{F(x, .) < 1}
     by seeded Monte Carlo over a bounding box of the indicatrix.
 
-    `values`, when given, replaces the metric evaluation on sample batches
-    (used to rate an independently-computed norm, e.g. a navigation metric
-    solved pointwise).  Estimates are deterministic per seed.
+    Estimates are deterministic per seed.
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 1e4")
@@ -139,18 +134,10 @@ def bh_density_mc(
     rng = np.random.default_rng([seed, 0xB11])
     hits = 0
     done = 0
-    evaluate = values
-    if evaluate is None:
-
-        def evaluate(ys_cols):
-            m = len(ys_cols[0])
-            xcols = [np.full(m, float(v)) for v in x]
-            return np.asarray(F(xcols, ys_cols), dtype=float)
-
     while done < n_samples:
         m = min(MC_CHUNK, n_samples - done)
         pts = rng.uniform(lo, hi, size=(m, n))
-        fv = evaluate([pts[:, i] for i in range(n)])
+        fv = np.asarray(F([np.full(m, float(v)) for v in x], list(pts.T)), dtype=float)
         hits += int(np.count_nonzero(fv < 1.0))
         done += m
     p = hits / n_samples

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import _linalg
-from .diffcore import directional_derivatives, value
+from .diffcore import value
 from .errors import ConvergenceError, DriftError
 from .metrics import (
     ChartDomain,
@@ -28,7 +28,10 @@ from .metrics import (
 
 @dataclass(frozen=True)
 class DriftField:
-    """A vector field v(x) pushing the moving object; needs F(-v) < 1."""
+    """A vector field v(x) pushing the moving object; needs F(-v) < 1.
+
+    `func` is evaluated on column arrays of sites, like a FinslerField.
+    """
 
     domain: ChartDomain
     func: Callable
@@ -36,16 +39,6 @@ class DriftField:
 
     def __call__(self, x):
         return self.func(x)
-
-
-def require_admissible(F: FinslerField, v: DriftField, points) -> None:
-    """Check F(-v) < 1 at the given sample points."""
-    for x in points:
-        vx = [value(c) for c in v(list(x))]
-        if all(abs(c) < 1e-300 for c in vx):
-            continue
-        if float(F(list(x), [-c for c in vx])) >= 1.0:
-            raise DriftError(f"drift too strong at {tuple(x)}: F(-v) >= 1")
 
 
 # -- closed form for Riemannian sources -----------------------------------------
@@ -97,66 +90,65 @@ def zermelo_riemannian(alpha: RiemannianField, v: DriftField) -> RandersData:
 # -- general solve ----------------------------------------------------------------
 
 
-def _solve_scale(F: FinslerField, x, y, vx, tol: float = 1e-14, max_iter: int = 200):
-    """Unique t > 0 with F(x, t y - v) = 1; F~(y) = 1 / t.
+def _scales(F: FinslerField, v: DriftField, x, y) -> np.ndarray:
+    """The t > 0 with F(x, t y - v(x)) = 1 at every site; F~(x, y) = 1 / t.
 
-    psi(t) = F(t y - v) starts below 1 (psi(0) = F(-v) < 1), is convex, and
-    grows without bound, so bracketing plus bisection is safe; Newton with a
-    jet derivative polishes to full precision.
+    x and y hold floats (one site) or column arrays of sites; the result has
+    their broadcast shape.  psi(t) = F(x, t y - v) starts below 1 (psi(0) =
+    F(-v) < 1), is convex and grows without bound, so psi < 1 exactly below
+    the root.  Each root is bracketed in (h/2, h], h a power of two, by
+    doubling and then halving h, and bisected 53 times: to about one ulp,
+    however small t is.  Raises DriftError where F(-v) >= 1 at some site and
+    ConvergenceError where doubling fails to bracket.
     """
-    def psi(t):
-        return float(F(list(x), [t * yi - vi for yi, vi in zip(y, vx)]))
+    shape = np.broadcast_shapes(*(np.shape(c) for c in (*x, *y)))
+    xs = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in x]
+    ys = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in y]
+    vs = v(xs)
 
-    p0 = psi(0.0)
-    if p0 >= 1.0:
-        raise DriftError(f"drift too strong at {tuple(x)}: F(-v) = {p0} >= 1")
-    hi = 1.0
-    it = 0
-    while psi(hi) <= 1.0:
-        hi *= 2.0
-        it += 1
-        if it > 200:
-            raise ConvergenceError("could not bracket the navigation scale")
-    lo = 0.0
-    for _ in range(40):  # bisect to ~1e-6 relative
-        mid = 0.5 * (lo + hi)
-        if psi(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        shifted = [t * yi - vi for yi, vi in zip(y, vx)]
-        res = directional_derivatives(
-            lambda xs, ys: F(xs, ys), x, shifted, y_dirs=[(list(y), 1)]
-        )
-        f = float(value(res.partial([0]))) - 1.0
-        df = float(value(res.partial([1])))
-        if df == 0.0:
+    def psi(t):
+        return np.asarray(F(xs, [t * a - b for a, b in zip(ys, vs)]), dtype=float)
+
+    p0 = psi(np.zeros(len(ys[0])))
+    bad = np.flatnonzero(~(p0 < 1.0))
+    if bad.size:
+        i = bad[0]
+        raise DriftError(f"drift too strong at {tuple(float(c[i]) for c in xs)}: F(-v) = {p0[i]} >= 1")
+    h = np.ones_like(p0)
+    for _ in range(200):
+        below = ~(psi(h) >= 1.0)
+        if not below.any():
             break
-        step = f / df
-        t -= step
-        if abs(step) < tol * max(t, 1.0):
-            return t
-    if abs(psi(t) - 1.0) > 1e-9:
-        raise ConvergenceError("navigation scale Newton refinement did not converge")
-    return t
+        h = np.where(below, 2.0 * h, h)
+    else:
+        raise ConvergenceError("could not bracket the navigation scale")
+    while True:  # ends: psi(0) < 1
+        above = psi(0.5 * h) >= 1.0
+        if not above.any():
+            break
+        h = np.where(above, 0.5 * h, h)
+    lo, hi = 0.5 * h, h
+    for _ in range(53):
+        mid = 0.5 * (lo + hi)
+        inside = psi(mid) < 1.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return (0.5 * (lo + hi)).reshape(shape)
 
 
 def zermelo_general(F: FinslerField, v: DriftField, x, y) -> float:
     """Navigation metric value F~(x, y) by root solving F(y/F~ - v) = 1."""
-    vx = [float(value(c)) for c in v(list(x))]
-    t = _solve_scale(F, list(x), [float(c) for c in y], vx)
-    return 1.0 / t
+    return 1.0 / float(_scales(F, v, x, y))
 
 
 @dataclass(frozen=True)
 class NavigationMetric:
     """Deformed metric F~ induced by a source metric and a drift field.
 
-    Evaluation solves F(y/F~ - v) = 1 pointwise; positive 1-homogeneity is
-    structural (scaling y scales the solved parameter inversely).  The field
-    is float-only (no jet evaluation); use zermelo_riemannian for
+    Evaluation solves F(y/F~ - v) = 1 at each site, on floats (giving a
+    float) or on column arrays of sites (giving an array); positive
+    1-homogeneity is structural (scaling y scales the solved parameter
+    inversely).  It does not evaluate on jets; use zermelo_riemannian for
     differentiable Randers data when the source is Riemannian.
     """
 
@@ -165,7 +157,8 @@ class NavigationMetric:
     name: str = "navigation"
 
     def __call__(self, x, y):
-        return zermelo_general(self.source, self.drift, x, y)
+        ft = 1.0 / _scales(self.source, self.drift, x, y)
+        return float(ft) if ft.ndim == 0 else ft
 
     @property
     def domain(self) -> ChartDomain:
@@ -183,32 +176,6 @@ def navigation_metric(F: FinslerField, v: DriftField, name: str = "") -> Navigat
     return NavigationMetric(source=F, drift=v, name=name or f"navigation({F.name})")
 
 
-def zermelo_values_batch(F: FinslerField, x, ys: np.ndarray, v: DriftField) -> np.ndarray:
-    """Vectorized F~(x, y) over rows of ys (bisection + Newton on arrays)."""
-    m, n = ys.shape
-    vx = np.array([float(value(c)) for c in v(list(x))])
-    xcols = [np.full(m, float(c)) for c in x]
-
-    def psi(t):
-        pts = t[:, None] * ys - vx[None, :]
-        return np.asarray(F(xcols, [pts[:, i] for i in range(n)]), dtype=float)
-
-    hi = np.ones(m)
-    for _ in range(200):
-        mask = psi(hi) <= 1.0
-        if not mask.any():
-            break
-        hi[mask] *= 2.0
-    lo = np.zeros(m)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        inside = psi(mid) < 1.0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    t = 0.5 * (lo + hi)
-    return 1.0 / t
-
-
 # -- identity checks ---------------------------------------------------------------
 
 
@@ -221,14 +188,11 @@ def indicatrix_shift_check(
     rng = np.random.default_rng([seed, 0x51])
     dirs = rng.normal(size=(n_dirs, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    vx = [float(value(c)) for c in v(list(x))]
-    worst = 0.0
-    for d in dirs:
-        ft = zermelo_general(F, v, x, list(d))
-        yunit = [di / ft for di in d]
-        shifted = [yi - vi for yi, vi in zip(yunit, vx)]
-        worst = max(worst, abs(float(F(list(x), shifted)) - 1.0))
-    return worst
+    xs = [np.full(n_dirs, float(c)) for c in x]
+    ys = list(dirs.T)
+    ft = navigation_metric(F, v)(xs, ys)
+    shifted = [d / ft - c for d, c in zip(ys, v(xs))]
+    return float(np.max(np.abs(np.asarray(F(xs, shifted), dtype=float) - 1.0)))
 
 
 @dataclass
@@ -245,22 +209,15 @@ def volume_preservation_check(
 ) -> VolumeGap:
     """Monte-Carlo check that the navigation transform preserves the volume
     form: both densities are estimated independently (the deformed metric is
-    evaluated by pointwise root solves, not through the shift identity)."""
+    evaluated by root solves, not through the shift identity)."""
     from .measures import bh_density_mc
 
-    # common random numbers: the two routes (direct norm vs pointwise root
-    # solve) see the same sample stream, so a zero drift gives a zero gap
+    # common random numbers: the two routes (direct norm vs root solves) see
+    # the same sample stream, so a zero drift gives a zero gap
     sig_f = bh_density_mc(F, x, n_samples=n_samples, seed=seed)
-    nav_field = FinslerField(F.domain, lambda xs, ys: _nav_batch_eval(F, v, x, ys))
-    sig_nav = bh_density_mc(nav_field, x, n_samples=n_samples, seed=seed)
+    sig_nav = bh_density_mc(navigation_metric(F, v).field(), x, n_samples=n_samples, seed=seed)
     gap = abs(sig_f.value - sig_nav.value) / max(sig_f.value, 1e-300)
     return VolumeGap(sigma_f=sig_f, sigma_nav=sig_nav, rel_gap=gap)
-
-
-def _nav_batch_eval(F, v, x, ys):
-    cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in ys]
-    vals = zermelo_values_batch(F, x, np.column_stack(cols), v)
-    return vals if vals.size > 1 else float(vals[0])
 
 
 def travel_time(
@@ -278,11 +235,9 @@ def travel_time(
     """
     if n % 2:
         n += 1
-    ts = np.linspace(t0, t1, n + 1)
-    vals = []
-    for t in ts:
-        pos, vel = curve(float(t))
-        vals.append(zermelo_general(F, v, list(pos), list(vel)))
-    vals = np.array(vals)
+    nodes = [curve(float(t)) for t in np.linspace(t0, t1, n + 1)]
+    pos = np.array([p for p, _ in nodes], dtype=float)
+    vel = np.array([w for _, w in nodes], dtype=float)
+    vals = navigation_metric(F, v)(list(pos.T), list(vel.T))
     h = (t1 - t0) / n
     return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()))

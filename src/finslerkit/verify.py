@@ -152,8 +152,11 @@ def run_verification(
     }
     if entry.name == "funk":
         tols["flag_constant"] = 1e-7
-    if tol_overrides:
-        tols.update(tol_overrides)
+    tol_overrides = tol_overrides or {}
+    unknown = sorted(set(tol_overrides) - set(tols))
+    if unknown:
+        raise ValueError(f"unknown check id(s) {', '.join(unknown)}; known: {', '.join(sorted(tols))}")
+    tols.update(tol_overrides)
 
     checks: list[CheckResult] = []
     ref = entry.reference

@@ -54,6 +54,33 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(["curvature", "funk", "--at", "0.1", "--dir", "1,0"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("metric", ["euclidean:n=2", "shen_flat"])
+def test_zero_direction_is_a_usage_error(metric, capsys):
+    code, out, err = run_cli(["curvature", metric, "--at", "0.1,0", "--dir", "0,0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--dir" in err
+
+
+def test_scan_zero_direction_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        ["scan", "rotation2d", "--quantity", "Ric", "--grid", "x=-0.4:0.4:3,y=-0.4:0.4:3",
+         "--dir", "0,0"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--dir" in err
+
+
+def test_unknown_tolerance_override_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        ["verify", "euclidean:n=2", "--points", "20", "--tol", "riemann_zer0=1e-30"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "riemann_zer0" in err and "riemann_zero" in err
+
+
 def test_curvature_query(capsys):
     code, out, _ = run_cli(
         ["curvature", "funk", "--at", "0.1,0", "--dir", "0,1", "--flag", "1,0"], capsys

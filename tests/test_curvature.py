@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from finslerkit import curvature as C
-from finslerkit import gallery
+from finslerkit import diffcore, gallery
 from finslerkit import spray as S
-from finslerkit.errors import DegenerateFlagError
+from finslerkit.errors import DegenerateFlagError, MetricError
+from finslerkit.metrics import ball_domain
 from conftest import sample_sites
 
 
@@ -35,6 +36,12 @@ def test_euclidean_riemann_vanishes(entries):
     R = C.riemann(G, [0.1, -0.2], [0.7, 0.4])
     assert np.max(np.abs(R.matrix)) <= 1e-13
     assert R.ricci == pytest.approx(0.0, abs=1e-13)
+
+
+def test_riemann_rejects_the_zero_direction(entries, rot_spray):
+    for G in (rot_spray, S.spray_from_metric(entries["shen_flat"].metric)):
+        with pytest.raises(MetricError):
+            C.riemann(G, [0.1, 0.2], [0.0, 0.0])
 
 
 def test_rotation_riemann_vanishes_everywhere(rotation2d, rot_spray):
@@ -114,6 +121,28 @@ def test_ricci_2d_matches_trace(rotation2d, funk2, rot_spray, funk_spray):
         for x, y in zip(pts, dirs):
             full = C.riemann(G, list(x), list(y)).ricci
             assert C.ricci_2d(G, list(x), list(y)) == pytest.approx(full, abs=1e-7 * (1 + abs(full)))
+
+
+def test_ricci_2d_takes_only_the_blocks_it_reads(monkeypatch):
+    # a polynomial spray whose evaluation takes no derivatives itself
+    G = S.SprayField(
+        ball_domain(2),
+        lambda x, y: [x[1] * y[0] * y[1] + y[0] * y[0], x[0] * y[1] * y[1]],
+        provenance="test",
+    )
+    calls = []
+    real = diffcore.directional_derivatives
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diffcore, "directional_derivatives", counting)
+    monkeypatch.setattr(C, "directional_derivatives", counting)
+    C.ricci_2d(G, [0.1, 0.2], [0.7, -0.3])
+    # dG/dx and dG/dy: 2 + 2; S = dG^1/du + dG^2/dv: 2; its x- and
+    # y-gradients differentiate S itself: 2 * (1 + 2) each
+    assert len(calls) == 18
 
 
 # -- flag curvature ------------------------------------------------------------------

@@ -206,3 +206,66 @@ def test_drift_too_strong_rejected(euclid_ball):
         N.zermelo_general(euclid_ball.finsler(), strong, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(DriftError):
         N.zermelo_riemannian(euclid_ball, strong)
+
+
+def test_every_navigation_path_rejects_a_too_strong_drift(euclid_ball):
+    F = euclid_ball.finsler()
+    strong = N.DriftField(euclid_ball.domain, lambda x: [1.5, 0.0], name="gale")
+    with pytest.raises(DriftError):
+        N.volume_preservation_check(F, strong, [0.0, 0.0], n_samples=20_000)
+    with pytest.raises(DriftError):
+        N.indicatrix_shift_check(F, strong, [0.0, 0.0], n_dirs=8)
+    with pytest.raises(DriftError):
+        N.travel_time(F, strong, lambda t: ([0.1 * t, 0.0], [0.1, 0.0]), 0.0, 1.0, n=8)
+    with pytest.raises(DriftError):
+        N.navigation_metric(F, strong)([np.zeros(3), np.zeros(3)], [np.ones(3), np.zeros(3)])
+
+
+def _recorded_solves(monkeypatch):
+    solves = []
+    real = N._scales
+
+    def recording(F, v, x, y):
+        t = real(F, v, x, y)
+        solves.append(([np.asarray(c) for c in x], [np.asarray(c) for c in y], t))
+        return t
+
+    monkeypatch.setattr(N, "_scales", recording)
+    return solves
+
+
+def test_travel_time_solves_all_nodes_at_once(monkeypatch, euclid_ball, rotation):
+    closed = N.zermelo_riemannian(euclid_ball, rotation).finsler()
+    solves = _recorded_solves(monkeypatch)
+    arc = lambda t: ([0.5 * math.cos(t), 0.5 * math.sin(t)], [-math.sin(t) + 0.2, math.cos(t)])
+    T = N.travel_time(euclid_ball.finsler(), rotation, arc, 0.0, 2.0, n=32)
+    assert len(solves) == 1
+    xs, ys, t = solves[0]
+    assert t.shape == (33,) and len(np.unique(xs[0])) == 33
+    expect = np.asarray(closed(xs, ys), dtype=float)
+    np.testing.assert_allclose(1.0 / t, expect, rtol=1e-10)
+    h = 2.0 / 32
+    simpson = h / 3.0 * (expect[0] + expect[-1] + 4.0 * expect[1:-1:2].sum() + 2.0 * expect[2:-1:2].sum())
+    assert T == pytest.approx(simpson, rel=1e-10)
+
+
+def test_indicatrix_shift_solves_all_directions_at_once(monkeypatch, euclid_ball, rotation):
+    closed = N.zermelo_riemannian(euclid_ball, rotation).finsler()
+    solves = _recorded_solves(monkeypatch)
+    assert N.indicatrix_shift_check(euclid_ball.finsler(), rotation, [0.3, -0.4], n_dirs=16) <= 1e-10
+    assert len(solves) == 1
+    xs, ys, t = solves[0]
+    assert t.shape == (16,)
+    np.testing.assert_allclose(1.0 / t, np.asarray(closed(xs, ys), dtype=float), rtol=1e-10)
+
+
+def test_indicatrix_shift_propagates_nan(monkeypatch, euclid_ball, rotation):
+    real = N._scales
+
+    def one_nan(F, v, x, y):
+        t = real(F, v, x, y).copy()
+        t[3] = np.nan
+        return t
+
+    monkeypatch.setattr(N, "_scales", one_nan)
+    assert math.isnan(N.indicatrix_shift_check(euclid_ball.finsler(), rotation, [0.3, -0.4], n_dirs=8))

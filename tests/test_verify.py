@@ -28,3 +28,8 @@ def test_all_degenerate_flags_raise(rotation2d):
     pts, dirs = verify._sample_sites(rotation2d, 8, seed=2)
     with pytest.raises(DegenerateFlagError):
         verify.max_flag_deviation(rotation2d.metric, G, pts, dirs, 3.0 * dirs, 0.0)
+
+
+def test_unknown_tolerance_override_is_rejected(rotation2d):
+    with pytest.raises(ValueError, match="riemann_zer0.*known: .*riemann_zero"):
+        verify.run_verification(rotation2d, points=20, seed=3, tol_overrides={"riemann_zer0": 1e-30})
