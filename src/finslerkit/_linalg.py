@@ -8,11 +8,9 @@ surfaces as MetricError.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .diffcore import Jet, value
+from .diffcore import sqrt, value
 from .errors import MetricError
 
 
@@ -23,11 +21,7 @@ def _sqrt_pd(u):
             raise MetricError("matrix is not positive definite")
     elif base <= 0.0:
         raise MetricError("matrix is not positive definite")
-    if isinstance(u, Jet):
-        return u.sqrt()
-    if isinstance(u, np.ndarray):
-        return np.sqrt(u)
-    return math.sqrt(u)
+    return sqrt(u)
 
 
 def cholesky(a):

@@ -123,7 +123,7 @@ def cmd_curvature(args) -> int:
 def cmd_geodesic(args) -> int:
     entry, G = _entry_and_spray(args.metric)
     x0 = _parse_vector(getattr(args, "from"), "--from")
-    y0 = _parse_vector(args.dir, "--dir")
+    y0 = _parse_direction(args.dir)
     traj = geodesic_integrate(G, x0, y0, T=args.time, dt=args.dt, speed_check=entry.metric)
     n = entry.dim
     header = (

@@ -5,7 +5,8 @@ differentiation variable gets its own univariate jet, and jets nest through a
 monotone tag so that towers of arbitrary depth stay well ordered.  Fields must
 be written with ordinary arithmetic plus the generic `sqrt`/`log`/`exp`/
 `sin`/`cos` helpers from this module; they then evaluate unchanged on floats,
-on numpy arrays (batched points) and on jets.
+on numpy arrays (batched points), on jets and on the recorded floats that
+`Replay` replays.
 
 A fully independent finite-difference oracle (`fd_oracle`) mirrors `jet_eval`
 for cross-validation; it never touches jet arithmetic.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -135,6 +137,8 @@ class Jet:
         return Jet(self.tag, [other] + [0.0] * (len(self.coeffs) - 1)) / self
 
     def __pow__(self, p):
+        if isinstance(p, Recorded):  # a float p may take the integer branch below
+            raise Unrecordable("a recorded exponent")
         if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
             p = int(p)
             if p == 0:
@@ -248,7 +252,7 @@ def _sincos(j: Jet):
 
 
 def sqrt(u):
-    if isinstance(u, Jet):
+    if isinstance(u, (Jet, Recorded)):
         return u.sqrt()
     if isinstance(u, np.ndarray):
         return np.sqrt(u)
@@ -256,7 +260,7 @@ def sqrt(u):
 
 
 def log(u):
-    if isinstance(u, Jet):
+    if isinstance(u, (Jet, Recorded)):
         return u.log()
     if isinstance(u, np.ndarray):
         return np.log(u)
@@ -264,7 +268,7 @@ def log(u):
 
 
 def exp(u):
-    if isinstance(u, Jet):
+    if isinstance(u, (Jet, Recorded)):
         return u.exp()
     if isinstance(u, np.ndarray):
         return np.exp(u)
@@ -272,7 +276,7 @@ def exp(u):
 
 
 def sin(u):
-    if isinstance(u, Jet):
+    if isinstance(u, (Jet, Recorded)):
         return u.sin()
     if isinstance(u, np.ndarray):
         return np.sin(u)
@@ -280,11 +284,171 @@ def sin(u):
 
 
 def cos(u):
-    if isinstance(u, Jet):
+    if isinstance(u, (Jet, Recorded)):
         return u.cos()
     if isinstance(u, np.ndarray):
         return np.cos(u)
     return math.cos(u)
+
+
+# -- recording a float evaluation once and replaying it -------------------------
+
+
+class Unrecordable(Exception):
+    """A recorded field did something a replay could not repeat."""
+
+
+class GuardFailed(Exception):
+    """A recorded comparison comes out otherwise at replay."""
+
+
+def _guard(cmp, expect):
+    def check(p, q):
+        if cmp(p, q) != expect:
+            raise GuardFailed
+
+    return check
+
+
+_ARITH = (operator.add, operator.sub, operator.mul, operator.truediv)
+_CMPS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+_GUARDS = {(cmp, r): _guard(cmp, r) for cmp in _CMPS for r in (False, True)}
+
+
+def _nest(f, obj):
+    """f applied to each leaf of a scalar or nested list."""
+    return [_nest(f, e) for e in obj] if isinstance(obj, (list, tuple)) else f(obj)
+
+
+def _binary(fn, swap=False):
+    def op(self, other):
+        if isinstance(other, Jet):
+            return NotImplemented
+        a, b = self.slot, self.tape.slot(other)
+        return Recorded(self.tape, self.tape.emit(fn, *((b, a) if swap else (a, b))))
+
+    return op
+
+
+def _compare(cmp):
+    def op(self, other):
+        if isinstance(other, Jet):
+            return NotImplemented
+        a, b = self.slot, self.tape.slot(other)
+        r = cmp(self.tape.values[a], self.tape.values[b])
+        self.tape.emit(_GUARDS[cmp, bool(r)], a, b)
+        return r
+
+    return op
+
+
+def _unary(f):
+    def fn(u, _):  # every record has two operand slots
+        return f(u)
+
+    return lambda self: Recorded(self.tape, self.tape.emit(fn, self.slot, self.slot))
+
+
+def _refuse(self, *args):
+    raise Unrecordable("a recorded value was converted to a Python or numpy value")
+
+
+class Recorded:
+    """A float whose arithmetic and comparisons are recorded by a Replay.
+
+    A comparison returns the float comparison and is recorded as a guard.
+    float(), bool(), int(), conversion to an array, a recorded exponent or
+    an operand that is not a float, int, Recorded or Jet raise Unrecordable.
+    """
+
+    __slots__ = ("tape", "slot")
+    __array_ufunc__ = None  # numpy defers to the reflected operators
+
+    def __init__(self, tape: Replay, slot: int):
+        self.tape = tape
+        self.slot = slot
+
+    __add__, __sub__, __mul__, __truediv__ = (_binary(f) for f in _ARITH)
+    __radd__, __rsub__, __rmul__, __rtruediv__ = (_binary(f, swap=True) for f in _ARITH)
+    __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = (_compare(c) for c in _CMPS)
+    __neg__, __abs__ = _unary(operator.neg), _unary(abs)
+    sqrt, log, exp, sin, cos = (_unary(getattr(math, f)) for f in ("sqrt", "log", "exp", "sin", "cos"))
+    __float__ = __bool__ = __int__ = __index__ = __array__ = _refuse
+
+    def __pow__(self, p):
+        if isinstance(p, Recorded):
+            raise Unrecordable("a recorded exponent")
+        return _binary(operator.pow)(self, p)
+
+    def __rpow__(self, base):
+        raise Unrecordable("a recorded exponent")
+
+
+class Replay:
+    """fn(x, y) on lists of Python floats, recorded at the first call and
+    replayed at later ones with the same float operations in the same order:
+    fn performs the same operations at every point as long as its
+    comparisons come out the same, so results are bit-identical to calling
+    fn, without its jet bookkeeping.
+
+    The record is a flat list of quadruples function, out, a, b over
+    numbered slots that hold the inputs x + y, the constants and the
+    results; identical records are merged, which is exact.  A call whose
+    recorded comparisons come out otherwise is evaluated by fn itself, and
+    so is every call if fn cannot be recorded (see Recorded); `note(message)`
+    hears of both.  The list is flat and the merge keys are ints because a
+    few thousand tuples freed at the end of a call would stay in CPython's
+    tuple free lists and lift the peak RSS.
+    """
+
+    def __init__(self, fn: Callable, note: Callable[[str], None]):
+        self.fn, self.note = fn, note
+        self.out, self.recordable = None, True
+
+    def __call__(self, x, y):
+        if self.out is not None:
+            v = self.values.copy()
+            v[: len(x) + len(y)] = x + y
+            ops = iter(self.ops)
+            try:
+                for fn, out, a, b in zip(ops, ops, ops, ops):
+                    v[out] = fn(v[a], v[b])
+                return _nest(v.__getitem__, self.out)
+            except GuardFailed:
+                self.note("guard failed, stage evaluated directly")
+        elif self.recordable:
+            self.values, self.ops, self._memo = list(x) + list(y), [], {}
+            args = [Recorded(self, i) for i in range(len(self.values))]
+            try:
+                self.out = _nest(self.slot, self.fn(args[: len(x)], args[len(x) :]))
+                return _nest(self.values.__getitem__, self.out)
+            except (Unrecordable, TypeError) as e:
+                self.recordable = False
+                self.note(f"not recorded: {e}")
+        return self.fn(x, y)
+
+    def slot(self, obj) -> int:
+        """The slot of a Recorded value or of a float or int constant."""
+        if isinstance(obj, Recorded):
+            return obj.slot
+        if not isinstance(obj, (float, int)):
+            raise Unrecordable(f"a value of type {type(obj).__name__}")
+        # keyed by type and repr, so 0.0 and -0.0, or 2.0 and np.float64(2.0), stay apart
+        memo, key = self._memo.setdefault(type(obj), {}), repr(obj)
+        if key not in memo:
+            memo[key] = len(self.values)
+            self.values.append(obj)
+        return memo[key]
+
+    def emit(self, fn, a: int, b: int) -> int:
+        """The slot of fn(slot a, slot b), computed and recorded unless an
+        identical record exists."""
+        memo, key = self._memo.setdefault(fn, {}), a << 32 | b
+        if key not in memo:
+            memo[key] = len(self.values)
+            self.values.append(fn(self.values[a], self.values[b]))
+            self.ops += (fn, memo[key], a, b)
+        return memo[key]
 
 
 def value(u):
@@ -356,7 +520,7 @@ def _seed_linear(base, dirs):
 
 
 def _nonzero(v):
-    return not (isinstance(v, float) and v == 0.0) and not (isinstance(v, int) and v == 0)
+    return not isinstance(v, (float, int, Recorded)) or v != 0
 
 
 def directional_derivatives(

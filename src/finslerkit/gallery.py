@@ -163,8 +163,8 @@ def shen_flat(n: int = 2) -> GalleryEntry:
                 raise MetricError("degenerate radicand outside the unit ball")
             if isinstance(rad, np.ndarray):
                 rad = np.maximum(rad, 1e-300)
-        elif float(base) <= 0.0:
-            if float(base) < -1e-12 * float(value(y2)):
+        elif base <= 0.0:  # compared, not float()-ed, so a recorded field keeps the branch
+            if base < -1e-12 * value(y2):
                 raise MetricError("degenerate radicand outside the unit ball")
             rad = 1e-300  # rounding guard at the boundary of positivity
         root = sqrt(rad)

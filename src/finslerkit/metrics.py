@@ -21,6 +21,8 @@ from .diffcore import derivative_blocks, directional_derivatives, sqrt, value
 from .errors import DomainError, MetricError
 
 BOUNDARY_BETA_GUARD = 1.0 - 1e-12
+# points of a sites x samples torsion grid evaluated in one array pass
+TORSION_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,9 @@ class FinslerField:
 
     The callable must be written with generic arithmetic (diffcore.sqrt and
     friends) so it also evaluates on jets and on arrays of batched points.
+    A single-row geodesic records it once and replays it (diffcore.Replay):
+    a value branch must compare the generic scalar rather than float() it,
+    or the field is evaluated with jets at every stage.
     """
 
     domain: ChartDomain
@@ -316,12 +321,28 @@ def _site_grid(x, samples):
     return [np.repeat(np.asarray(v, dtype=float), samples) for v in x]
 
 
+def _site_slices(x, samples):
+    """The sites of x (floats or column arrays) in runs of whole sites, each
+    run covering at most TORSION_CHUNK points of the sites x samples grid
+    (one site at least); each run is a list of 1-D coordinate arrays."""
+    cols = [np.atleast_1d(np.asarray(v, dtype=float)) for v in x]
+    step = max(1, TORSION_CHUNK // samples)
+    return [[c[i : i + step] for c in cols] for i in range(0, len(cols[0]), step)]
+
+
 def _norm_2d(F, x, samples, second):
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     sites = np.shape(x[0])
-    xg = _site_grid(x, samples) if sites else x  # one point broadcasts over the angles
-    grid = _torsion_ratio_2d(F, xg, np.tile(thetas, int(np.prod(sites))), second)
-    k = np.argmax(np.reshape(grid, sites + (samples,)), axis=-1)
+    if sites:
+        k = np.concatenate([
+            np.argmax(np.reshape(
+                _torsion_ratio_2d(F, _site_grid(xs, samples), np.tile(thetas, len(xs[0])), second),
+                (len(xs[0]), samples),
+            ), axis=-1)
+            for xs in _site_slices(x, samples)
+        ])
+    else:  # one point broadcasts over the angles
+        k = np.argmax(_torsion_ratio_2d(F, x, thetas, second))
     dt = 2.0 * math.pi / samples
     best = _golden_max(
         lambda t: _torsion_ratio_2d(F, x, t, second), thetas[k] - dt, thetas[k] + dt
@@ -351,8 +372,13 @@ def _norm_sampled(F, x, samples, seed, second):
         ys = rng.normal(size=(samples, n))
         ys /= np.linalg.norm(ys, axis=1)[:, None]
     us = rng.normal(size=(samples, n))
-    sites = np.shape(x[0])
-    m = int(np.prod(sites))
+    best = np.concatenate([_sampled_best(F, xs, ys, us, second) for xs in _site_slices(x, samples)])
+    return best if np.shape(x[0]) else float(best[0])
+
+
+def _sampled_best(F, x, ys, us, second):
+    """The largest usable sampled ratio at each site of the column arrays x."""
+    n, samples, m = F.dim, len(ys), len(x[0])
     cx = _site_grid(x, samples)
     cy = [np.tile(ys[:, i], m) for i in range(n)]
     cu = [np.tile(us[:, i], m) for i in range(n)]
@@ -369,11 +395,10 @@ def _norm_sampled(F, x, samples, seed, second):
         val = np.abs(np.asarray(cartan_first(F, cx, cy, u, u, u), dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):  # unusable samples are dropped below
         ratio = fval * fval * val / (guu * guu) if second else fval * val / guu**1.5
-    good = np.reshape(guu > 1e-14, sites + (samples,))
+    good = np.reshape(guu > 1e-14, (m, samples))
     if not np.all(np.any(good, axis=-1)):
         raise MetricError(f"no sampled flag with g_y(u, u) > 1e-14 at some site of {F.name}")
-    best = np.max(np.where(good, np.reshape(ratio, sites + (samples,)), -np.inf), axis=-1)
-    return best if sites else float(best)
+    return np.max(np.where(good, np.reshape(ratio, (m, samples)), -np.inf), axis=-1)
 
 
 def cartan_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0):

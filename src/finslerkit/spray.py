@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _linalg
-from .diffcore import basis, derivative_blocks, directional_derivatives, sqrt, value, values_array
+from .diffcore import Replay, basis, derivative_blocks, directional_derivatives, sqrt, value, values_array
 from .errors import DomainError, IntegrationError, MetricError
 from .metrics import (
     ChartDomain,
@@ -23,6 +23,7 @@ from .metrics import (
     RandersData,
     RiemannianField,
     metric_entries,
+    require_nonzero,
 )
 
 log = logging.getLogger("finslerkit")
@@ -384,6 +385,26 @@ def _on_rows(fn, X, V) -> np.ndarray:
     return values_array(fn(list(X.T), list(V.T)), sites=(len(X),))
 
 
+def _rk4(rhs, h, s):
+    """One classical Runge-Kutta step of s' = rhs(s) for the rows of s, and
+    per row the error one of its stages raised (that row comes back NaN) or
+    None.  Module-level, so no closure cycle keeps rhs and its recorded
+    fields alive after geodesic_integrate returns."""
+    try:
+        k1 = rhs(s)
+        k2 = rhs(s + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h * k2)
+        k4 = rhs(s + h * k3)
+    except (MetricError, DomainError, ArithmeticError) as e:
+        # a Runge-Kutta stage left the chart (on Python floats a pole
+        # raises ZeroDivisionError); find the rows that did
+        if len(s) == 1:
+            return np.full_like(s, np.nan), [e]
+        rows = [_rk4(rhs, h, s[i : i + 1]) for i in range(len(s))]
+        return np.concatenate([r[0] for r in rows]), [r[1][0] for r in rows]
+    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), [None] * len(s)
+
+
 def geodesic_integrate(
     G: SprayField,
     x0: Sequence[float],
@@ -404,7 +425,12 @@ def geodesic_integrate(
     an ArithmeticError, or when its state turns non-finite; each stop is
     logged at debug level on the "finslerkit" logger.  If `speed_check` is given,
     F(x'(t)) is recorded and a drift beyond `speed_rtol` (or a non-finite
-    speed) raises IntegrationError.
+    speed) raises IntegrationError.  A zero start velocity raises MetricError.
+
+    A single geodesic runs on Python floats, and G and `speed_check` are
+    recorded at their first evaluation and replayed at the later ones
+    (diffcore.Replay), bit-identically; the log says when a field cannot be
+    recorded or a recorded comparison changes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -412,29 +438,21 @@ def geodesic_integrate(
     X0, V0 = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x0, y0))
     for x in X0:
         G.domain.require(x)
+    require_nonzero(list(V0.T))
     m, n = X0.shape
     steps = max(1, int(round(abs(T) / dt)))
     h = (T / steps) if T != 0 else dt
+    ts = [0.0]
+
+    def replayed(field, what):
+        if m > 1 or field is None:
+            return field
+        return Replay(field, lambda why: log.debug("geodesic row 0 at t=%g: %s %s", ts[-1], what, why))
+
+    spray, speed_field = replayed(G, "spray"), replayed(speed_check, "speed check")
 
     def rhs(s):
-        return np.concatenate([s[:, n:], -2.0 * _on_rows(G, s[:, :n], s[:, n:]).T], axis=1)
-
-    def rk4(s):
-        """One step for the rows of s, and per row the error one of its
-        stages raised (that row comes back NaN) or None."""
-        try:
-            k1 = rhs(s)
-            k2 = rhs(s + 0.5 * h * k1)
-            k3 = rhs(s + 0.5 * h * k2)
-            k4 = rhs(s + h * k3)
-        except (MetricError, DomainError, ArithmeticError) as e:
-            # a Runge-Kutta stage left the chart (on Python floats a pole
-            # raises ZeroDivisionError); find the rows that did
-            if len(s) == 1:
-                return np.full_like(s, np.nan), [e]
-            rows = [rk4(s[i : i + 1]) for i in range(len(s))]
-            return np.concatenate([r[0] for r in rows]), [r[1][0] for r in rows]
-        return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), [None] * len(s)
+        return np.concatenate([s[:, n:], -2.0 * _on_rows(spray, s[:, :n], s[:, n:]).T], axis=1)
 
     def stop_reason(s, error):
         if error is not None:
@@ -449,11 +467,11 @@ def geodesic_integrate(
 
     state = np.concatenate([X0, V0], axis=1)
     exited = np.zeros(m, dtype=bool)
-    ts, states = [0.0], [state.copy()]
-    speeds = None if speed_check is None else [_on_rows(speed_check, X0, V0)]
+    states = [state.copy()]
+    speeds = None if speed_check is None else [_on_rows(speed_field, X0, V0)]
     for k in range(steps):
         live = np.flatnonzero(~exited)
-        new, errors = rk4(state[live])
+        new, errors = _rk4(rhs, h, state[live])
         reasons = [stop_reason(s, e) for s, e in zip(new, errors)]
         ok = np.array([why is None for why in reasons])
         for row, why in zip(live, reasons):
@@ -468,7 +486,7 @@ def geodesic_integrate(
         states.append(state.copy())
         if speeds is not None:
             f0, fk = speeds[0], speeds[-1].copy()
-            fk[moved] = _on_rows(speed_check, state[moved, :n], state[moved, n:])
+            fk[moved] = _on_rows(speed_field, state[moved, :n], state[moved, n:])
             speeds.append(fk)
             bad = moved[~(np.abs(fk[moved] - f0[moved]) <= speed_rtol * np.abs(f0[moved]))]
             if bad.size:

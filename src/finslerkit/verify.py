@@ -10,6 +10,7 @@ worst residual observed; it passes only on a finite residual within tolerance.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -38,6 +39,8 @@ from .measures import (
 )
 from .metrics import metric_entries
 from .spray import geodesic_integrate, projective_residual, randers_spray, spray_from_metric
+
+log = logging.getLogger("finslerkit")
 
 
 @dataclass
@@ -107,9 +110,10 @@ def max_riemann_residual(G, pts: np.ndarray, dirs: np.ndarray) -> float:
 def max_flag_deviation(F, G, pts, dirs, flags, constant: float) -> float:
     """max |K(P, y) - constant| over a batch of flags (array pass).
 
-    Degenerate flags are left out; raises DegenerateFlagError when every
-    flag is degenerate."""
+    Degenerate flags are left out, and their count is logged at debug level;
+    raises DegenerateFlagError when every flag is degenerate."""
     K, degenerate = flag_curvatures(F, G, _cols(pts), _cols(dirs), _cols(flags))
+    log.debug("max_flag_deviation dropped %d of %d flags as degenerate", np.count_nonzero(degenerate), len(K))
     if np.all(degenerate):
         raise DegenerateFlagError(f"all {len(K)} sampled flags are degenerate")
     return _worst(np.abs(K[~degenerate] - constant))

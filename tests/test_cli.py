@@ -62,6 +62,15 @@ def test_zero_direction_is_a_usage_error(metric, capsys):
     assert "--dir" in err
 
 
+def test_geodesic_zero_direction_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        ["geodesic", "funk", "--from", "0,0", "--dir", "0,0", "--time", "0.01", "--dt", "0.005"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--dir" in err
+
+
 def test_scan_zero_direction_is_a_usage_error(capsys):
     code, out, err = run_cli(
         ["scan", "rotation2d", "--quantity", "Ric", "--grid", "x=-0.4:0.4:3,y=-0.4:0.4:3",

@@ -1,6 +1,7 @@
 """Fundamental tensor, Cartan torsions and torsion norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,3 +245,31 @@ def test_sampled_norm_without_usable_flags_raises():
     F = M.FinslerField(M.whole_space_domain(3), lambda x, y: dc.sqrt(y[0] * y[0]))
     with pytest.raises(MetricError):
         M.cartan_norm(F, [0.0, 0.0, 0.0], samples=64, seed=1)
+
+
+@pytest.mark.parametrize("name,params,sites,bound_mb", [
+    ("minkowski", {"n": 2}, 144, 30.0),
+    ("cylinder", {"n": 3}, 64, 15.0),
+])
+def test_torsion_grids_are_sliced_by_sites(name, params, sites, bound_mb):
+    # the whole sites x samples grid held ~150 MB (2-D) and ~50 MB (3-D) at once
+    entry = gallery.make(name, **params)
+    pts = entry.metric.domain.sample_points(sites, seed=5)
+    tracemalloc.start()
+    try:
+        M.cartan_second_norm(entry.metric, list(pts.T), samples=1024, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
+
+
+@pytest.mark.parametrize("name,params", [("rotation2d", {}), ("cylinder", {"n": 3})])
+def test_torsion_norms_do_not_depend_on_the_slice_size(monkeypatch, name, params):
+    entry = gallery.make(name, **params)
+    x = list(entry.metric.domain.sample_points(7, seed=8).T)
+    norms = []
+    for chunk in (10**9, 1000, 1):
+        monkeypatch.setattr(M, "TORSION_CHUNK", chunk)
+        norms.append([f(entry.metric, x, samples=256, seed=2) for f in (M.cartan_norm, M.cartan_second_norm)])
+    assert np.array(norms[0]).tobytes() == np.array(norms[1]).tobytes() == np.array(norms[2]).tobytes()

@@ -8,7 +8,7 @@ import pytest
 from finslerkit import diffcore as dc
 from finslerkit import gallery
 from finslerkit import spray as S
-from finslerkit.errors import IntegrationError
+from finslerkit.errors import IntegrationError, MetricError
 from finslerkit.metrics import FinslerField, RandersData, whole_space_domain, zero_one_form
 
 from conftest import RANDERS_SPECS, sample_sites
@@ -371,6 +371,14 @@ def test_row_stop_reasons_are_logged(caplog):
         "geodesic row 1 stopped after t=0.02: guard failed",
         "geodesic row 0 stopped after t=0.05: non-finite state",
     ]
+
+
+def test_a_zero_start_velocity_is_rejected(funk2):
+    G = S.randers_spray(funk2.randers)
+    with pytest.raises(MetricError):
+        S.geodesic_integrate(G, [0.0, 0.0], [0.0, 0.0], T=0.01, dt=0.005)
+    with pytest.raises(MetricError):
+        S.geodesic_integrate(G, np.zeros((2, 2)), np.array([[0.5, 0.0], [0.0, 0.0]]), T=0.01, dt=0.005)
 
 
 def test_a_stage_on_the_rim_stops_a_single_row(funk2):

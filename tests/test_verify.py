@@ -1,5 +1,6 @@
 """The verification battery's reductions: NaN residuals and degenerate samples fail."""
 
+import logging
 import math
 
 import numpy as np
@@ -33,3 +34,15 @@ def test_all_degenerate_flags_raise(rotation2d):
 def test_unknown_tolerance_override_is_rejected(rotation2d):
     with pytest.raises(ValueError, match="riemann_zer0.*known: .*riemann_zero"):
         verify.run_verification(rotation2d, points=20, seed=3, tol_overrides={"riemann_zer0": 1e-30})
+
+
+def test_dropped_degenerate_flags_are_logged(caplog, rotation2d):
+    G = randers_spray(rotation2d.randers)
+    pts, dirs = verify._sample_sites(rotation2d, 8, seed=2)
+    flags = np.array(dirs)
+    flags[:3] += np.array([[dirs[i, 1], -dirs[i, 0]] for i in range(3)])  # 5 of 8 flags stay degenerate
+    with caplog.at_level(logging.DEBUG, logger="finslerkit"):
+        verify.max_flag_deviation(rotation2d.metric, G, pts, dirs, flags, 0.0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "max_flag_deviation dropped 5 of 8 flags as degenerate"
+    ]
