@@ -277,16 +277,14 @@ def cmd_navigate(args) -> int:
         payload["F_tilde_closed_form"] = float(rd.finsler()(x, y))
         payload["F_tilde_root_solve"] = zermelo_general(alpha.finsler(), drift, x, y)
     if args.check_volume:
-        gap = volume_preservation_check(
-            alpha.finsler(), drift, x, n_samples=args.samples, seed=args.seed
-        )
+        gap = volume_preservation_check(alpha.finsler(), drift, x)
         payload["volume_preservation"] = {
             "sigma_source": gap.sigma_f.value,
-            "sigma_source_stderr": gap.sigma_f.stderr,
+            "sigma_source_error": gap.sigma_f.error,
             "sigma_navigation": gap.sigma_nav.value,
-            "sigma_navigation_stderr": gap.sigma_nav.stderr,
+            "sigma_navigation_error": gap.sigma_nav.error,
             "rel_gap": gap.rel_gap,
-            "n_samples": args.samples,
+            "method": "radial-quadrature",
         }
     _emit_json(payload, args.out)
     return 0
@@ -347,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--drift", required=True, help="radial | rotation | constant:v1=..,v2=..")
     n.add_argument("--at", help="chart point (default origin)")
     n.add_argument("--dir", help="tangent vector for pointwise values")
-    n.add_argument("--check-volume", action="store_true", help="Monte-Carlo volume preservation check")
-    n.add_argument("--samples", type=int, default=1_000_000)
+    n.add_argument("--check-volume", action="store_true", help="radial-quadrature volume preservation check")
     n.add_argument("--seed", **seed_kw)
     n.add_argument("--out")
     n.set_defaults(func=cmd_navigate)

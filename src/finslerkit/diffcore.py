@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -139,7 +140,7 @@ class Jet:
     def __pow__(self, p):
         if isinstance(p, Recorded):  # a float p may take the integer branch below
             raise Unrecordable("a recorded exponent")
-        if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
+        if isinstance(p, numbers.Integral) or (isinstance(p, float) and p.is_integer()):
             p = int(p)
             if p == 0:
                 return Jet(self.tag, [1.0] + [0.0] * (len(self.coeffs) - 1))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +22,12 @@ from .errors import MetricError
 from .metrics import FinslerField, RandersData, RiemannianField, metric_entries, require_nonzero
 from .spray import SprayField, beta_table, geodesic_integrate
 
-DIFFERENTIABLE_METHODS = ("closed-form-randers", "riemannian-det", "constant")
+# Radial quadrature: 2k trapezoid nodes in the azimuth and k Gauss nodes on
+# every further polar axis; the error estimate is the same rule at k/2.  Above
+# n = 5 the product rule would pass QUAD_MAX_NODES, and k shrinks to fit.
+QUAD_K_2D = 32
+QUAD_K = 16
+QUAD_MAX_NODES = 2**17
 
 # Monte Carlo samples drawn and evaluated per pass; the generator yields the
 # same stream in any chunking, so this bounds memory without moving estimates.
@@ -30,7 +36,8 @@ MC_CHUNK = 25_000
 
 @dataclass(frozen=True)
 class VolumeDensity:
-    """Chart density sigma(x) of a volume form sigma(x) dx^1 ... dx^n."""
+    """Chart density sigma(x) of a volume form sigma(x) dx^1 ... dx^n; the
+    method "monte-carlo" declares a sampled, non-differentiable density."""
 
     sigma: Callable
     method: str
@@ -40,7 +47,15 @@ class VolumeDensity:
 
     @property
     def differentiable(self) -> bool:
-        return self.method in DIFFERENTIABLE_METHODS
+        return self.method != "monte-carlo"
+
+
+@dataclass
+class QuadDensity:
+    """Radial-quadrature density with the gap to the same rule at half order."""
+
+    value: float
+    error: float
 
 
 @dataclass
@@ -93,6 +108,57 @@ def constant_density_field(c: float = 1.0) -> VolumeDensity:
     return VolumeDensity(sigma=lambda x: c, method="constant")
 
 
+# -- Busemann-Hausdorff density by radial quadrature ----------------------------
+
+
+@lru_cache(maxsize=None)
+def _sphere_rule(n: int, k: int):
+    """Nodes (n, m) and weights (m,) of a product rule on S^{n-1}.
+
+    The azimuth takes the trapezoid rule with 2k nodes; the polar axis t of
+    S^{j-1}, j = 3..n, carries the weight (1 - t^2)^{(j-3)/2} and k Gauss
+    nodes: Gauss-Legendre times the factor for an integer power,
+    Chebyshev-U times (1 - t^2)^{(j-4)/2} for a half-integer one.
+    """
+    phi = np.pi * np.arange(2 * k) / k
+    dirs = np.stack([np.cos(phi), np.sin(phi)])
+    w = np.full(2 * k, np.pi / k)
+    for j in range(3, n + 1):
+        if j % 2:
+            t, wt = np.polynomial.legendre.leggauss(k)
+        else:
+            a = np.pi * np.arange(1, k + 1) / (k + 1)
+            t, wt = np.cos(a), np.pi / (k + 1) * np.sin(a) ** 2
+        wt = wt * (1.0 - t * t) ** ((j - 3) // 2)
+        s = np.sqrt(1.0 - t * t)
+        dirs = np.vstack([(s[:, None] * dirs[:, None, :]).reshape(j - 1, -1), np.repeat(t, w.size)])
+        w = np.outer(wt, w).ravel()
+    dirs.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return dirs, w
+
+
+def bh_density(F: FinslerField, x) -> QuadDensity:
+    """Busemann-Hausdorff density sigma_F(x) = Vol(B^n) / Vol{F(x, .) < 1}
+    by radial quadrature: Vol{F(x, .) < 1} = (1/n) int_{S^{n-1}} F(x, u)^{-n} du.
+
+    F is evaluated once, on column arrays of the nodes of the rule and of
+    its half-order companion; `error` is the gap between the two.  Raises
+    MetricError where F is not positive and finite at a node.
+    """
+    n = F.dim
+    k = QUAD_K_2D if n == 2 else QUAD_K
+    while k > 2 and 2 * k ** (n - 1) > QUAD_MAX_NODES:
+        k -= 2
+    (dirs, w), (dirs_half, w_half) = _sphere_rule(n, k), _sphere_rule(n, k // 2)
+    m = w.size + w_half.size
+    fv = np.asarray(F([np.full(m, float(c)) for c in x], list(np.hstack([dirs, dirs_half]))), dtype=float)
+    if not np.all(np.isfinite(fv) & (fv > 0.0)):
+        raise MetricError("F is not positive and finite on every ray: no bounded indicatrix")
+    r = fv ** -n
+    full, half = n * unit_ball_volume(n) / np.array([w @ r[: w.size], w_half @ r[w.size :]])
+    return QuadDensity(value=float(full), error=float(abs(full - half)))
+
+
 # -- Monte Carlo Busemann-Hausdorff density ------------------------------------
 
 
@@ -110,6 +176,8 @@ def _indicatrix_box(F: FinslerField, x, n_dirs: int = 2048, inflate: float = 1.1
     ys = [dirs[:, i] for i in range(n)]
     xs = [np.full(n_dirs, float(v)) for v in x]
     fvals = np.asarray(F(xs, ys), dtype=float)
+    if not np.all(np.isfinite(fvals)):
+        raise MetricError("F is not finite on a sampled ray")
     if np.any(fvals <= 1e-14):
         raise MetricError("indicatrix is unbounded: F vanishes on a sampled ray")
     pts = dirs / fvals[:, None]
@@ -138,6 +206,8 @@ def bh_density_mc(F: FinslerField, x, n_samples: int = 1_000_000, seed: int = 0)
         m = min(MC_CHUNK, n_samples - done)
         pts = rng.uniform(lo, hi, size=(m, n))
         fv = np.asarray(F([np.full(m, float(v)) for v in x], list(pts.T)), dtype=float)
+        if not np.all(np.isfinite(fv)):
+            raise MetricError("F is not finite at a Monte Carlo sample")
         hits += int(np.count_nonzero(fv < 1.0))
         done += m
     p = hits / n_samples
@@ -177,15 +247,12 @@ class DistortionScalar:
 def s_curvature(G: SprayField, sigma: VolumeDensity, x, y) -> float:
     """S(x, y) = dG^i/dy^i - y^i d/dx^i [ ln sigma(x) ].
 
-    Requires a differentiable density source; Monte-Carlo densities are
-    rejected so sampling noise is never presented as curvature.  Column
-    arrays of sites give an array of values.
+    Rejects a density declared sampled ("monte-carlo"), so sampling noise is
+    never presented as curvature.  Column arrays of sites give an array of
+    values.
     """
     if not sigma.differentiable:
-        raise MetricError(
-            f"density method {sigma.method!r} is not differentiable; "
-            "use a closed-form or determinant density"
-        )
+        raise MetricError(f"density method {sigma.method!r} is not differentiable")
     dGdy, _ = derivative_blocks(G, x, y, "y")
     div = 0.0
     for i in range(len(y)):

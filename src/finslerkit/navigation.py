@@ -207,15 +207,17 @@ class VolumeGap:
 def volume_preservation_check(
     F: FinslerField, v: DriftField, x, n_samples: int = 1_000_000, seed: int = 0
 ) -> VolumeGap:
-    """Monte-Carlo check that the navigation transform preserves the volume
-    form: both densities are estimated independently (the deformed metric is
-    evaluated by root solves, not through the shift identity)."""
-    from .measures import bh_density_mc
+    """Check that the navigation transform preserves the volume form: both
+    densities are rated by radial quadrature (`measures.bh_density`), the
+    deformed metric by root solves, not through the shift identity.
 
-    # common random numbers: the two routes (direct norm vs root solves) see
-    # the same sample stream, so a zero drift gives a zero gap
-    sig_f = bh_density_mc(F, x, n_samples=n_samples, seed=seed)
-    sig_nav = bh_density_mc(navigation_metric(F, v).field(), x, n_samples=n_samples, seed=seed)
+    The result is deterministic; `n_samples` and `seed` are inert and kept
+    only for existing callers.
+    """
+    from .measures import bh_density
+
+    sig_f = bh_density(F, x)
+    sig_nav = bh_density(navigation_metric(F, v).field(), x)
     gap = abs(sig_f.value - sig_nav.value) / max(sig_f.value, 1e-300)
     return VolumeGap(sigma_f=sig_f, sigma_nav=sig_nav, rel_gap=gap)
 

@@ -235,6 +235,33 @@ def test_navigate_radial_gives_funk_coefficients(capsys):
     assert payload["F_tilde_closed_form"] == pytest.approx(payload["F_tilde_root_solve"], abs=1e-10)
 
 
+def test_navigate_check_volume_is_exact_and_seed_free(capsys):
+    outs = []
+    for seed in ("1", "2"):
+        code, out, _ = run_cli(
+            ["navigate", "--alpha", "euclidean:n=2", "--drift", "rotation", "--at", "0.3,0.4",
+             "--check-volume", "--seed", seed],
+            capsys,
+        )
+        assert code == 0
+        outs.append(json.loads(out))
+    vol = outs[0]["volume_preservation"]
+    assert set(vol) == {"sigma_source", "sigma_source_error", "sigma_navigation",
+                        "sigma_navigation_error", "rel_gap", "method"}
+    assert vol["method"] == "radial-quadrature"
+    assert np.isfinite(vol["rel_gap"]) and vol["rel_gap"] <= 1e-12
+    assert vol["sigma_navigation"] == pytest.approx(1.0, abs=1e-12)
+    assert [o.pop("seed") for o in outs] == [1, 2]
+    assert json.dumps(outs[0], sort_keys=True) == json.dumps(outs[1], sort_keys=True)
+
+
+def test_navigate_has_no_samples_option(capsys):
+    code, _, err = run_cli(
+        ["navigate", "--alpha", "euclidean:n=2", "--drift", "rotation", "--samples", "10"], capsys
+    )
+    assert code == 2 and "--samples" in err
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "finslerkit.cli", "--version"], capture_output=True, text=True

@@ -305,3 +305,11 @@ def test_mixed_lengths_take_the_generic_kernels(monkeypatch):
     assert calls == []
     o1 + o2, o1 * o2, o2 / o1, o1 - o2, o3 * o3, o2 / o2
     assert calls == ["_add", "_convolve", "_deconvolve", "_add", "_convolve", "_deconvolve"]
+
+
+@pytest.mark.parametrize("p", [np.int64(2), np.int32(3), np.int8(-2), np.uint16(0)])
+def test_numpy_integer_exponents_take_the_integer_power(p):
+    for base in ([-1.5, 1.0], [0.7, -0.3, 0.2]):
+        assert [exact(c) for c in (dc.Jet(1, base) ** p).coeffs] == [
+            exact(c) for c in (dc.Jet(1, base) ** int(p)).coeffs
+        ]

@@ -20,7 +20,82 @@ from finslerkit.metrics import (
 from conftest import RANDERS_SPECS, sample_sites
 
 
+# -- radial-quadrature density -------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,params", RANDERS_SPECS)
+def test_quadrature_density_matches_randers_closed_form(name, params):
+    entry = gallery.make(name, **params)
+    pts, _ = sample_sites(entry, 8, seed=13)
+    for x in pts:
+        q = ME.bh_density(entry.metric, list(x))
+        closed = ME.randers_density(entry.randers, list(x))
+        assert abs(q.value - closed) <= 1e-13 * closed
+        assert q.error <= 1e-6 * closed
+
+
+def test_quadrature_density_converges_on_funk_4(monkeypatch):
+    entry = gallery.funk(4)
+    pts = entry.metric.domain.sample_points(4, seed=21, shrink=0.75)
+    for k in (4, 8, 16):
+        monkeypatch.setattr(ME, "QUAD_K", k)
+        for x in pts:
+            q = ME.bh_density(entry.metric, list(x))
+            closed = ME.randers_density(entry.randers, list(x))
+            assert abs(q.value - closed) <= 1e-13 * closed
+            if k >= 8:
+                assert q.error <= 1e-13 * closed
+
+
+def test_sphere_rules_integrate_polynomials_exactly():
+    # int_{S^{n-1}} u_1^2 = |S^{n-1}| / n and int u_1^2 u_n^2 = |S^{n-1}| / (n (n + 2))
+    for n in (2, 3, 4, 5):
+        dirs, w = ME._sphere_rule(n, 8)
+        area = n * ME.unit_ball_volume(n)
+        assert np.allclose(np.sum(dirs * dirs, axis=0), 1.0, rtol=0, atol=1e-15)
+        assert w.sum() == pytest.approx(area, rel=1e-14)
+        assert np.dot(w, dirs[0] ** 2) == pytest.approx(area / n, rel=1e-14)
+        assert np.dot(w, dirs[0] ** 2 * dirs[-1] ** 2) == pytest.approx(area / (n * (n + 2)), rel=1e-14)
+
+
+def test_quadrature_node_budget_bounds_high_dimensions():
+    entry = gallery.euclidean(7)
+    q = ME.bh_density(entry.metric, [0.0] * 7)
+    assert q.value == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_quadrature_rejects_a_bad_value_on_a_node(bad):
+    def f(x, y):
+        r = dc.sqrt(y[0] * y[0] + y[1] * y[1])
+        return np.where(np.asarray(y[1]) / r > 0.9, bad, r)
+
+    with pytest.raises(MetricError):
+        ME.bh_density(FinslerField(whole_space_domain(2), f), [0.0, 0.0])
+
+
 # -- Monte Carlo density -----------------------------------------------------------
+
+
+def _disk_norm_nan_where(mask):
+    def f(x, y):
+        r = dc.sqrt(y[0] * y[0] + y[1] * y[1])
+        return np.where(mask(np.asarray(y[0]), np.asarray(y[1]), r), np.nan, r)
+
+    return FinslerField(whole_space_domain(2), f)
+
+
+def test_mc_rejects_a_non_finite_box_ray():
+    F = _disk_norm_nan_where(lambda y0, y1, r: y0 > 0.9)
+    with pytest.raises(MetricError):
+        ME.bh_density_mc(F, [0.0, 0.0], n_samples=20_000, seed=1)
+
+
+def test_mc_rejects_a_non_finite_sample():
+    # NaN only inside the indicatrix: every box ray is finite, some samples are not
+    F = _disk_norm_nan_where(lambda y0, y1, r: (y0 - 0.3) ** 2 + y1 * y1 < 0.01)
+    with pytest.raises(MetricError):
+        ME.bh_density_mc(F, [0.0, 0.0], n_samples=20_000, seed=1)
 
 
 def test_mc_density_euclidean(entries):
@@ -175,6 +250,14 @@ def test_s_rejects_monte_carlo_density(rotation2d):
     sigma = ME.VolumeDensity(sigma=lambda x: 1.0, method="monte-carlo")
     with pytest.raises(MetricError):
         ME.s_curvature(G, sigma, [0.1, 0.2], [1.0, 0.0])
+
+
+def test_s_accepts_a_user_density_under_any_other_label(rotation2d):
+    G = S.randers_spray(rotation2d.randers)
+    closed = ME.randers_density_field(rotation2d.randers)
+    pulled = ME.VolumeDensity(sigma=closed.sigma, method="pulled-back")
+    x, y = [0.1, 0.2], [1.0, 0.3]
+    assert ME.s_curvature(G, pulled, x, y) == ME.s_curvature(G, closed, x, y)
 
 
 # -- the S = 0 pointwise criterion -----------------------------------------------------------

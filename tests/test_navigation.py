@@ -121,6 +121,33 @@ def test_volume_preserved_under_zero_drift(euclid_ball):
     assert gap.rel_gap <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_volume_check_is_exact_for_a_zero_drift(n):
+    alpha = euclidean_alpha(n, ball_domain(n, name=f"nav-ball{n}"))
+    zero = N.DriftField(alpha.domain, lambda x: [0.0 * c for c in x], name="zero")
+    gap = N.volume_preservation_check(alpha.finsler(), zero, [0.1, 0.2, -0.3][:n])
+    assert gap.rel_gap <= 4.4e-16
+    assert gap.sigma_f.value == pytest.approx(1.0, abs=4.4e-16)
+
+
+def test_volume_check_is_deterministic(euclid_ball, rotation):
+    F, x = euclid_ball.finsler(), [0.3, 0.4]
+    one = N.volume_preservation_check(F, rotation, x, n_samples=20_000, seed=1)
+    two = N.volume_preservation_check(F, rotation, x, n_samples=50_000, seed=2)
+    assert one == two
+    assert one.rel_gap <= 1e-13
+
+
+def test_volume_check_tracks_a_strong_rotation_in_3d():
+    # the rotating drift preserves the euclidean volume: sigma = 1 exactly
+    alpha = euclidean_alpha(3, ball_domain(3, name="nav-ball3"))
+    spin = N.DriftField(alpha.domain, lambda x: [-x[1], x[0], 0.0 * x[2]], name="rotation")
+    for r, tol in ((0.5, 1e-11), (0.8, 1e-11), (0.9, 1e-8)):
+        gap = N.volume_preservation_check(alpha.finsler(), spin, [r, 0.0, 0.0])
+        assert abs(gap.sigma_nav.value - 1.0) <= tol
+        assert abs(gap.sigma_nav.value - 1.0) <= gap.sigma_nav.error + 4.4e-16
+
+
 def test_volume_preserved_under_rotation(euclid_ball, rotation):
     gap = N.volume_preservation_check(
         euclid_ball.finsler(), rotation, [0.3, 0.4], n_samples=200_000, seed=7
