@@ -31,13 +31,11 @@ SCAN_CHUNK = 128
 
 
 def _default_seed() -> int:
-    env = os.environ.get("FINSLER_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"finsler: FINSLER_SEED must be an integer, got {env!r}")
-    return 42
+    env = os.environ.get("FINSLER_SEED", "42")
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"FINSLER_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_vector(text: str, want: str) -> list[float]:
@@ -269,7 +267,6 @@ def cmd_navigate(args) -> int:
         "at": x,
         "a_tilde": [[float(v) for v in row] for row in rd.alpha.matrix(x)],
         "b_tilde": [float(v) for v in rd.beta.covector(x)],
-        "seed": args.seed,
     }
     if args.dir:
         y = _parse_vector(args.dir, "--dir")
@@ -301,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"finsler {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    seed_kw = dict(type=int, default=_default_seed(), help="random seed (default: FINSLER_SEED or 42)")
+    # default None: FINSLER_SEED is read only when a command falls back on it
+    seed_kw = dict(type=int, default=None, help="random seed (default: FINSLER_SEED or 42)")
 
     v = sub.add_parser("verify", help="run the identity-verification battery for a metric")
     v.add_argument("metric", help="metric spec, e.g. rotation2d or slab:kappa=0.5")
@@ -346,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--at", help="chart point (default origin)")
     n.add_argument("--dir", help="tangent vector for pointwise values")
     n.add_argument("--check-volume", action="store_true", help="radial-quadrature volume preservation check")
-    n.add_argument("--seed", **seed_kw)
     n.add_argument("--out")
     n.set_defaults(func=cmd_navigate)
 
@@ -361,11 +358,10 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors and 0 on --help
         return int(e.code or 0)
     try:
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
-    except UsageError as e:
-        print(f"finsler: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         print(f"finsler: {e}", file=sys.stderr)
         return 2
     except FinslerError as e:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _linalg
-from .diffcore import basis, derivative_blocks, directional_derivatives, value, values_array
+from .diffcore import derivative_blocks, directional_derivatives, value, values_array
 from .errors import DegenerateFlagError
 from .metrics import (
     FinslerField,
@@ -62,16 +62,17 @@ def _spray_derivatives(G: SprayField, x, y):
     Returns (Gval, dGdx[k][i], mixed[k][i] = y^j d2G^i/dx^j dy^k,
     dGdy[j][i], hess[j][k][i] = d2G^i/dy^j dy^k).
     """
-    n = len(y)
-    Gval = G(list(x), list(y))
+    G_at = G.at(list(x))
+    Gval = G_at(list(y))
     dGdx, _ = derivative_blocks(G, x, y, "x")
-    mixed = [
-        directional_derivatives(
-            G, x, y, x_dirs=[(list(y), 1)], y_dirs=[(basis(n, k), 1)]
-        ).partial([1, 1])
-        for k in range(n)
-    ]
-    dGdy, hess = derivative_blocks(G, x, y, "y", order=2)
+
+    def y_blocks(xs, ys):
+        G_xs = G.at(xs)
+        return derivative_blocks(lambda _, zs: G_xs(zs), xs, ys, "y")[0]
+
+    # the x-derivative along y of the y-blocks, with one G.at per call
+    mixed = directional_derivatives(y_blocks, x, y, x_dirs=[(list(y), 1)]).partial([1])
+    dGdy, hess = derivative_blocks(lambda _, ys: G_at(ys), x, y, "y", order=2)
     return Gval, dGdx, mixed, dGdy, hess
 
 
@@ -121,17 +122,18 @@ def ricci_2d(G: SprayField, x, y):
     """
     if G.dim != 2:
         raise ValueError("ricci_2d requires a two-dimensional spray")
-    Gval = G(list(x), list(y))
+    G_at = G.at(list(x))
+    Gval = G_at(list(y))
     dGdx, _ = derivative_blocks(G, x, y, "x")
-    dGdy, _ = derivative_blocks(G, x, y, "y")
+    dGdy, _ = derivative_blocks(lambda _, ys: G_at(ys), x, y, "y")
 
-    def S_func(xs, ys):
-        dG, _ = derivative_blocks(G, xs, ys, "y")
+    def S_at(G_xs, ys):
+        dG, _ = derivative_blocks(lambda _, zs: G_xs(zs), x, ys, "y")
         return dG[0][0] + dG[1][1]
 
-    S0 = S_func(list(x), list(y))
-    dSdx, _ = derivative_blocks(S_func, x, y, "x")
-    dSdy, _ = derivative_blocks(S_func, x, y, "y")
+    S0 = S_at(G_at, list(y))
+    dSdx, _ = derivative_blocks(lambda xs, ys: S_at(G.at(xs), ys), x, y, "x")
+    dSdy, _ = derivative_blocks(lambda _, ys: S_at(G_at, ys), x, y, "y")
     val = (
         2.0 * (dGdx[0][0] + dGdx[1][1] + dGdy[0][0] * dGdy[1][1] - dGdy[1][0] * dGdy[0][1])
         - S0 * S0
@@ -204,7 +206,8 @@ class DifferenceField:
         Hval = self.value(xs, ys)
         dHdx, _ = derivative_blocks(self.value, xs, ys, "x")
         dHdy, _ = derivative_blocks(self.value, xs, ys, "y")
-        dRefdy, refHess = derivative_blocks(self.reference, xs, ys, "y", order=2)
+        ref_at = self.reference.at(xs)
+        dRefdy, refHess = derivative_blocks(lambda _, zs: ref_at(zs), xs, ys, "y", order=2)
         out = [[None] * n for _ in range(n)]
         for i in range(n):
             for k in range(n):

@@ -305,7 +305,8 @@ class GuardFailed(Exception):
 
 def _guard(cmp, expect):
     def check(p, q):
-        if cmp(p, q) != expect:
+        r = cmp(p, q)  # a bool on floats, a bool array on column arrays
+        if r is not expect and not np.all(r == expect):
             raise GuardFailed
 
     return check
@@ -373,7 +374,8 @@ class Recorded:
     __radd__, __rsub__, __rmul__, __rtruediv__ = (_binary(f, swap=True) for f in _ARITH)
     __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = (_compare(c) for c in _CMPS)
     __neg__, __abs__ = _unary(operator.neg), _unary(abs)
-    sqrt, log, exp, sin, cos = (_unary(getattr(math, f)) for f in ("sqrt", "log", "exp", "sin", "cos"))
+    # the generic functions above: a replay over column arrays takes numpy's
+    sqrt, log, exp, sin, cos = map(_unary, (sqrt, log, exp, sin, cos))
     __float__ = __bool__ = __int__ = __index__ = __array__ = _refuse
 
     def __pow__(self, p):
@@ -386,20 +388,21 @@ class Recorded:
 
 
 class Replay:
-    """fn(x, y) on lists of Python floats, recorded at the first call and
-    replayed at later ones with the same float operations in the same order:
-    fn performs the same operations at every point as long as its
-    comparisons come out the same, so results are bit-identical to calling
-    fn, without its jet bookkeeping.
+    """fn(x, y) on lists of Python floats or of column arrays of sites,
+    recorded at the first call on the floats of row 0 and replayed at every
+    call with the same float operations in the same order, elementwise over
+    column arrays: fn performs the same operations at every point as long as
+    its comparisons come out the same, so results are bit-identical to
+    calling fn, without its jet bookkeeping.
 
     The record is a flat list of quadruples function, out, a, b over
-    numbered slots that hold the inputs x + y, the constants and the
-    results; identical records are merged, which is exact.  A call whose
-    recorded comparisons come out otherwise is evaluated by fn itself, and
-    so is every call if fn cannot be recorded (see Recorded); `note(message)`
-    hears of both.  The list is flat and the merge keys are ints because a
-    few thousand tuples freed at the end of a call would stay in CPython's
-    tuple free lists and lift the peak RSS.
+    numbered slots; identical records are merged, which is exact.  fn itself
+    evaluates a call that raises while it is recorded, the whole of a call
+    where a recorded comparison comes out otherwise on some row, and every
+    call if fn cannot be recorded (see Recorded); `note(message)` hears of
+    the last two unless fn raises.  The list is flat and the merge keys are
+    ints because a few thousand tuples freed at the end of a call would stay
+    in CPython's tuple free lists and lift the peak RSS.
     """
 
     def __init__(self, fn: Callable, note: Callable[[str], None]):
@@ -407,6 +410,18 @@ class Replay:
         self.out, self.recordable = None, True
 
     def __call__(self, x, y):
+        if self.out is None and self.recordable:
+            self.values = [float(v[0]) if isinstance(v, np.ndarray) else v for v in x + y]
+            self.ops, self._memo = [], {}
+            args = [Recorded(self, i) for i in range(len(self.values))]
+            try:
+                self.out = _nest(self.slot, self.fn(args[: len(x)], args[len(x) :]))
+                self._reuse_dead_slots()
+            except (Unrecordable, TypeError) as e:
+                self.recordable = False
+                self.note(f"not recorded: {e}")
+            except Exception:  # fn raises it again, or meets row 0 among the other rows
+                pass
         if self.out is not None:
             v = self.values.copy()
             v[: len(x) + len(y)] = x + y
@@ -416,17 +431,37 @@ class Replay:
                     v[out] = fn(v[a], v[b])
                 return _nest(v.__getitem__, self.out)
             except GuardFailed:
+                out = self.fn(x, y)  # a call that raises needs no note
                 self.note("guard failed, stage evaluated directly")
-        elif self.recordable:
-            self.values, self.ops, self._memo = list(x) + list(y), [], {}
-            args = [Recorded(self, i) for i in range(len(self.values))]
-            try:
-                self.out = _nest(self.slot, self.fn(args[: len(x)], args[len(x) :]))
-                return _nest(self.values.__getitem__, self.out)
-            except (Unrecordable, TypeError) as e:
-                self.recordable = False
-                self.note(f"not recorded: {e}")
+                return out
         return self.fn(x, y)
+
+    def _reuse_dead_slots(self):
+        """End a recording: drop the merge keys and renumber the slots in place so a
+        result reuses the slot of a value read for the last time (inputs and constants
+        first, outputs kept): a replay over column arrays holds only the live arrays."""
+        ops, values, self._memo = self.ops, self.values, None
+        keep, last, new = set(), [-1] * len(values), [None] * len(values)
+        _nest(keep.add, self.out)
+        for i in range(0, len(ops), 4):
+            new[ops[i + 1]] = -1  # a result, numbered below
+            last[ops[i + 2]] = last[ops[i + 3]] = i
+        self.values = []
+        for s, v in enumerate(values):
+            if new[s] is None:  # an input or a constant
+                new[s] = len(self.values)
+                self.values.append(v)
+        free = []
+        for i in range(0, len(ops), 4):
+            out, a, b = ops[i + 1 : i + 4]
+            free += [new[s] for s in {a, b} if last[s] == i and s not in keep]
+            new[out] = free.pop() if free else len(self.values)
+            if new[out] == len(self.values):
+                self.values.append(None)
+            if last[out] == -1 and out not in keep:  # never read, as a guard's
+                free.append(new[out])
+            ops[i + 1 : i + 4] = new[out], new[a], new[b]
+        self.out = _nest(new.__getitem__, self.out)
 
     def slot(self, obj) -> int:
         """The slot of a Recorded value or of a float or int constant."""

@@ -8,6 +8,7 @@ paths: engine computations must reproduce them within module tolerances.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -27,6 +28,8 @@ from .metrics import (
     zero_one_form,
 )
 from .navigation import DriftField, zermelo_riemannian
+
+log = logging.getLogger("finslerkit")
 
 
 @dataclass
@@ -148,7 +151,9 @@ def shen_flat(n: int = 2) -> GalleryEntry:
             / ( (1 - |x|^2)^2 sqrt(|y|^2 - (|x|^2 |y|^2 - <x,y>^2)) )
 
     The radicand is clamped at zero when a float rounding error drives it
-    slightly negative near the boundary of its positivity set.
+    slightly negative near the boundary of its positivity set; each clamp is
+    logged at debug level on the "finslerkit" logger, except where a replay
+    (diffcore.Replay) repeats a recorded one.
     """
     dom = ball_domain(n, name=f"shen-ball{n}")
 
@@ -162,10 +167,15 @@ def shen_flat(n: int = 2) -> GalleryEntry:
             if np.any(base < -1e-12 * np.asarray(value(y2))):
                 raise MetricError("degenerate radicand outside the unit ball")
             if isinstance(rad, np.ndarray):
+                clamped = np.count_nonzero(rad < 1e-300)
+                if clamped:
+                    log.debug("shen_flat radicand clamped at %d of %d sites", clamped, rad.size)
                 rad = np.maximum(rad, 1e-300)
         elif base <= 0.0:  # compared, not float()-ed, so a recorded field keeps the branch
             if base < -1e-12 * value(y2):
                 raise MetricError("degenerate radicand outside the unit ball")
+            # no value in the message: formatting a recorded one would float() it
+            log.debug("shen_flat radicand clamped at the boundary of positivity")
             rad = 1e-300  # rounding guard at the boundary of positivity
         root = sqrt(rad)
         one_minus = 1.0 - x2

@@ -253,7 +253,8 @@ def s_curvature(G: SprayField, sigma: VolumeDensity, x, y) -> float:
     """
     if not sigma.differentiable:
         raise MetricError(f"density method {sigma.method!r} is not differentiable")
-    dGdy, _ = derivative_blocks(G, x, y, "y")
+    G_at = G.at(list(x))
+    dGdy, _ = derivative_blocks(lambda _, ys: G_at(ys), x, y, "y")
     div = 0.0
     for i in range(len(y)):
         div = div + value(dGdy[i][i])

@@ -9,6 +9,7 @@ are independent routes that must agree and are cross-checked in tests.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -35,15 +36,22 @@ class SprayField:
 
     `provenance` records how the coefficients were built:
     generic-from-F, randers-closed-form, levi-civita or analytic-gallery.
+    `site`, when given, maps x to y -> func(x, y) with the work that depends
+    on x alone done once.
     """
 
     domain: ChartDomain
     func: Callable
     provenance: str
     metric: Optional[FinslerField] = None
+    site: Optional[Callable] = None
 
     def __call__(self, x, y):
         return self.func(x, y)
+
+    def at(self, x) -> Callable:
+        """y -> G(x, y) at the site x, for loops over y at a fixed x."""
+        return self.site(x) if self.site is not None else lambda ys: self.func(x, ys)
 
     @property
     def dim(self) -> int:
@@ -125,19 +133,15 @@ def levi_civita_spray(alpha: RiemannianField) -> SprayField:
     """Quadratic spray G^i = 1/2 Gamma^i_{jk}(x) y^j y^k of a Riemannian metric."""
     n = alpha.dim
 
-    def G(x, y):
+    def at(x):
         gamma = _christoffel_entries(alpha, x)
-        out = []
-        for i in range(n):
-            acc = None
-            for j in range(n):
-                for k in range(n):
-                    t = gamma[i][j][k] * y[j] * y[k]
-                    acc = t if acc is None else acc + t
-            out.append(acc * 0.5)
-        return out
 
-    return SprayField(alpha.domain, G, provenance="levi-civita", metric=alpha.finsler())
+        def G(y):
+            return [_linalg.quad_form(gamma[i], y, y) * 0.5 for i in range(n)]
+
+        return G
+
+    return SprayField(alpha.domain, lambda x, y: at(x)(y), "levi-civita", alpha.finsler(), site=at)
 
 
 # -- covariant tables for beta -------------------------------------------------
@@ -337,24 +341,23 @@ def randers_spray(randers: RandersData) -> SprayField:
     P = (r_00 - 2 alpha s_0) / (2F) and Q^i = alpha s^i_0."""
     n = randers.dim
 
-    def G(x, y):
+    def at(x):
         tbl = beta_table(randers, x, order=1)
-        c = tbl.contract(y)
-        alpha = sqrt(c.alpha2)
-        beta_v = _linalg.sum_prod(tbl.b, y)
-        P = (c.r00 - 2.0 * alpha * c.s0) / (2.0 * (alpha + beta_v))
-        out = []
-        for i in range(n):
-            gt = None
-            for j in range(n):
-                for k in range(n):
-                    t = tbl.gamma[i][j][k] * y[j] * y[k]
-                    gt = t if gt is None else gt + t
-            out.append(gt * 0.5 + P * y[i] + alpha * c.si0[i])
-        return out
+
+        def G(y):
+            c = tbl.contract(y)
+            alpha = sqrt(c.alpha2)
+            beta_v = _linalg.sum_prod(tbl.b, y)
+            P = (c.r00 - 2.0 * alpha * c.s0) / (2.0 * (alpha + beta_v))
+            return [
+                _linalg.quad_form(tbl.gamma[i], y, y) * 0.5 + P * y[i] + alpha * c.si0[i] for i in range(n)
+            ]
+
+        return G
 
     return SprayField(
-        randers.domain, G, provenance="randers-closed-form", metric=randers.finsler()
+        randers.domain, lambda x, y: at(x)(y), provenance="randers-closed-form",
+        metric=randers.finsler(), site=at,
     )
 
 
@@ -378,30 +381,39 @@ class Trajectory:
 
 
 def _on_rows(fn, X, V) -> np.ndarray:
-    """fn(x, v) at each row of X and V: on Python floats for a single row, on
-    column arrays otherwise; the row axis comes last in the result."""
-    if len(X) == 1:
-        return np.array(fn(X[0].tolist(), V[0].tolist()), dtype=float)[..., None]
+    """fn(x, v) on column arrays of the rows of X and V; the row axis comes
+    last in the result."""
     return values_array(fn(list(X.T), list(V.T)), sites=(len(X),))
 
 
-def _rk4(rhs, h, s):
-    """One classical Runge-Kutta step of s' = rhs(s) for the rows of s, and
-    per row the error one of its stages raised (that row comes back NaN) or
-    None.  Module-level, so no closure cycle keeps rhs and its recorded
-    fields alive after geodesic_integrate returns."""
+def _rk4_row(rhs, h, s):
+    """One classical Runge-Kutta step of s' = rhs(s) for one row s of Python
+    floats, in the float operations _rk4 takes on each row of an array: the
+    new row and None, or None and the error a stage that left the chart
+    raised (on Python floats a pole raises ZeroDivisionError)."""
+    try:
+        k1 = rhs(s)
+        k2 = rhs([a + 0.5 * h * b for a, b in zip(s, k1)])
+        k3 = rhs([a + 0.5 * h * b for a, b in zip(s, k2)])
+        k4 = rhs([a + h * b for a, b in zip(s, k3)])
+    except (MetricError, DomainError, ArithmeticError) as e:
+        return None, e
+    return [a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w) for a, p, q, r, w in zip(s, k1, k2, k3, k4)], None
+
+
+def _rk4(rhs, row_rhs, h, s):
+    """_rk4_row for the rows of the array s: the new rows, and per row the
+    error (that row comes back NaN) or None.  Once a stage raises, every row
+    steps alone with row_rhs.  Module-level, so no closure cycle keeps rhs
+    and its recorded fields alive after geodesic_integrate returns."""
     try:
         k1 = rhs(s)
         k2 = rhs(s + 0.5 * h * k1)
         k3 = rhs(s + 0.5 * h * k2)
         k4 = rhs(s + h * k3)
-    except (MetricError, DomainError, ArithmeticError) as e:
-        # a Runge-Kutta stage left the chart (on Python floats a pole
-        # raises ZeroDivisionError); find the rows that did
-        if len(s) == 1:
-            return np.full_like(s, np.nan), [e]
-        rows = [_rk4(rhs, h, s[i : i + 1]) for i in range(len(s))]
-        return np.concatenate([r[0] for r in rows]), [r[1][0] for r in rows]
+    except (MetricError, DomainError, ArithmeticError):
+        new, errors = zip(*(_rk4_row(row_rhs, h, r.tolist()) for r in s))
+        return np.array([np.full(s.shape[1], np.nan) if r is None else r for r in new]), list(errors)
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), [None] * len(s)
 
 
@@ -427,10 +439,11 @@ def geodesic_integrate(
     F(x'(t)) is recorded and a drift beyond `speed_rtol` (or a non-finite
     speed) raises IntegrationError.  A zero start velocity raises MetricError.
 
-    A single geodesic runs on Python floats, and G and `speed_check` are
-    recorded at their first evaluation and replayed at the later ones
-    (diffcore.Replay), bit-identically; the log says when a field cannot be
-    recorded or a recorded comparison changes.
+    A single row runs on Python floats; arrays are built only for the
+    returned Trajectory.  G and `speed_check` are recorded at their first
+    evaluation, on the floats of row 0, and replayed at later ones, over
+    column arrays for an ensemble (diffcore.Replay), bit-identically; the
+    log says when a field cannot be recorded or a comparison changes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -442,59 +455,81 @@ def geodesic_integrate(
     m, n = X0.shape
     steps = max(1, int(round(abs(T) / dt)))
     h = (T / steps) if T != 0 else dt
-    ts = [0.0]
+    ts, rows = [0.0], "row 0" if m == 1 else f"ensemble of {m} rows"
 
     def replayed(field, what):
-        if m > 1 or field is None:
-            return field
-        return Replay(field, lambda why: log.debug("geodesic row 0 at t=%g: %s %s", ts[-1], what, why))
+        if field is None:
+            return None
+        return Replay(field, lambda why: log.debug("geodesic %s at t=%g: %s %s", rows, ts[-1], what, why))
 
     spray, speed_field = replayed(G, "spray"), replayed(speed_check, "speed check")
 
     def rhs(s):
         return np.concatenate([s[:, n:], -2.0 * _on_rows(spray, s[:, :n], s[:, n:]).T], axis=1)
 
+    def row_rhs(s):
+        return s[n:] + [-2.0 * g for g in spray(s[:n], s[n:])]
+
     def stop_reason(s, error):
         if error is not None:
             return f"a stage raised {type(error).__name__}: {error}"
-        if not np.all(np.isfinite(s)):
+        if not all(map(math.isfinite, s)):
             return "non-finite state"
         if not G.domain.contains(s[:n]):
             return "left the domain"
-        if guard is not None and not guard(s[:n]):
+        if guard is not None and not guard(np.asarray(s[:n])):
             return "guard failed"
         return None
 
-    state = np.concatenate([X0, V0], axis=1)
-    exited = np.zeros(m, dtype=bool)
-    states = [state.copy()]
-    speeds = None if speed_check is None else [_on_rows(speed_field, X0, V0)]
-    for k in range(steps):
-        live = np.flatnonzero(~exited)
-        new, errors = _rk4(rhs, h, state[live])
-        reasons = [stop_reason(s, e) for s, e in zip(new, errors)]
-        ok = np.array([why is None for why in reasons])
-        for row, why in zip(live, reasons):
+    if m == 1:
+        states = [X0[0].tolist() + V0[0].tolist()]
+        speeds = None if speed_field is None else [speed_field(states[0][:n], states[0][n:])]
+        for k in range(steps):
+            s, error = _rk4_row(row_rhs, h, states[-1])
+            why = stop_reason(s, error)
             if why is not None:
-                log.debug("geodesic row %d stopped after t=%g: %s", row, k * h, why)
-        exited[live[~ok]] = True
-        if not ok.any():
-            break
-        moved = live[ok]
-        state[moved] = new[ok]
-        ts.append((k + 1) * h)
-        states.append(state.copy())
-        if speeds is not None:
-            f0, fk = speeds[0], speeds[-1].copy()
-            fk[moved] = _on_rows(speed_field, state[moved, :n], state[moved, n:])
-            speeds.append(fk)
-            bad = moved[~(np.abs(fk[moved] - f0[moved]) <= speed_rtol * np.abs(f0[moved]))]
-            if bad.size:
-                raise IntegrationError(
-                    f"geodesic speed drifted from {f0[bad[0]]} to {fk[bad[0]]} at t={(k + 1) * h}"
-                )
-    path = np.array(states)
-    speed = None if speeds is None else np.array(speeds)
+                log.debug("geodesic row 0 stopped after t=%g: %s", k * h, why)
+                break
+            ts.append((k + 1) * h)
+            states.append(s)
+            if speeds is not None:
+                speeds.append(speed_field(s[:n], s[n:]))
+                f0, fk = speeds[0], speeds[-1]
+                if not abs(fk - f0) <= speed_rtol * abs(f0):
+                    raise IntegrationError(f"geodesic speed drifted from {f0} to {fk} at t={ts[-1]}")
+        exited = np.array([why is not None])
+        path = np.array(states)[:, None]
+        speed = None if speeds is None else np.array(speeds, dtype=float)[:, None]
+    else:
+        state = np.concatenate([X0, V0], axis=1)
+        exited = np.zeros(m, dtype=bool)
+        states = [state.copy()]
+        speeds = None if speed_check is None else [_on_rows(speed_field, X0, V0)]
+        for k in range(steps):
+            live = np.flatnonzero(~exited)
+            new, errors = _rk4(rhs, row_rhs, h, state[live])
+            reasons = [stop_reason(s, e) for s, e in zip(new, errors)]
+            ok = np.array([why is None for why in reasons])
+            for row, why in zip(live, reasons):
+                if why is not None:
+                    log.debug("geodesic row %d stopped after t=%g: %s", row, k * h, why)
+            exited[live[~ok]] = True
+            if not ok.any():
+                break
+            moved = live[ok]
+            state[moved] = new[ok]
+            ts.append((k + 1) * h)
+            states.append(state.copy())
+            if speeds is not None:
+                f0, fk = speeds[0], speeds[-1].copy()
+                fk[moved] = _on_rows(speed_field, state[moved, :n], state[moved, n:])
+                speeds.append(fk)
+                bad = moved[~(np.abs(fk[moved] - f0[moved]) <= speed_rtol * np.abs(f0[moved]))]
+                if bad.size:
+                    f0, fk = f0[bad[0]], fk[bad[0]]
+                    raise IntegrationError(f"geodesic speed drifted from {f0} to {fk} at t={ts[-1]}")
+        path = np.array(states)
+        speed = None if speeds is None else np.array(speeds)
     if single:
         path, speed, exited = path[:, 0], None if speed is None else speed[:, 0], bool(exited[0])
     return Trajectory(

@@ -236,23 +236,20 @@ def test_navigate_radial_gives_funk_coefficients(capsys):
 
 
 def test_navigate_check_volume_is_exact_and_seed_free(capsys):
-    outs = []
-    for seed in ("1", "2"):
-        code, out, _ = run_cli(
-            ["navigate", "--alpha", "euclidean:n=2", "--drift", "rotation", "--at", "0.3,0.4",
-             "--check-volume", "--seed", seed],
-            capsys,
-        )
-        assert code == 0
-        outs.append(json.loads(out))
-    vol = outs[0]["volume_preservation"]
+    argv = ["navigate", "--alpha", "euclidean:n=2", "--drift", "rotation", "--at", "0.3,0.4",
+            "--check-volume"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert "seed" not in payload
+    vol = payload["volume_preservation"]
     assert set(vol) == {"sigma_source", "sigma_source_error", "sigma_navigation",
                         "sigma_navigation_error", "rel_gap", "method"}
     assert vol["method"] == "radial-quadrature"
     assert np.isfinite(vol["rel_gap"]) and vol["rel_gap"] <= 1e-12
     assert vol["sigma_navigation"] == pytest.approx(1.0, abs=1e-12)
-    assert [o.pop("seed") for o in outs] == [1, 2]
-    assert json.dumps(outs[0], sort_keys=True) == json.dumps(outs[1], sort_keys=True)
+    code, _, err = run_cli(argv + ["--seed", "1"], capsys)
+    assert code == 2 and "--seed" in err
 
 
 def test_navigate_has_no_samples_option(capsys):
@@ -275,6 +272,20 @@ def test_env_seed_override(monkeypatch, capsys):
     code, out, _ = run_cli(["curvature", "euclidean:n=2", "--at", "0,0", "--dir", "1,0"], capsys)
     assert code == 0
     assert json.loads(out)["seed"] == 123
+
+
+def test_a_malformed_env_seed_is_a_usage_error_only_where_it_is_read(monkeypatch, capsys):
+    monkeypatch.setenv("FINSLER_SEED", "abc")
+    curvature = ["curvature", "euclidean:n=2", "--at", "0,0", "--dir", "1,0"]
+    code, _, err = run_cli(curvature, capsys)
+    assert code == 2 and "FINSLER_SEED must be an integer, got 'abc'" in err
+    code, out, _ = run_cli(curvature + ["--seed", "5"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 5
+    code, out, _ = run_cli(["geodesic", "euclidean:n=2", "--from", "0,0", "--dir", "1,0",
+                            "--time", "0.01", "--dt", "0.005"], capsys)
+    assert code == 0 and out.startswith("t,x1,x2")
+    code, out, _ = run_cli(["--version"], capsys)
+    assert code == 0 and out.startswith("finsler ")
 
 
 def test_out_of_domain_point_is_an_engine_error(capsys):

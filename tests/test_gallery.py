@@ -1,5 +1,7 @@
 """Gallery entries: validity, closed-form reference data, parameter handling."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,17 @@ def test_bao_shen_chart_internals():
         G=S.levi_civita_spray(alpha),
     )
     assert K == pytest.approx(1.0, abs=1e-9)
+
+
+def test_shen_flat_logs_its_radicand_clamp(caplog):
+    # on the rim, with y tangent to it, the radicand is exactly 0
+    F = gallery.shen_flat(2).metric
+    with caplog.at_level(logging.DEBUG, logger="finslerkit"):
+        with pytest.raises(ZeroDivisionError):
+            F([1.0, 0.0], [0.0, 1.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F([np.array([1.0, 0.0]), np.array([0.0, 0.2])], [np.array([0.0, 1.0]), np.array([1.0, 0.5])])
+    assert [r.getMessage() for r in caplog.records] == [
+        "shen_flat radicand clamped at the boundary of positivity",
+        "shen_flat radicand clamped at 1 of 2 sites",
+    ]

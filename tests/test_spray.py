@@ -185,6 +185,17 @@ def test_randers_spray_agrees_with_generic(name, params):
     assert worst <= 1e-8
 
 
+@pytest.mark.parametrize("name,params", RANDERS_SPECS)
+def test_spray_at_a_site_equals_the_spray(name, params):
+    entry = gallery.make(name, **params)
+    pts, dirs = sample_sites(entry, 4, seed=31)
+    sprays = (S.randers_spray(entry.randers), S.levi_civita_spray(entry.randers.alpha),
+              S.spray_from_metric(entry.metric))
+    for G in sprays:
+        for x, y in [*((list(x), list(y)) for x, y in zip(pts, dirs)), (list(pts.T), list(dirs.T))]:
+            assert dc.values_array(G.at(x)(y)).tobytes() == dc.values_array(G(x, y)).tobytes()
+
+
 def test_q_term_is_divergence_free(rotation2d):
     # Q^i = alpha s^i_0 has vanishing y-divergence
     rd = rotation2d.randers
@@ -368,6 +379,8 @@ def test_row_stop_reasons_are_logged(caplog):
             T=0.2, dt=0.01, guard=lambda x: x[1] < 0.03,
         )
     assert [r.getMessage() for r in caplog.records] == [
+        "geodesic ensemble of 2 rows at t=0: spray not recorded: "
+        "a recorded value was converted to a Python or numpy value",
         "geodesic row 1 stopped after t=0.02: guard failed",
         "geodesic row 0 stopped after t=0.05: non-finite state",
     ]
