@@ -105,7 +105,6 @@ def cmd_curvature(args) -> int:
         "dir": y,
         "riemann": R.matrix.tolist(),
         "ricci": R.ricci,
-        "seed": args.seed,
     }
     sigma = density_field(entry)
     if sigma is not None:
@@ -314,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--at", required=True, help="chart point, comma-separated")
     c.add_argument("--dir", required=True, help="tangent direction, comma-separated")
     c.add_argument("--flag", help="transverse flag edge, comma-separated")
-    c.add_argument("--seed", **seed_kw)
     c.add_argument("--out")
     c.set_defaults(func=cmd_curvature)
 

@@ -401,20 +401,24 @@ def _sampled_best(F, x, ys, us, second):
     return np.max(np.where(good, np.reshape(ratio, (m, samples)), -np.inf), axis=-1)
 
 
+def _torsion_norm(F, x, samples, seed, second):
+    if samples < 1:
+        raise ValueError(f"torsion norms need at least 1 sample, got {samples}")
+    if F.dim == 2:
+        return _norm_2d(F, x, samples, second)
+    return _norm_sampled(F, x, samples, seed, second)
+
+
 def cartan_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0):
     """Sampled estimate of ||C||_x (exact up to refinement in dimension 2);
     an array of estimates when x holds column arrays of sites."""
-    if F.dim == 2:
-        return _norm_2d(F, x, samples, second=False)
-    return _norm_sampled(F, x, samples, seed, second=False)
+    return _torsion_norm(F, x, samples, seed, second=False)
 
 
 def cartan_second_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0):
     """Sampled estimate of ||C~||_x (exact up to refinement in dimension 2);
     an array of estimates when x holds column arrays of sites."""
-    if F.dim == 2:
-        return _norm_2d(F, x, samples, second=True)
-    return _norm_sampled(F, x, samples, seed, second=True)
+    return _torsion_norm(F, x, samples, seed, second=True)
 
 
 # -- sanity battery -----------------------------------------------------------

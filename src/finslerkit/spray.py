@@ -437,7 +437,8 @@ def geodesic_integrate(
     an ArithmeticError, or when its state turns non-finite; each stop is
     logged at debug level on the "finslerkit" logger.  If `speed_check` is given,
     F(x'(t)) is recorded and a drift beyond `speed_rtol` (or a non-finite
-    speed) raises IntegrationError.  A zero start velocity raises MetricError.
+    speed) raises IntegrationError.  A zero start velocity raises MetricError,
+    and an empty ensemble ValueError.
 
     A single row runs on Python floats; arrays are built only for the
     returned Trajectory.  G and `speed_check` are recorded at their first
@@ -449,6 +450,8 @@ def geodesic_integrate(
         raise ValueError("dt must be positive")
     single = np.ndim(x0) == 1
     X0, V0 = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x0, y0))
+    if len(X0) == 0:
+        raise ValueError("geodesic_integrate needs at least one start point")
     for x in X0:
         G.domain.require(x)
     require_nonzero(list(V0.T))

@@ -252,6 +252,21 @@ def test_navigate_check_volume_is_exact_and_seed_free(capsys):
     assert code == 2 and "--seed" in err
 
 
+def test_scan_with_zero_torsion_samples_is_a_usage_error(capsys):
+    code, _, err = run_cli(
+        ["scan", "slab:kappa=0.5", "--quantity", "cartan", "--grid", "x=-1:1:3,y=-1:1:3", "--samples", "0"],
+        capsys,
+    )
+    assert code == 2 and "at least 1 sample" in err
+
+
+@pytest.mark.parametrize("points", [0, 5, 1])
+def test_verify_with_fewer_than_10_points_is_a_usage_error(points, capsys):
+    code, out, err = run_cli(["verify", "euclidean:n=2", "--points", str(points)], capsys)
+    assert code == 2 and out == ""
+    assert f"at least 10 points, got {points}" in err
+
+
 def test_navigate_has_no_samples_option(capsys):
     code, _, err = run_cli(
         ["navigate", "--alpha", "euclidean:n=2", "--drift", "rotation", "--samples", "10"], capsys
@@ -267,20 +282,27 @@ def test_module_entrypoint_runs():
     assert "finsler" in proc.stdout
 
 
+SMALL_SCAN = ["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=-0.1:0.1:2,y=-0.1:0.1:2"]
+
+
 def test_env_seed_override(monkeypatch, capsys):
     monkeypatch.setenv("FINSLER_SEED", "123")
-    code, out, _ = run_cli(["curvature", "euclidean:n=2", "--at", "0,0", "--dir", "1,0"], capsys)
+    code, out, _ = run_cli(SMALL_SCAN, capsys)
     assert code == 0
     assert json.loads(out)["seed"] == 123
 
 
 def test_a_malformed_env_seed_is_a_usage_error_only_where_it_is_read(monkeypatch, capsys):
     monkeypatch.setenv("FINSLER_SEED", "abc")
-    curvature = ["curvature", "euclidean:n=2", "--at", "0,0", "--dir", "1,0"]
-    code, _, err = run_cli(curvature, capsys)
+    code, _, err = run_cli(SMALL_SCAN, capsys)
     assert code == 2 and "FINSLER_SEED must be an integer, got 'abc'" in err
-    code, out, _ = run_cli(curvature + ["--seed", "5"], capsys)
+    code, out, _ = run_cli(SMALL_SCAN + ["--seed", "5"], capsys)
     assert code == 0 and json.loads(out)["seed"] == 5
+    curvature = ["curvature", "euclidean:n=2", "--at", "0,0", "--dir", "1,0"]
+    code, out, _ = run_cli(curvature, capsys)
+    assert code == 0 and "seed" not in json.loads(out)
+    code, _, err = run_cli(curvature + ["--seed", "5"], capsys)
+    assert code == 2 and "--seed" in err
     code, out, _ = run_cli(["geodesic", "euclidean:n=2", "--from", "0,0", "--dir", "1,0",
                             "--time", "0.01", "--dt", "0.005"], capsys)
     assert code == 0 and out.startswith("t,x1,x2")

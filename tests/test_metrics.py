@@ -273,3 +273,9 @@ def test_torsion_norms_do_not_depend_on_the_slice_size(monkeypatch, name, params
         monkeypatch.setattr(M, "TORSION_CHUNK", chunk)
         norms.append([f(entry.metric, x, samples=256, seed=2) for f in (M.cartan_norm, M.cartan_second_norm)])
     assert np.array(norms[0]).tobytes() == np.array(norms[1]).tobytes() == np.array(norms[2]).tobytes()
+
+
+@pytest.mark.parametrize("norm", [M.cartan_norm, M.cartan_second_norm])
+def test_torsion_norms_need_a_sample(norm, slab05):
+    with pytest.raises(ValueError, match="at least 1 sample, got 0"):
+        norm(slab05.metric, [0.0, 0.0], samples=0)

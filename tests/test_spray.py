@@ -394,6 +394,12 @@ def test_a_zero_start_velocity_is_rejected(funk2):
         S.geodesic_integrate(G, np.zeros((2, 2)), np.array([[0.5, 0.0], [0.0, 0.0]]), T=0.01, dt=0.005)
 
 
+def test_an_empty_ensemble_is_rejected(rotation2d):
+    G = S.randers_spray(rotation2d.randers)
+    with pytest.raises(ValueError, match="at least one start point"):
+        S.geodesic_integrate(G, np.zeros((0, 2)), np.zeros((0, 2)), T=0.01, dt=0.005)
+
+
 def test_a_stage_on_the_rim_stops_a_single_row(funk2):
     # the second stage lands exactly on |x| = 1, where funk's F divides by zero
     G = S.randers_spray(funk2.randers)

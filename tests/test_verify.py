@@ -46,3 +46,13 @@ def test_dropped_degenerate_flags_are_logged(caplog, rotation2d):
     assert [r.getMessage() for r in caplog.records] == [
         "max_flag_deviation dropped 5 of 8 flags as degenerate"
     ]
+
+
+def test_reports_follow_the_check_table(rotation2d):
+    report = verify.run_verification(rotation2d, points=20, seed=3)
+    ids = [c.check_id for c in report.checks]
+    assert ids == [c for c in verify.CHECKS if c in ids]
+    assert all(c.tolerance == verify.CHECKS[c.check_id][1] for c in report.checks)
+    claims = {c.check_id: c.claim for c in report.checks}
+    assert claims["flag_constant"] == "flag curvature equals 0.0"
+    assert claims["g_zero_homogeneity"] == "g_{t y} = g_y for t > 0"
