@@ -38,19 +38,30 @@ def _default_seed() -> int:
         raise UsageError(f"FINSLER_SEED must be an integer, got {env!r}") from None
 
 
-def _parse_vector(text: str, want: str) -> list[float]:
+def _parse_vector(text: str, want: str, dim: int) -> list[float]:
     try:
-        return [float(t) for t in text.split(",")]
+        v = [float(t) for t in text.split(",")]
     except ValueError:
-        raise UsageError(f"{want} must be a comma-separated list of numbers, got {text!r}")
+        raise UsageError(f"{want} must be a comma-separated list of numbers, got {text!r}") from None
+    if len(v) != dim:
+        raise UsageError(f"{want} must have dimension {dim}, got {len(v)} entries")
+    return v
+
+
+def _parse_number(text: str, want: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise UsageError(f"{want} must be {noun}, got {text!r}") from None
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_direction(text: str) -> list[float]:
-    y = _parse_vector(text, "--dir")
+def _parse_direction(text: str, dim: int) -> list[float]:
+    y = _parse_vector(text, "--dir", dim)
     if not any(y):
         raise UsageError("--dir must be nonzero: fields live on the slit tangent bundle")
     return y
@@ -81,7 +92,7 @@ def cmd_verify(args) -> int:
         k, eq, v = item.partition("=")
         if not eq:
             raise UsageError(f"--tol expects check=value, got {item!r}")
-        tols[k] = float(v)
+        tols[k] = _parse_number(v, f"--tol {k}")
     t0 = time.time()
     report = run_verification(entry, points=args.points, seed=args.seed, tol_overrides=tols or None)
     elapsed = time.time() - t0
@@ -93,10 +104,8 @@ def cmd_verify(args) -> int:
 
 def cmd_curvature(args) -> int:
     entry, G = _entry_and_spray(args.metric)
-    x = _parse_vector(args.at, "--at")
-    y = _parse_direction(args.dir)
-    if len(x) != entry.dim or len(y) != entry.dim:
-        raise UsageError(f"point and direction must have dimension {entry.dim}")
+    x = _parse_vector(args.at, "--at", entry.dim)
+    y = _parse_direction(args.dir, entry.dim)
     R = riemann(G, x, y)
     payload = {
         "metric": entry.name,
@@ -110,7 +119,7 @@ def cmd_curvature(args) -> int:
     if sigma is not None:
         payload["s_curvature"] = s_curvature(G, sigma, x, y)
     if args.flag:
-        u = _parse_vector(args.flag, "--flag")
+        u = _parse_vector(args.flag, "--flag", entry.dim)
         payload["flag"] = u
         payload["flag_curvature"] = flag_curvature(entry.metric, x, y, u, G=G)
     _emit_json(payload, args.out)
@@ -119,8 +128,8 @@ def cmd_curvature(args) -> int:
 
 def cmd_geodesic(args) -> int:
     entry, G = _entry_and_spray(args.metric)
-    x0 = _parse_vector(getattr(args, "from"), "--from")
-    y0 = _parse_direction(args.dir)
+    x0 = _parse_vector(getattr(args, "from"), "--from", entry.dim)
+    y0 = _parse_direction(args.dir, entry.dim)
     traj = geodesic_integrate(G, x0, y0, T=args.time, dt=args.dt, speed_check=entry.metric)
     n = entry.dim
     header = (
@@ -156,8 +165,9 @@ def _parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
         parts = rng.split(":")
         if not eq or len(parts) != 3:
             raise UsageError(f"grid axis must be name=lo:hi:count, got {item!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        axes.append((name.strip(), np.linspace(lo, hi, count)))
+        want = f"--grid axis {name.strip()!r}"
+        lo, hi = (_parse_number(v, want) for v in parts[:2])
+        axes.append((name.strip(), np.linspace(lo, hi, _parse_number(parts[2], f"{want} count", int))))
     return axes
 
 
@@ -184,8 +194,8 @@ def cmd_scan(args) -> int:
     axes = _parse_grid(args.grid)
     if len(axes) != entry.dim:
         raise UsageError(f"grid must have {entry.dim} axes for {entry.name}")
-    y = _parse_direction(args.dir) if args.dir else basis(entry.dim, 0)
-    u = _parse_vector(args.flag, "--flag") if args.flag else basis(entry.dim, 1)
+    y = _parse_direction(args.dir, entry.dim) if args.dir else basis(entry.dim, 0)
+    u = _parse_vector(args.flag, "--flag", entry.dim) if args.flag else basis(entry.dim, 1)
     sigma = density_field(entry)
     if args.quantity == "S" and sigma is None:
         raise UsageError(f"no differentiable density available for {entry.name}")
@@ -238,7 +248,7 @@ def _parse_drift(spec: str, dom) -> DriftField:
             k, eq, v = item.partition("=")
             if not eq:
                 raise UsageError(f"malformed drift component {item!r}")
-            comps[k.strip()] = float(v)
+            comps[k.strip()] = _parse_number(v, f"--drift component {k.strip()}")
         vec = [comps.get(f"v{i + 1}", 0.0) for i in range(dom.dim)]
         return DriftField(dom, lambda x: list(vec), name="constant")
     raise UsageError(f"unknown drift {spec!r}; use radial, rotation, or constant:v1=..,v2=..")
@@ -259,7 +269,7 @@ def cmd_navigate(args) -> int:
         alpha = RiemannianField(dom, alpha.matrix, name=alpha.name)
     drift = _parse_drift(args.drift, dom)
     rd = zermelo_riemannian(alpha, drift)
-    x = _parse_vector(args.at, "--at") if args.at else [0.0] * alpha.dim
+    x = _parse_vector(args.at, "--at", alpha.dim) if args.at else [0.0] * alpha.dim
     payload = {
         "alpha": args.alpha,
         "drift": args.drift,
@@ -268,7 +278,7 @@ def cmd_navigate(args) -> int:
         "b_tilde": [float(v) for v in rd.beta.covector(x)],
     }
     if args.dir:
-        y = _parse_vector(args.dir, "--dir")
+        y = _parse_vector(args.dir, "--dir", alpha.dim)
         payload["dir"] = y
         payload["F_tilde_closed_form"] = float(rd.finsler()(x, y))
         payload["F_tilde_root_solve"] = zermelo_general(alpha.finsler(), drift, x, y)

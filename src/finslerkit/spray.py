@@ -380,41 +380,27 @@ class Trajectory:
     speed: Optional[np.ndarray] = None
 
 
-def _on_rows(fn, X, V) -> np.ndarray:
-    """fn(x, v) on column arrays of the rows of X and V; the row axis comes
-    last in the result."""
-    return values_array(fn(list(X.T), list(V.T)), sites=(len(X),))
-
-
-def _rk4_row(rhs, h, s):
-    """One classical Runge-Kutta step of s' = rhs(s) for one row s of Python
-    floats, in the float operations _rk4 takes on each row of an array: the
-    new row and None, or None and the error a stage that left the chart
-    raised (on Python floats a pole raises ZeroDivisionError)."""
+def _rk4(rhs, h, s):
+    """One classical Runge-Kutta step of s' = rhs(s) for a state of 2n
+    columns: Python floats for one row, (live,) arrays for an ensemble.
+    Returns the new rows as lists and, per row, None or the error a stage
+    that left the chart raised (on Python floats a pole raises
+    ZeroDivisionError); once an ensemble stage raises, every row steps alone
+    on floats.  Module-level, so no closure cycle keeps rhs and its recorded
+    fields alive after geodesic_integrate returns."""
+    ensemble = isinstance(s[0], np.ndarray)
     try:
         k1 = rhs(s)
         k2 = rhs([a + 0.5 * h * b for a, b in zip(s, k1)])
         k3 = rhs([a + 0.5 * h * b for a, b in zip(s, k2)])
         k4 = rhs([a + h * b for a, b in zip(s, k3)])
     except (MetricError, DomainError, ArithmeticError) as e:
-        return None, e
-    return [a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w) for a, p, q, r, w in zip(s, k1, k2, k3, k4)], None
-
-
-def _rk4(rhs, row_rhs, h, s):
-    """_rk4_row for the rows of the array s: the new rows, and per row the
-    error (that row comes back NaN) or None.  Once a stage raises, every row
-    steps alone with row_rhs.  Module-level, so no closure cycle keeps rhs
-    and its recorded fields alive after geodesic_integrate returns."""
-    try:
-        k1 = rhs(s)
-        k2 = rhs(s + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h * k2)
-        k4 = rhs(s + h * k3)
-    except (MetricError, DomainError, ArithmeticError):
-        new, errors = zip(*(_rk4_row(row_rhs, h, r.tolist()) for r in s))
-        return np.array([np.full(s.shape[1], np.nan) if r is None else r for r in new]), list(errors)
-    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), [None] * len(s)
+        if not ensemble:
+            return [None], [e]
+        rows = [_rk4(rhs, h, row) for row in np.array(s).T.tolist()]
+        return [r for (r,), _ in rows], [e for _, (e,) in rows]
+    new = [a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w) for a, p, q, r, w in zip(s, k1, k2, k3, k4)]
+    return (np.array(new).T.tolist(), [None] * len(s[0])) if ensemble else ([new], [None])
 
 
 def geodesic_integrate(
@@ -437,41 +423,50 @@ def geodesic_integrate(
     an ArithmeticError, or when its state turns non-finite; each stop is
     logged at debug level on the "finslerkit" logger.  If `speed_check` is given,
     F(x'(t)) is recorded and a drift beyond `speed_rtol` (or a non-finite
-    speed) raises IntegrationError.  A zero start velocity raises MetricError,
-    and an empty ensemble ValueError.
+    speed) raises IntegrationError.  A zero start velocity raises MetricError;
+    an empty ensemble, x0 and y0 of different shapes or not of G's dimension,
+    a non-finite T and a dt that is not finite and positive raise ValueError.
+    T == 0 returns the start sample alone.
 
-    A single row runs on Python floats; arrays are built only for the
-    returned Trajectory.  G and `speed_check` are recorded at their first
-    evaluation, on the floats of row 0, and replayed at later ones, over
-    column arrays for an ensemble (diffcore.Replay), bit-identically; the
-    log says when a field cannot be recorded or a comparison changes.
+    Each row's state is a list of Python floats.  A stage steps one column
+    state: the floats of the row when m == 1, (live,) arrays for an ensemble.
+    G and `speed_check` are recorded at their first evaluation, on the floats
+    of row 0, and replayed at later ones (diffcore.Replay), bit-identically;
+    the log says when a field cannot be recorded or a comparison changes.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (0 < dt < math.inf and math.isfinite(T / dt)):
+        raise ValueError(f"T must be finite and dt finite and positive, got T={T} and dt={dt}")
     single = np.ndim(x0) == 1
     X0, V0 = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x0, y0))
+    if X0.shape != V0.shape or X0.shape[-1:] != (G.dim,):
+        raise ValueError(f"x0 {np.shape(x0)} and y0 {np.shape(y0)} must share a shape ending in {G.dim}")
     if len(X0) == 0:
         raise ValueError("geodesic_integrate needs at least one start point")
     for x in X0:
         G.domain.require(x)
     require_nonzero(list(V0.T))
     m, n = X0.shape
-    steps = max(1, int(round(abs(T) / dt)))
-    h = (T / steps) if T != 0 else dt
-    ts, rows = [0.0], "row 0" if m == 1 else f"ensemble of {m} rows"
+    steps = max(1, int(round(abs(T) / dt))) if T else 0
+    h = T / max(steps, 1)
+    ts, label = [0.0], "row 0" if m == 1 else f"ensemble of {m} rows"
 
     def replayed(field, what):
         if field is None:
             return None
-        return Replay(field, lambda why: log.debug("geodesic %s at t=%g: %s %s", rows, ts[-1], what, why))
+        return Replay(field, lambda why: log.debug("geodesic %s at t=%g: %s %s", label, ts[-1], what, why))
 
     spray, speed_field = replayed(G, "spray"), replayed(speed_check, "speed check")
 
     def rhs(s):
-        return np.concatenate([s[:, n:], -2.0 * _on_rows(spray, s[:, :n], s[:, n:]).T], axis=1)
-
-    def row_rhs(s):
         return s[n:] + [-2.0 * g for g in spray(s[:n], s[n:])]
+
+    def columns(live):  # the column state of the rows `live`
+        return rows[live[0]] if m == 1 else list(np.array([rows[i] for i in live]).T)
+
+    def speeds_of(live):
+        s = columns(live)
+        f = speed_field(s[:n], s[n:])
+        return [f] if m == 1 else values_array(f, sites=(len(live),)).tolist()
 
     def stop_reason(s, error):
         if error is not None:
@@ -484,55 +479,34 @@ def geodesic_integrate(
             return "guard failed"
         return None
 
-    if m == 1:
-        states = [X0[0].tolist() + V0[0].tolist()]
-        speeds = None if speed_field is None else [speed_field(states[0][:n], states[0][n:])]
-        for k in range(steps):
-            s, error = _rk4_row(row_rhs, h, states[-1])
+    rows = [x + v for x, v in zip(X0.tolist(), V0.tolist())]
+    live, states = list(range(m)), [rows]
+    speeds = None if speed_field is None else [speeds_of(live)]
+    for k in range(steps):
+        new, errors = _rk4(rhs, h, columns(live))
+        rows, moved = list(rows), []
+        for i, s, error in zip(live, new, errors):
             why = stop_reason(s, error)
-            if why is not None:
-                log.debug("geodesic row 0 stopped after t=%g: %s", k * h, why)
-                break
-            ts.append((k + 1) * h)
-            states.append(s)
-            if speeds is not None:
-                speeds.append(speed_field(s[:n], s[n:]))
-                f0, fk = speeds[0], speeds[-1]
-                if not abs(fk - f0) <= speed_rtol * abs(f0):
-                    raise IntegrationError(f"geodesic speed drifted from {f0} to {fk} at t={ts[-1]}")
-        exited = np.array([why is not None])
-        path = np.array(states)[:, None]
-        speed = None if speeds is None else np.array(speeds, dtype=float)[:, None]
-    else:
-        state = np.concatenate([X0, V0], axis=1)
-        exited = np.zeros(m, dtype=bool)
-        states = [state.copy()]
-        speeds = None if speed_check is None else [_on_rows(speed_field, X0, V0)]
-        for k in range(steps):
-            live = np.flatnonzero(~exited)
-            new, errors = _rk4(rhs, row_rhs, h, state[live])
-            reasons = [stop_reason(s, e) for s, e in zip(new, errors)]
-            ok = np.array([why is None for why in reasons])
-            for row, why in zip(live, reasons):
-                if why is not None:
-                    log.debug("geodesic row %d stopped after t=%g: %s", row, k * h, why)
-            exited[live[~ok]] = True
-            if not ok.any():
-                break
-            moved = live[ok]
-            state[moved] = new[ok]
-            ts.append((k + 1) * h)
-            states.append(state.copy())
-            if speeds is not None:
-                f0, fk = speeds[0], speeds[-1].copy()
-                fk[moved] = _on_rows(speed_field, state[moved, :n], state[moved, n:])
-                speeds.append(fk)
-                bad = moved[~(np.abs(fk[moved] - f0[moved]) <= speed_rtol * np.abs(f0[moved]))]
-                if bad.size:
-                    f0, fk = f0[bad[0]], fk[bad[0]]
-                    raise IntegrationError(f"geodesic speed drifted from {f0} to {fk} at t={ts[-1]}")
-        path = np.array(states)
-        speed = None if speeds is None else np.array(speeds)
+            if why is None:
+                rows[i] = s
+                moved.append(i)
+            else:
+                log.debug("geodesic row %d stopped after t=%g: %s", i, k * h, why)
+        live = moved
+        if not live:
+            break
+        ts.append((k + 1) * h)
+        states.append(rows)
+        if speeds is not None:
+            f0, fk = speeds[0], list(speeds[-1])
+            for i, f in zip(live, speeds_of(live)):
+                fk[i] = f
+                if not abs(f - f0[i]) <= speed_rtol * abs(f0[i]):
+                    raise IntegrationError(f"geodesic speed drifted from {f0[i]} to {f} at t={ts[-1]}")
+            speeds.append(fk)
+    path = np.array(states)
+    speed = None if speeds is None else np.array(speeds, dtype=float)
+    exited = np.isin(np.arange(m), live, invert=True)
     if single:
         path, speed, exited = path[:, 0], None if speed is None else speed[:, 0], bool(exited[0])
     return Trajectory(

@@ -2,8 +2,8 @@
 
 `bench/tracer.py` wraps library functions by (module, function) name and
 `bench/workloads.py` calls them with fixed keywords; a rename here would
-break the benchmark, so the contract is read from the bench sources (never
-imported) and checked against the package.  `bench/manifest.json` pins each
+break the benchmark, so the contract is read from the bench sources (parsed,
+never imported) and checked against the package.  `bench/manifest.json` pins each
 spec's ordered battery check list, read here as data against verify.CHECKS.
 """
 
@@ -34,11 +34,55 @@ def test_every_traced_span_resolves(module, function):
     assert callable(getattr(mod, function, None)), f"finslerkit.{module}.{function}"
 
 
-def test_volume_check_keeps_the_benchmark_keywords():
-    from finslerkit.navigation import volume_preservation_check
+def _workload_keywords():
+    """(module, dotted name, keyword) for every keyword `bench/workloads.py`
+    passes to a finslerkit function it imports, called by name or as
+    module.function."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    imported = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "finslerkit"
+        for alias in node.names
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in imported:
+            target = imported[f.id]
+        elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in imported:
+            module, name = imported[f.value.id]
+            target = (module, f"{name}.{f.attr}")
+        else:
+            continue
+        found |= {target + (kw.arg,) for kw in node.keywords if kw.arg is not None}
+    return found
 
-    params = inspect.signature(volume_preservation_check).parameters
-    assert {"n_samples", "seed"} <= set(params)
+
+def _resolve(module: str, dotted: str):
+    obj = importlib.import_module(module)
+    for part in dotted.split("."):
+        obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(f"{obj.__name__}.{part}")
+    return obj
+
+
+def test_workload_keywords_are_accepted():
+    found = _workload_keywords()
+    assert {
+        ("finslerkit.spray", "geodesic_integrate", "T"),
+        ("finslerkit.spray", "geodesic_integrate", "dt"),
+        ("finslerkit.spray", "geodesic_integrate", "speed_check"),
+        ("finslerkit.navigation", "volume_preservation_check", "n_samples"),
+        ("finslerkit.navigation", "volume_preservation_check", "seed"),
+    } <= found
+    rejected = []
+    for module, dotted, keyword in sorted(found):
+        params = inspect.signature(_resolve(module, dotted)).parameters.values()
+        if not any(p.name == keyword or p.kind is p.VAR_KEYWORD for p in params):
+            rejected.append(f"{module}.{dotted}({keyword}=)")
+    assert not rejected, rejected
 
 
 def _manifest_checks():

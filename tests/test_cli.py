@@ -90,6 +90,50 @@ def test_unknown_tolerance_override_is_a_usage_error(capsys):
     assert "riemann_zer0" in err and "riemann_zero" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["verify", "funk:n=2", "--points", "20", "--tol", "flag_constant=abc"], "--tol flag_constant"),
+    (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=0:0.5:a,y=0:0.5:2"], "--grid axis 'x' count"),
+    (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=0:0.5:2,y=0:b:2"], "--grid axis 'y'"),
+    (["navigate", "--alpha", "euclidean:n=2", "--drift", "constant:v1=abc"], "--drift component v1"),
+], ids=["tol", "grid-count", "grid-bound", "drift"])
+def test_a_malformed_number_names_its_option(argv, named, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert named in err and "Traceback" not in err
+
+
+GEODESIC = ["geodesic", "euclidean:n=2", "--from", "0,0", "--dir", "1,0"]
+
+
+@pytest.mark.parametrize(
+    "extra", [["--time", "inf"], ["--dt", "inf"], ["--dt", "nan"], ["--time", "nan"]],
+    ids=["time-inf", "dt-inf", "dt-nan", "time-nan"],
+)
+def test_geodesic_non_finite_time_or_step_is_a_usage_error(extra, capsys):
+    code, out, err = run_cli(GEODESIC + extra, capsys)
+    assert code == 2 and out == ""
+    assert "must be finite" in err
+
+
+def test_geodesic_at_time_zero_prints_the_start_alone(capsys):
+    code, out, _ = run_cli(GEODESIC + ["--time", "0", "--dt", "0.5"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["t,x1,x2,v1,v2,F,boundary_exit", "0.0,0.0,0.0,1.0,0.0,1.0,0"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["geodesic", "euclidean:n=2", "--from", "0,0", "--dir", "1,0,0"], "--dir"),
+    (["geodesic", "euclidean:n=2", "--from", "0,0,0", "--dir", "1,0"], "--from"),
+    (["navigate", "--alpha", "euclidean:n=2", "--drift", "rotation", "--at", "0,0,0"], "--at"),
+    (["navigate", "--alpha", "euclidean:n=2", "--drift", "rotation", "--dir", "1"], "--dir"),
+    (["curvature", "funk", "--at", "0.1,0", "--dir", "1,0", "--flag", "0,1,0"], "--flag"),
+], ids=["geodesic-dir", "geodesic-from", "navigate-at", "navigate-dir", "curvature-flag"])
+def test_a_vector_of_the_wrong_dimension_is_a_usage_error(argv, named, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"{named} must have dimension 2" in err
+
+
 def test_curvature_query(capsys):
     code, out, _ = run_cli(
         ["curvature", "funk", "--at", "0.1,0", "--dir", "0,1", "--flag", "1,0"], capsys

@@ -1,6 +1,8 @@
 """Geodesic coefficients, covariant tables, integration, projective residuals."""
 
 import logging
+import math
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +336,78 @@ def test_ensemble_matches_single_geodesics(rotation2d):
         )
         np.testing.assert_allclose(ens.x[:, i], one.x, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(ens.speed[:, i], one.speed, rtol=1e-13)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("spec,T", [("rotation2d", 3.0), ("bao_shen_s3:eps=0.3", 3.0), ("funk:n=2", -3.0)])
+def test_each_ensemble_row_is_its_single_geodesic_bit_for_bit(spec, T):
+    # fast rows leave the chart (funk integrated back to the rim raises at a stage)
+    entry = gallery.parse_spec(spec)
+    G = S.randers_spray(entry.randers)
+    pts, dirs = sample_sites(entry, 5, seed=3)
+    vel = dirs * np.array([0.5, 1.0, 3.0, 0.2, 8.0])[:, None]
+    kw = dict(T=T, dt=1e-2, speed_check=entry.metric, speed_rtol=0.5)
+    ens = S.geodesic_integrate(G, pts, vel, **kw)
+    assert ens.boundary_exit.any() and not ens.boundary_exit.all()
+    for i in range(5):
+        one = S.geodesic_integrate(G, list(pts[i]), list(vel[i]), **kw)
+        k = len(one.t)
+        assert one.boundary_exit == ens.boundary_exit[i]
+        assert _bits(ens.t[:k]) == _bits(one.t)
+        for field in ("x", "v", "speed"):
+            rows, alone = getattr(ens, field)[:, i], getattr(one, field)
+            assert _bits(rows[:k]) == _bits(alone)
+            # a row that stopped keeps its last state in the later samples
+            assert _bits(rows[k:]) == _bits(np.repeat(alone[-1:], len(ens.t) - k, axis=0))
+
+
+def test_an_ensemble_drift_names_the_first_drifting_row(rotation2d):
+    bad = S.SprayField(
+        rotation2d.metric.domain,
+        lambda x, y: [v * 0.5 for v in rotation2d.reference.spray_alpha(x, y)],
+        provenance="analytic-gallery",
+    )
+    pts = np.array([[0.5, 0.0], [0.0, 0.3], [-0.2, 0.1]])
+    vel = np.array([[0.1, 0.1], [1.0, 1.0], [1.0, -0.5]])
+    kw = dict(T=1.0, dt=1e-2, speed_check=rotation2d.metric)
+    drifts = []
+    for x, v in zip(pts, vel):
+        one = S.geodesic_integrate(bad, list(x), list(v), speed_rtol=math.inf, **kw)
+        k = np.flatnonzero(~(np.abs(one.speed - one.speed[0]) <= 0.01 * abs(one.speed[0])))[0]
+        drifts.append((k, f"from {one.speed[0]} to {one.speed[k]} at t={one.t[k]}"))
+    assert [k for k, _ in drifts] == [16, 6, 11]  # row 1 drifts first
+    with pytest.raises(IntegrationError, match=re.escape(f"geodesic speed drifted {drifts[1][1]}")):
+        S.geodesic_integrate(bad, pts, vel, speed_rtol=0.01, **kw)
+
+
+@pytest.mark.parametrize("T,dt", [(math.inf, 1e-2), (-math.inf, 1e-2), (math.nan, 1e-2),
+                                  (1.0, math.inf), (1.0, math.nan), (1.0, 0.0), (1.0, -1e-2), (1e300, 1e-300)])
+def test_a_non_finite_time_or_step_is_rejected(rotation2d, T, dt):
+    G = S.randers_spray(rotation2d.randers)
+    with pytest.raises(ValueError, match="must be finite"):
+        S.geodesic_integrate(G, [0.1, 0.0], [1.0, 0.0], T=T, dt=dt)
+
+
+def test_zero_time_returns_the_start_sample_alone(rotation2d):
+    G = S.randers_spray(rotation2d.randers)
+    one = S.geodesic_integrate(G, [0.1, 0.0], [1.0, 0.0], T=0.0, dt=0.5, speed_check=rotation2d.metric)
+    assert one.t.tolist() == [0.0] and one.x.tolist() == [[0.1, 0.0]] and one.v.tolist() == [[1.0, 0.0]]
+    assert one.speed.shape == (1,) and not one.boundary_exit
+    ens = S.geodesic_integrate(G, np.zeros((3, 2)), np.eye(3, 2) + 0.5, T=0.0, dt=0.5)
+    assert ens.x.shape == (1, 3, 2) and not ens.boundary_exit.any()
+
+
+@pytest.mark.parametrize("x0,y0", [([0.1, 0.0], [1.0, 0.0, 0.0]), ([0.1, 0.0, 0.0], [1.0, 0.0]),
+                                   ([0.1, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                                   (np.zeros((2, 2)), np.ones((3, 2))), (np.zeros((2, 3)), np.ones((2, 3)))],
+                         ids=["dir-3d", "from-3d", "both-3d", "rows-differ", "ensemble-3d"])
+def test_start_points_and_velocities_must_match_the_spray(rotation2d, x0, y0):
+    G = S.randers_spray(rotation2d.randers)
+    with pytest.raises(ValueError, match="must share a shape ending in 2"):
+        S.geodesic_integrate(G, x0, y0, T=0.1, dt=1e-2)
 
 
 # -- projective residual -----------------------------------------------------------------
