@@ -165,9 +165,11 @@ def _parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
         parts = rng.split(":")
         if not eq or len(parts) != 3:
             raise UsageError(f"grid axis must be name=lo:hi:count, got {item!r}")
-        want = f"--grid axis {name.strip()!r}"
-        lo, hi = (_parse_number(v, want) for v in parts[:2])
-        axes.append((name.strip(), np.linspace(lo, hi, _parse_number(parts[2], f"{want} count", int))))
+        name = name.strip()
+        want = f"--grid axis {name!r}"
+        lo, hi = _parse_number(parts[0], want), _parse_number(parts[1], want)
+        count = _parse_number(parts[2], f"{want} count", int)
+        axes.append((name, np.linspace(lo, hi, count)))
     return axes
 
 
