@@ -169,6 +169,8 @@ def _parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
         want = f"--grid axis {name!r}"
         lo, hi = _parse_number(parts[0], want), _parse_number(parts[1], want)
         count = _parse_number(parts[2], f"{want} count", int)
+        if count < 1:
+            raise UsageError(f"{want} count must be at least 1, got {count}")
         axes.append((name, np.linspace(lo, hi, count)))
     return axes
 
@@ -280,7 +282,7 @@ def cmd_navigate(args) -> int:
         "b_tilde": [float(v) for v in rd.beta.covector(x)],
     }
     if args.dir:
-        y = _parse_vector(args.dir, "--dir", alpha.dim)
+        y = _parse_direction(args.dir, alpha.dim)
         payload["dir"] = y
         payload["F_tilde_closed_form"] = float(rd.finsler()(x, y))
         payload["F_tilde_root_solve"] = zermelo_general(alpha.finsler(), drift, x, y)

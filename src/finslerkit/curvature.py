@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -51,9 +51,6 @@ class RiemannOperator:
         if self.metric is None:
             return None
         return fundamental_tensor(self.metric, self.x, self.y).g @ self.matrix
-
-    def apply(self, u) -> np.ndarray:
-        return self.matrix @ np.asarray(u, dtype=float)
 
 
 def _spray_derivatives(G: SprayField, x, y):
@@ -94,10 +91,7 @@ def riemann(G: SprayField, x, y) -> RiemannOperator:
     """Riemann curvature operator at (x, y) from the four-term spray formula;
     raises MetricError at y = 0."""
     require_nonzero(y)
-    n = len(y)
-    R = riemann_entries(G, x, y)
-    mat = np.array([[float(value(R[i][k])) for k in range(n)] for i in range(n)])
-    return _operator(G, x, y, mat)
+    return _operator(G, x, y, values_array(riemann_entries(G, x, y)))
 
 
 def _operator(G: SprayField, x, y, mat: np.ndarray) -> RiemannOperator:
@@ -146,19 +140,15 @@ def flag_curvature(F: FinslerField, x, y, u, G: Optional[SprayField] = None) -> 
     """Flag curvature K(P, y) for the flag P = span{y, u} with pole y.
 
     K = g_y(R_y(u), u) / [ g_y(y,y) g_y(u,u) - g_y(y,u)^2 ].
-    Raises DegenerateFlagError when u is (numerically) parallel to y.
+    This is flag_curvatures at one site; G defaults to the generic spray of F.
+    Raises DegenerateFlagError when u is (numerically) parallel to y, and
+    MetricError at y = 0 or where g is not positive definite.
     """
-    g = fundamental_tensor(F, x, y)
-    gyy = g.inner(y, y)
-    guu = g.inner(u, u)
-    gyu = g.inner(y, u)
-    denom = gyy * guu - gyu * gyu
-    if denom <= 1e-10 * gyy * guu:
+    require_nonzero(y)
+    K, degenerate = flag_curvatures(F, spray_from_metric(F) if G is None else G, x, y, u)
+    if degenerate:
         raise DegenerateFlagError("flag edge is parallel to the pole")
-    if G is None:
-        G = spray_from_metric(F)
-    R = values_array(riemann_entries(G, x, y))
-    return float(np.asarray(u) @ g.g @ (R @ np.asarray(u, dtype=float))) / denom
+    return float(K)
 
 
 def flag_curvatures(F: FinslerField, G: SprayField, x, y, u):
@@ -170,7 +160,7 @@ def flag_curvatures(F: FinslerField, G: SprayField, x, y, u):
     DegenerateFlagError).  Raises MetricError where g is not positive definite.
     """
     g = metric_entries(F, x, y)
-    _linalg.cholesky(g)  # MetricError where g is not positive definite, as in flag_curvature
+    _linalg.cholesky(g)  # MetricError where g is not positive definite
     R = riemann_entries(G, x, y)
     gyy, guu, gyu = (_linalg.quad_form(g, a, b) for a, b in ((y, y), (u, u), (y, u)))
     denom = np.asarray(value(gyy * guu - gyu * gyu), dtype=float)
@@ -218,13 +208,7 @@ class DifferenceField:
         return out
 
 
-def riemann_via_difference(
-    G: SprayField,
-    G_ref: SprayField,
-    x,
-    y,
-    riemann_ref: Optional[Callable] = None,
-) -> RiemannOperator:
+def riemann_via_difference(G: SprayField, G_ref: SprayField, x, y) -> RiemannOperator:
     """Assemble R from the reference spray's curvature plus H-terms,
     H^i = G^i - G_ref^i:
 
@@ -236,7 +220,7 @@ def riemann_via_difference(
     H = diff.value
     H_cov = diff.horizontal
 
-    base = riemann_ref(x, y) if riemann_ref is not None else riemann(G_ref, x, y)
+    base = riemann(G_ref, x, y)
     Hc = H_cov(list(x), list(y))
     # y^j (H^i_{|j})_{y^k}: differentiate each column j of H_cov in y^k, then contract
     dHc, _ = derivative_blocks(H_cov, x, y, "y")  # [k][i][j]
@@ -358,13 +342,8 @@ def randers_ricci_trace(randers: RandersData, x, y) -> RicciTrace:
 
 
 def gauss_curvature_riemannian(alpha: RiemannianField, x) -> float:
-    """Sectional (Gauss) curvature of a 2D Riemannian metric at x."""
+    """Sectional (Gauss) curvature of a 2D Riemannian metric at x: the flag
+    curvature of alpha on span{e1, e2} under its Levi-Civita spray."""
     if alpha.dim != 2:
         raise ValueError("gauss curvature is defined for 2D metrics")
-    G = levi_civita_spray(alpha)
-    y = [1.0, 0.0]
-    u = [0.0, 1.0]
-    R = riemann(G, x, y)
-    a = alpha.value(x)
-    denom = float((np.array(y) @ a @ y) * (np.array(u) @ a @ u) - (np.array(y) @ a @ u) ** 2)
-    return float(np.asarray(u) @ a @ R.apply(u)) / denom
+    return flag_curvature(alpha.finsler(), x, [1.0, 0.0], [0.0, 1.0], G=levi_civita_spray(alpha))

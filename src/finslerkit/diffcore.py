@@ -27,7 +27,6 @@ from .errors import DomainError, OrderCapError
 
 X_ORDER_CAP = 2
 Y_ORDER_CAP = 4
-DEFAULT_FD_STEP = 1e-4
 
 _TAGS = itertools.count(1)
 

@@ -162,14 +162,14 @@ def bh_density(F: FinslerField, x) -> QuadDensity:
 # -- Monte Carlo Busemann-Hausdorff density ------------------------------------
 
 
-def _indicatrix_box(F: FinslerField, x, n_dirs: int = 2048, inflate: float = 1.10):
+def _indicatrix_box(F: FinslerField, x):
     """Axis-aligned box covering {F(x, .) < 1} from sampled boundary points.
 
-    Boundary points are d / F(x, d) over many directions d; the box is the
-    componentwise hull, inflated for safety.  Raises MetricError if F fails
-    to be positive on some sampled ray (unbounded indicatrix).
+    Boundary points are d / F(x, d) over 2048 directions d; the box is the
+    componentwise hull, inflated by 10% for safety.  Raises MetricError if F
+    fails to be positive on some sampled ray (unbounded indicatrix).
     """
-    n = F.dim
+    n, n_dirs = F.dim, 2048
     rng = np.random.default_rng([11, n_dirs])
     dirs = rng.normal(size=(n_dirs, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -183,8 +183,8 @@ def _indicatrix_box(F: FinslerField, x, n_dirs: int = 2048, inflate: float = 1.1
     pts = dirs / fvals[:, None]
     if float(np.max(np.abs(pts))) > 1e4:
         raise MetricError("indicatrix is unbounded (or too eccentric to box)")
-    lo = pts.min(axis=0) * inflate
-    hi = pts.max(axis=0) * inflate
+    lo = pts.min(axis=0) * 1.10
+    hi = pts.max(axis=0) * 1.10
     return lo, hi
 
 
@@ -230,18 +230,6 @@ def distortion(F: FinslerField, sigma: VolumeDensity, x, y):
     require_nonzero(y)
     det = value(_det_generic(metric_entries(F, x, y)))
     return 0.5 * log(det) - log(value(sigma(x)))
-
-
-@dataclass(frozen=True)
-class DistortionScalar:
-    """The distortion mu as an evaluable scalar on the slit tangent bundle;
-    0-homogeneous in y since g is."""
-
-    metric: FinslerField
-    density: VolumeDensity
-
-    def __call__(self, x, y) -> float:
-        return distortion(self.metric, self.density, x, y)
 
 
 def s_curvature(G: SprayField, sigma: VolumeDensity, x, y) -> float:

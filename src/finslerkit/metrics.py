@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _linalg
-from .diffcore import derivative_blocks, directional_derivatives, sqrt, value
+from .diffcore import derivative_blocks, directional_derivatives, sqrt, value, values_array
 from .errors import DomainError, MetricError
 
 BOUNDARY_BETA_GUARD = 1.0 - 1e-12
@@ -236,15 +236,8 @@ def fundamental_tensor(F: FinslerField, x, y) -> FundamentalTensor:
     """Fundamental tensor at (x, y); raises MetricError when not PD."""
     require_nonzero(y)
     g = metric_entries(F, x, y)
-    g_arr = np.array([[float(value(e)) for e in row] for row in g])
-    try:
-        L = np.linalg.cholesky(g_arr)
-    except np.linalg.LinAlgError as e:
-        raise MetricError(f"fundamental tensor not positive definite at x={tuple(x)}") from e
-    inv_l = np.linalg.inv(L)
-    g_inv = inv_l.T @ inv_l
-    det = float(np.prod(np.diag(L)) ** 2)
-    return FundamentalTensor(g=g_arr, g_inv=g_inv, det=det)
+    g_inv, det = _linalg.spd_factor(g)
+    return FundamentalTensor(g=values_array(g), g_inv=values_array(g_inv), det=float(value(det)))
 
 
 # -- Cartan torsions ---------------------------------------------------------

@@ -141,8 +141,7 @@ def zermelo_general(F: FinslerField, v: DriftField, x, y) -> float:
     return 1.0 / float(_scales(F, v, x, y))
 
 
-@dataclass(frozen=True)
-class NavigationMetric:
+def navigation_metric(F: FinslerField, v: DriftField, name: str = "") -> FinslerField:
     """Deformed metric F~ induced by a source metric and a drift field.
 
     Evaluation solves F(y/F~ - v) = 1 at each site, on floats (giving a
@@ -152,28 +151,11 @@ class NavigationMetric:
     differentiable Randers data when the source is Riemannian.
     """
 
-    source: FinslerField
-    drift: DriftField
-    name: str = "navigation"
-
-    def __call__(self, x, y):
-        ft = 1.0 / _scales(self.source, self.drift, x, y)
+    def func(x, y):
+        ft = 1.0 / _scales(F, v, x, y)
         return float(ft) if ft.ndim == 0 else ft
 
-    @property
-    def domain(self) -> ChartDomain:
-        return self.source.domain
-
-    @property
-    def dim(self) -> int:
-        return self.source.dim
-
-    def field(self) -> FinslerField:
-        return FinslerField(self.domain, self.__call__, name=self.name)
-
-
-def navigation_metric(F: FinslerField, v: DriftField, name: str = "") -> NavigationMetric:
-    return NavigationMetric(source=F, drift=v, name=name or f"navigation({F.name})")
+    return FinslerField(F.domain, func, name=name or f"navigation({F.name})")
 
 
 # -- identity checks ---------------------------------------------------------------
@@ -217,7 +199,7 @@ def volume_preservation_check(
     from .measures import bh_density
 
     sig_f = bh_density(F, x)
-    sig_nav = bh_density(navigation_metric(F, v).field(), x)
+    sig_nav = bh_density(navigation_metric(F, v), x)
     gap = abs(sig_f.value - sig_nav.value) / max(sig_f.value, 1e-300)
     return VolumeGap(sigma_f=sig_f, sigma_nav=sig_nav, rel_gap=gap)
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _linalg
-from .diffcore import Replay, basis, derivative_blocks, directional_derivatives, sqrt, value, values_array
+from .diffcore import Replay, basis, derivative_blocks, directional_derivatives, sqrt, values_array
 from .errors import DomainError, IntegrationError, MetricError
 from .metrics import (
     ChartDomain,
@@ -88,14 +88,6 @@ def spray_from_metric(F: FinslerField) -> SprayField:
 # -- Levi-Civita data ----------------------------------------------------------
 
 
-@dataclass
-class ChristoffelField:
-    """Levi-Civita coefficients Gamma^i_{jk}(x) of a Riemannian metric."""
-
-    x: tuple
-    gamma: np.ndarray  # (n, n, n), symmetric in the last two slots
-
-
 def _christoffel(a_inv, da):
     """Gamma^i_{jk} = 1/2 a^{il} (d_j a_kl + d_k a_jl - d_l a_jk) as nested
     lists, from a^{ij} and da[k][i][j] = d a_ij / d x^k (jet-safe)."""
@@ -119,14 +111,10 @@ def _christoffel_entries(alpha: RiemannianField, x):
     return _christoffel(a_inv, da)
 
 
-def christoffels(alpha: RiemannianField, x) -> ChristoffelField:
-    """Levi-Civita coefficients at a chart point (floats)."""
-    gamma = _christoffel_entries(alpha, x)
-    n = alpha.dim
-    arr = np.array(
-        [[[float(value(gamma[i][j][k])) for k in range(n)] for j in range(n)] for i in range(n)]
-    )
-    return ChristoffelField(x=tuple(float(v) for v in x), gamma=arr)
+def christoffels(alpha: RiemannianField, x) -> np.ndarray:
+    """Levi-Civita coefficients Gamma^i_{jk} at a chart point (floats) as an
+    (n, n, n) array, symmetric in the last two slots."""
+    return values_array(_christoffel_entries(alpha, x))
 
 
 def levi_civita_spray(alpha: RiemannianField) -> SprayField:

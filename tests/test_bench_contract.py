@@ -34,6 +34,38 @@ def test_every_traced_span_resolves(module, function):
     assert callable(getattr(mod, function, None)), f"finslerkit.{module}.{function}"
 
 
+def _positional_reads():
+    """(module, function, position, parameter) for every argument a
+    `bench/tracer.py` hook reads by position with `_arg(args, kwargs, pos, name)`."""
+    tree = ast.parse((BENCH / "tracer.py").read_text())
+    reads = {
+        fn.name: (call.args[2].value, call.args[3].value)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg"
+    }
+    extra = next(
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "extra" for t in node.targets)
+    )
+    module_of = {function: module for module, function in _span_targets()}
+    return {
+        (module_of[key.value], key.value) + reads[hook.id]
+        for key, hooks in zip(extra.keys, extra.values)
+        for hook in hooks.elts
+        if isinstance(hook, ast.Name) and hook.id in reads
+    }
+
+
+def test_positional_reads_name_the_parameter():
+    found = _positional_reads()
+    assert found == {("curvature", "riemann_entries", 1, "x"), ("verify", "run_verification", 0, "entry")}
+    for module, function, pos, name in found:
+        fn = getattr(importlib.import_module(f"finslerkit.{module}"), function)
+        assert list(inspect.signature(fn).parameters)[pos] == name, (module, function, pos)
+
+
 def _workload_keywords():
     """(module, dotted name, keyword) for every keyword `bench/workloads.py`
     passes to a finslerkit function it imports, called by name or as

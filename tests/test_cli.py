@@ -71,6 +71,16 @@ def test_geodesic_zero_direction_is_a_usage_error(capsys):
     assert "--dir" in err
 
 
+def test_navigate_zero_direction_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        ["navigate", "--alpha", "euclidean:n=2", "--drift", "rotation", "--at", "0.1,0", "--dir", "0,0"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--dir" in err
+
+
 def test_scan_zero_direction_is_a_usage_error(capsys):
     code, out, err = run_cli(
         ["scan", "rotation2d", "--quantity", "Ric", "--grid", "x=-0.4:0.4:3,y=-0.4:0.4:3",
@@ -95,7 +105,11 @@ def test_unknown_tolerance_override_is_a_usage_error(capsys):
     (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=0:0.5:a,y=0:0.5:2"], "--grid axis 'x' count"),
     (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=0:0.5:2,y=0:b:2"], "--grid axis 'y'"),
     (["navigate", "--alpha", "euclidean:n=2", "--drift", "constant:v1=abc"], "--drift component v1"),
-], ids=["tol", "grid-count", "grid-bound", "drift"])
+    (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=0:1:2,y=0:1:-1"],
+     "--grid axis 'y' count must be at least 1, got -1"),
+    (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=0:1:0,y=0:1:2"],
+     "--grid axis 'x' count must be at least 1, got 0"),
+], ids=["tol", "grid-count", "grid-bound", "drift", "grid-count-negative", "grid-count-zero"])
 def test_a_malformed_number_names_its_option(argv, named, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""

@@ -7,10 +7,11 @@ import pytest
 
 from finslerkit import curvature as C
 from finslerkit import diffcore, gallery
+from finslerkit import metrics as M
 from finslerkit import spray as S
 from finslerkit.errors import DegenerateFlagError, MetricError
 from finslerkit.metrics import ball_domain
-from conftest import sample_sites
+from conftest import GALLERY_SPECS, sample_sites
 
 
 @pytest.fixture(scope="module")
@@ -150,8 +151,8 @@ def test_ricci_2d_takes_only_the_blocks_it_reads(monkeypatch):
 
 def test_flag_curvature_builds_g_once(monkeypatch, rotation2d):
     calls = []
-    real = C.fundamental_tensor
-    monkeypatch.setattr(C, "fundamental_tensor", lambda *a: calls.append(a) or real(*a))
+    real = C.metric_entries
+    monkeypatch.setattr(C, "metric_entries", lambda *a: calls.append(a) or real(*a))
     C.flag_curvature(rotation2d.metric, [0.1, 0.2], [0.8, -0.3], [0.2, 0.9])
     assert len(calls) == 1
 
@@ -209,6 +210,34 @@ def test_flag_invariance_under_edge_changes(funk2, funk_spray):
 def test_degenerate_flag_rejected(funk2):
     with pytest.raises(DegenerateFlagError):
         C.flag_curvature(funk2.metric, [0.1, 0.1], [0.5, 0.5], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in GALLERY_SPECS])
+def test_flag_curvature_matches_the_matrix_formula(entries, name):
+    """K = u.g.(R u) / (g(y,y) g(u,u) - g(y,u)^2) on float arrays, with g from
+    fundamental_tensor and R from riemann, as an oracle for the generic path."""
+    entry = entries[name]
+    G = S.randers_spray(entry.randers) if entry.randers is not None else S.spray_from_metric(entry.metric)
+    rng = np.random.default_rng(29)
+    pts, dirs = sample_sites(entry, 3, seed=29)
+    for x, y in zip(pts, dirs):
+        u = rng.normal(size=entry.dim)
+        g = M.fundamental_tensor(entry.metric, list(x), list(y)).g
+        R = C.riemann(G, list(x), list(y)).matrix
+        want = (u @ g @ (R @ u)) / ((y @ g @ y) * (u @ g @ u) - (y @ g @ u) ** 2)
+        got = C.flag_curvature(entry.metric, list(x), list(y), list(u), G=G)
+        assert abs(got - want) <= 1e-14
+
+
+def test_flag_curvature_rejects_a_zero_pole_and_a_non_pd_site(funk2):
+    with pytest.raises(MetricError):
+        C.flag_curvature(funk2.metric, [0.1, 0.1], [0.0, 0.0], [1.0, 0.0])
+    # a form with norm > 1 destroys positive definiteness opposite the drift
+    F = M.FinslerField(
+        M.whole_space_domain(2), lambda x, y: diffcore.sqrt(y[0] * y[0] + y[1] * y[1]) + 1.2 * y[0]
+    )
+    with pytest.raises(MetricError):
+        C.flag_curvature(F, [0.0, 0.0], [-1.0, 0.3], [0.0, 1.0])
 
 
 # -- curvature via a reference spray ----------------------------------------------------

@@ -12,7 +12,7 @@ from finslerkit import gallery
 from finslerkit import metrics as M
 from finslerkit.errors import MetricError
 
-from conftest import RANDERS_SPECS, sample_sites
+from conftest import GALLERY_SPECS, RANDERS_SPECS, sample_sites
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +60,16 @@ def test_slab_g_determinant_matches_fd_oracle(slab05):
             req = dc.JetRequest(x, y, (0, 0), tuple(oy))
             g_fd[i, j] = 0.5 * dc.fd_oracle(F2, req, step=1e-3).partial((0, 0), tuple(oy))
     assert np.linalg.det(g_fd) == pytest.approx(g.det, abs=1e-8)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in GALLERY_SPECS])
+def test_fundamental_tensor_inverse_and_determinant(entries, name):
+    entry = entries[name]
+    pts, dirs = sample_sites(entry, 3, seed=31)
+    for x, y in zip(pts, dirs):
+        g = M.fundamental_tensor(entry.metric, list(x), list(y))
+        np.testing.assert_allclose(g.g_inv @ g.g, np.eye(entry.dim), rtol=0.0, atol=1e-13)
+        assert g.det == pytest.approx(np.linalg.det(g.g), rel=1e-13)
 
 
 def test_non_positive_definite_rejected():
