@@ -1,10 +1,14 @@
 """Riemann curvature, Ricci and flag curvature, plus the Randers residual
 checkers that characterize vanishing curvature when the S-curvature is zero.
 
-The Riemann operator is assembled from derivatives of the spray:
+The Riemann operator is assembled from the spray in its spray form (Shen,
+Differential Geometry of Spray and Finsler Spaces, 2001):
 
-    R^i_k = 2 dG^i/dx^k - y^j d^2G^i/dx^j dy^k
-            + 2 G^j d^2G^i/dy^j dy^k - dG^i/dy^j dG^j/dy^k
+    R^i_k = 2 dG^i/dx^k + D(dG^i/dy^k) - dG^i/dy^j dG^j/dy^k,
+
+D = -y^j d/dx^j + 2 G^j d/dy^j the derivative along (-y, 2G) on TM.  One jet
+tag moving x by -y and y by 2G around the y-derivatives of G gives dG/dy at
+order 0 and D(dG/dy) = -y^j d2G/dx^j dy + 2 G^j d2G/dy^j dy at order 1.
 
 Everything here differentiates *through* spray fields with jets, so any
 spray that evaluates generically (closed-form or built from F) works.
@@ -19,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import _linalg
-from .diffcore import derivative_blocks, directional_derivatives, value, values_array
+from .diffcore import derivative_blocks, directional_derivatives, joint_derivative
+from .diffcore import value, values_array
 from .errors import DegenerateFlagError
 from .metrics import (
     FinslerField,
@@ -53,42 +58,44 @@ class RiemannOperator:
         return fundamental_tensor(self.metric, self.x, self.y).g @ self.matrix
 
 
-def _spray_derivatives(G: SprayField, x, y):
-    """Values and the spray partials entering R^i_k, all at (x, y).
+def _along_spray(G: SprayField, x, y, G_at, y_part):
+    """y_part(G.at(x), x, y) and its derivative D along the vector (-y, 2G)
+    on TM, from one jet tag that moves x by -y and y by 2G(x, y) together.
 
-    Returns (Gval, dGdx[k][i], mixed[k][i] = y^j d2G^i/dx^j dy^k,
-    dGdy[j][i], hess[j][k][i] = d2G^i/dy^j dy^k).
+    y_part(G_xs, xs, ys) takes y-derivatives of zs -> G_xs(zs) at ys.
     """
-    G_at = G.at(list(x))
-    Gval = G_at(list(y))
-    dGdx, _ = derivative_blocks(G, x, y, "x")
+    return joint_derivative(
+        lambda xs, ys: y_part(G.at(xs), xs, ys),
+        x, y, [-c for c in y], [2.0 * g for g in G_at(list(y))],
+    )
 
-    def y_blocks(xs, ys):
-        G_xs = G.at(xs)
-        return derivative_blocks(lambda _, zs: G_xs(zs), xs, ys, "y")[0]
 
-    # the x-derivative along y of the y-blocks, with one G.at per call
-    mixed = directional_derivatives(y_blocks, x, y, x_dirs=[(list(y), 1)]).partial([1])
-    dGdy, hess = derivative_blocks(lambda _, ys: G_at(ys), x, y, "y", order=2)
-    return Gval, dGdx, mixed, dGdy, hess
+def _y_gradient(G_xs, xs, ys):
+    """dG^i/dy^k as [k][i]."""
+    return derivative_blocks(lambda _, zs: G_xs(zs), xs, ys, "y")[0]
 
 
 def riemann_entries(G: SprayField, x, y) -> list:
-    """R^i_k as a nested list of generic scalars (jet-safe inputs allowed)."""
+    """R^i_k as a nested list of generic scalars (jet-safe inputs allowed).
+
+    2n + 1 spray evaluations: the value, n x-derivatives and the n
+    y-derivatives taken on the jet along the spray.
+    """
     n = len(y)
-    Gval, dGdx, mixed, dGdy, hess = _spray_derivatives(G, x, y)
+    dGdx, _ = derivative_blocks(G, x, y, "x")
+    dGdy, DdGdy = _along_spray(G, x, y, G.at(list(x)), _y_gradient)
     R = [[None] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
-            acc = 2.0 * dGdx[k][i] - mixed[k][i]
+            acc = 2.0 * dGdx[k][i] + DdGdy[k][i]
             for j in range(n):
-                acc = acc + 2.0 * (Gval[j] * hess[j][k][i]) - dGdy[j][i] * dGdy[k][j]
+                acc = acc - dGdy[j][i] * dGdy[k][j]
             R[i][k] = acc
     return R
 
 
 def riemann(G: SprayField, x, y) -> RiemannOperator:
-    """Riemann curvature operator at (x, y) from the four-term spray formula;
+    """Riemann curvature operator at (x, y) from the spray form of R;
     raises MetricError at y = 0."""
     require_nonzero(y)
     return _operator(G, x, y, values_array(riemann_entries(G, x, y)))
@@ -109,29 +116,22 @@ def ricci_2d(G: SprayField, x, y):
     """Two-dimensional Ricci shortcut (a float at one site, an array over
     column arrays of sites).
 
-    With S = dG^1/du + dG^2/dv (u, v the tangent coordinates):
+    With S = dG^1/du + dG^2/dv (u, v the tangent coordinates) and D the
+    derivative along (-y, 2G):
 
-        Ric = 2 { G^1_x + G^2_y + G^1_u G^2_v - G^1_v G^2_u }
-              - S^2 - (u d_x + v d_y - 2G^1 d_u - 2G^2 d_v)(S)
+        Ric = 2 { G^1_x + G^2_y + G^1_u G^2_v - G^1_v G^2_u } - S^2 + D(S)
+
+    S and dG/dy come at order 0 of the jet along the spray, D(S) at order 1.
     """
     if G.dim != 2:
         raise ValueError("ricci_2d requires a two-dimensional spray")
-    G_at = G.at(list(x))
-    Gval = G_at(list(y))
     dGdx, _ = derivative_blocks(G, x, y, "x")
-    dGdy, _ = derivative_blocks(lambda _, ys: G_at(ys), x, y, "y")
-
-    def S_at(G_xs, ys):
-        dG, _ = derivative_blocks(lambda _, zs: G_xs(zs), x, ys, "y")
-        return dG[0][0] + dG[1][1]
-
-    S0 = S_at(G_at, list(y))
-    dSdx, _ = derivative_blocks(lambda xs, ys: S_at(G.at(xs), ys), x, y, "x")
-    dSdy, _ = derivative_blocks(lambda _, ys: S_at(G_at, ys), x, y, "y")
+    dGdy, DdGdy = _along_spray(G, x, y, G.at(list(x)), _y_gradient)
+    S = dGdy[0][0] + dGdy[1][1]
     val = (
         2.0 * (dGdx[0][0] + dGdx[1][1] + dGdy[0][0] * dGdy[1][1] - dGdy[1][0] * dGdy[0][1])
-        - S0 * S0
-        - (y[0] * dSdx[0] + y[1] * dSdx[1] - 2.0 * Gval[0] * dSdy[0] - 2.0 * Gval[1] * dSdy[1])
+        - S * S
+        + (DdGdy[0][0] + DdGdy[1][1])
     )
     return value(val)
 
@@ -161,14 +161,27 @@ def flag_curvatures(F: FinslerField, G: SprayField, x, y, u):
     """
     g = metric_entries(F, x, y)
     _linalg.cholesky(g)  # MetricError where g is not positive definite
-    R = riemann_entries(G, x, y)
     gyy, guu, gyu = (_linalg.quad_form(g, a, b) for a, b in ((y, y), (u, u), (y, u)))
     denom = np.asarray(value(gyy * guu - gyu * gyu), dtype=float)
-    num = np.asarray(value(_linalg.quad_form(g, u, _linalg.matvec(R, u))), dtype=float)
+    num = np.asarray(value(_linalg.quad_form(g, u, _riemann_times(G, x, y, u))), dtype=float)
     degenerate = denom <= 1e-10 * np.asarray(value(gyy * guu), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.where(degenerate, np.nan, num / denom)
     return K, degenerate
+
+
+def _riemann_times(G: SprayField, x, y, u) -> list:
+    """R^i_k u^k = 2 d_{x,u}G^i + D(d_{y,u}G^i) - d_{y,v}G^i with v = d_{y,u}G,
+    d_{x,u} and d_{y,u} the derivatives along u in x and in y: four spray
+    evaluations in any dimension, without the matrix R."""
+
+    def along(G_xs, xs, ys, w):
+        return directional_derivatives(lambda _, zs: G_xs(zs), xs, ys, y_dirs=[(w, 1)]).partial([1])
+
+    G_at = G.at(list(x))
+    dxu = directional_derivatives(G, x, y, x_dirs=[(u, 1)]).partial([1])
+    v, Dv = _along_spray(G, x, y, G_at, lambda G_xs, xs, ys: along(G_xs, xs, ys, u))
+    return [2.0 * a + b - c for a, b, c in zip(dxu, Dv, along(G_at, x, y, v))]
 
 
 # -- curvature via a reference spray ------------------------------------------

@@ -575,6 +575,15 @@ def directional_derivatives(
     return TaylorResult(root, tx + ty, ox + oy)
 
 
+def joint_derivative(f: Callable, x: Sequence, y: Sequence, dx: Sequence, dy: Sequence):
+    """f at (x, y) and its first derivative along the joint direction (dx, dy):
+    one tag moves x by t dx and y by t dy together.  Returns (value,
+    derivative), each nested like the value of f."""
+    n = len(x)
+    res = directional_derivatives(lambda z, _: f(z[:n], z[n:]), [*x, *y], (), [([*dx, *dy], 1)])
+    return res.value, res.partial([1])
+
+
 def derivative_blocks(f: Callable, x: Sequence, y: Sequence, wrt: str, order: int = 1):
     """First and (with order=2) second partials of f in the `wrt` ("x" or
     "y") coordinates, at (x, y).

@@ -98,8 +98,9 @@ def _scales(F: FinslerField, v: DriftField, x, y) -> np.ndarray:
     F(-v) < 1), is convex and grows without bound, so psi < 1 exactly below
     the root.  Each root is bracketed in (h/2, h], h a power of two, by
     doubling and then halving h, and bisected 53 times: to about one ulp,
-    however small t is.  Raises DriftError where F(-v) >= 1 at some site and
-    ConvergenceError where doubling fails to bracket.
+    however small t is.  At y = 0 psi stays below 1 and t is infinite, so
+    F~(x, 0) = 0 as F(x, 0) is.  Raises DriftError where F(-v) >= 1 at some
+    site and ConvergenceError where doubling fails to bracket.
     """
     shape = np.broadcast_shapes(*(np.shape(c) for c in (*x, *y)))
     xs = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in x]
@@ -114,9 +115,10 @@ def _scales(F: FinslerField, v: DriftField, x, y) -> np.ndarray:
     if bad.size:
         i = bad[0]
         raise DriftError(f"drift too strong at {tuple(float(c[i]) for c in xs)}: F(-v) = {p0[i]} >= 1")
+    moving = np.any([c != 0.0 for c in ys], axis=0)
     h = np.ones_like(p0)
     for _ in range(200):
-        below = ~(psi(h) >= 1.0)
+        below = ~(psi(h) >= 1.0) & moving
         if not below.any():
             break
         h = np.where(below, 2.0 * h, h)
@@ -133,7 +135,7 @@ def _scales(F: FinslerField, v: DriftField, x, y) -> np.ndarray:
         inside = psi(mid) < 1.0
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-    return (0.5 * (lo + hi)).reshape(shape)
+    return np.where(moving, 0.5 * (lo + hi), np.inf).reshape(shape)
 
 
 def zermelo_general(F: FinslerField, v: DriftField, x, y) -> float:

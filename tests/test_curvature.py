@@ -83,6 +83,100 @@ def test_riemann_operator_invariants(rotation2d, funk2, rot_spray, funk_spray):
             assert np.max(np.abs(R.lowered - R.lowered.T)) <= 1e-8 * scale
 
 
+# -- the spray form against the four-term assembly ---------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def reference_riemann(G, x, y):
+    """R^i_k by the four-term assembly, with the y-Hessian of G and the mixed
+    x/y block taken separately:
+
+        R^i_k = 2 dG^i/dx^k - y^j d2G^i/dx^j dy^k
+                + 2 G^j d2G^i/dy^j dy^k - dG^i/dy^j dG^j/dy^k
+
+    Returns (R, T) as float arrays ((n, n) at one site, (n, n, m) over column
+    arrays), T[i][k] the sum of the magnitudes of the terms of R^i_k.
+    """
+    n, sites = len(y), np.shape(y[0])
+    G_at = G.at(list(x))
+    Gval = G_at(list(y))
+    dGdx, _ = diffcore.derivative_blocks(G, x, y, "x")
+
+    def y_blocks(xs, ys):
+        G_xs = G.at(xs)
+        return diffcore.derivative_blocks(lambda _, zs: G_xs(zs), xs, ys, "y")[0]
+
+    mixed = diffcore.directional_derivatives(y_blocks, x, y, x_dirs=[(list(y), 1)]).partial([1])
+    dGdy, hess = diffcore.derivative_blocks(lambda _, ys: G_at(ys), x, y, "y", order=2)
+    R = [[None] * n for _ in range(n)]
+    T = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            terms = [2.0 * dGdx[k][i], -mixed[k][i]]
+            acc = terms[0] + terms[1]
+            for j in range(n):
+                a, b = 2.0 * (Gval[j] * hess[j][k][i]), dGdy[j][i] * dGdy[k][j]
+                acc = acc + a - b
+                terms += [a, b]
+            R[i][k] = acc
+            T[i][k] = np.sum(np.abs(diffcore.values_array(terms, sites=sites)), axis=0)
+    return diffcore.values_array(R, sites=sites), diffcore.values_array(T, sites=sites)
+
+
+def spray_of(entry, kind):
+    if kind == "default" and entry.randers is not None:
+        return S.randers_spray(entry.randers)
+    return S.spray_from_metric(entry.metric)
+
+
+@pytest.mark.parametrize("kind", ["default", "generic"])
+@pytest.mark.parametrize("name", [name for name, _ in GALLERY_SPECS])
+def test_riemann_matches_the_four_term_reference(entries, name, kind):
+    """riemann_entries on column arrays, and riemann on floats at a few of
+    the same sites, lie within 64 eps max|term| of the reference, the largest
+    term magnitude over the sampled sites: they differ by rounding."""
+    entry = entries[name]
+    G = spray_of(entry, kind)
+    pts, dirs = sample_sites(entry, 24, seed=13)
+    xs, ys = list(pts.T), list(dirs.T)
+    want, T = reference_riemann(G, xs, ys)
+    bound = 64 * EPS * np.max(T)
+    got = diffcore.values_array(C.riemann_entries(G, xs, ys), sites=(len(pts),))
+    assert np.max(np.abs(got - want)) <= bound
+    for s in range(4):
+        x, y = list(pts[s]), list(dirs[s])
+        assert np.max(np.abs(C.riemann(G, x, y).matrix - reference_riemann(G, x, y)[0])) <= bound
+
+
+def counting_spray(n):
+    """A polynomial spray (no derivatives inside) that counts its evaluations."""
+    calls = []
+
+    def G(x, y):
+        calls.append(1)
+        return [x[(i + 1) % n] * y[i] * y[(i + 1) % n] + y[i] * y[0] for i in range(n)]
+
+    return S.SprayField(ball_domain(n), G, provenance="test"), calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_riemann_takes_2n_plus_1_spray_evaluations(n):
+    G, calls = counting_spray(n)
+    C.riemann_entries(G, [0.1, 0.2, -0.1][:n], [0.7, -0.3, 0.4][:n])
+    # the value, n x-derivatives, n y-derivatives on the jet along the spray
+    assert len(calls) == 2 * n + 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flag_curvature_takes_4_spray_evaluations(n):
+    G, calls = counting_spray(n)
+    F = gallery.euclidean_alpha(n, ball_domain(n)).finsler()
+    C.flag_curvature(F, [0.1, 0.2, -0.1][:n], [0.7, -0.3, 0.4][:n], [0.2, 0.9, 0.1][:n], G=G)
+    # the value, d_{x,u}G, d_{y,u}G on the jet along the spray, d_{y,v}G
+    assert len(calls) == 4
+
+
 # -- Ricci -------------------------------------------------------------------------
 
 
@@ -141,9 +235,9 @@ def test_ricci_2d_takes_only_the_blocks_it_reads(monkeypatch):
     monkeypatch.setattr(diffcore, "directional_derivatives", counting)
     monkeypatch.setattr(C, "directional_derivatives", counting)
     C.ricci_2d(G, [0.1, 0.2], [0.7, -0.3])
-    # dG/dx and dG/dy: 2 + 2; S = dG^1/du + dG^2/dv: 2; its x- and
-    # y-gradients differentiate S itself: 2 * (1 + 2) each
-    assert len(calls) == 18
+    # dG/dx: 2; one jet along the spray around dG/dy: 1 + 2, giving S at
+    # order 0 and D(S) at order 1
+    assert len(calls) == 5
 
 
 # -- flag curvature ------------------------------------------------------------------
@@ -215,7 +309,9 @@ def test_degenerate_flag_rejected(funk2):
 @pytest.mark.parametrize("name", [name for name, _ in GALLERY_SPECS])
 def test_flag_curvature_matches_the_matrix_formula(entries, name):
     """K = u.g.(R u) / (g(y,y) g(u,u) - g(y,u)^2) on float arrays, with g from
-    fundamental_tensor and R from riemann, as an oracle for the generic path."""
+    fundamental_tensor and R from the four-term reference, as an oracle for the
+    generic path; they differ by rounding, bounded through the reference's
+    term magnitudes T by 64 eps (|u.g| T |u|) / denom."""
     entry = entries[name]
     G = S.randers_spray(entry.randers) if entry.randers is not None else S.spray_from_metric(entry.metric)
     rng = np.random.default_rng(29)
@@ -223,10 +319,11 @@ def test_flag_curvature_matches_the_matrix_formula(entries, name):
     for x, y in zip(pts, dirs):
         u = rng.normal(size=entry.dim)
         g = M.fundamental_tensor(entry.metric, list(x), list(y)).g
-        R = C.riemann(G, list(x), list(y)).matrix
-        want = (u @ g @ (R @ u)) / ((y @ g @ y) * (u @ g @ u) - (y @ g @ u) ** 2)
+        R, T = reference_riemann(G, list(x), list(y))
+        denom = (y @ g @ y) * (u @ g @ u) - (y @ g @ u) ** 2
+        want = (u @ g @ (R @ u)) / denom
         got = C.flag_curvature(entry.metric, list(x), list(y), list(u), G=G)
-        assert abs(got - want) <= 1e-14
+        assert abs(got - want) <= 64 * EPS * (np.abs(u @ g) @ T @ np.abs(u)) / denom
 
 
 def test_flag_curvature_rejects_a_zero_pole_and_a_non_pd_site(funk2):

@@ -121,6 +121,20 @@ def test_partial_maps_over_nested_root():
         res.partial([2, 0])
 
 
+def test_joint_derivative_is_the_sum_of_the_x_and_y_derivatives():
+    # one tag along (dx, dy) gives d/dt f(x + t dx, y + t dy) = f_x.dx + f_y.dy,
+    # nested like the value of f
+    x, y, dx, dy = [0.3, -0.4], [0.7, 1.1], [-0.7, -1.1], [0.2, -0.9]
+    val, d = dc.joint_derivative(_nested_field, x, y, dx, dy)
+    along_x = dc.directional_derivatives(_nested_field, x, y, x_dirs=[(dx, 1)]).partial([1])
+    along_y = dc.directional_derivatives(_nested_field, x, y, y_dirs=[(dy, 1)]).partial([1])
+    want = _nested_field(x, y)
+    for i in range(2):
+        for j in range(2):
+            assert val[i][j] == want[i][j]
+            assert d[i][j] == pytest.approx(along_x[i][j] + along_y[i][j], rel=1e-15, abs=1e-15)
+
+
 def test_order_caps_rejected():
     with pytest.raises(OrderCapError):
         dc.JetRequest((0.0,), (1.0,), (3,), (0,))

@@ -173,6 +173,28 @@ def test_travel_time_straight_segment_no_drift(euclid_ball):
     assert T == pytest.approx(0.5, abs=1e-9)
 
 
+def test_navigation_at_a_zero_tangent_vector_is_zero(euclid_ball, rotation):
+    # F~(x, 0) = 0, the value F(x, 0) has for the source norm, at one site
+    # and at the zero-y sites of column arrays; nonzero y keeps its root
+    F = euclid_ball.finsler()
+    x = [0.1, 0.0]
+    assert N.zermelo_general(F, rotation, x, [0.0, 0.0]) == 0.0
+    nav = N.navigation_metric(F, rotation)
+    assert nav(x, [0.0, 0.0]) == 0.0
+    xs = [np.array([0.1, 0.2, -0.3, 0.0]), np.array([0.0, 0.1, 0.2, -0.4])]
+    ys = [np.array([0.0, 0.6, 0.0, -0.2]), np.array([0.0, 0.8, 0.0, 0.5])]
+    got = nav(xs, ys)
+    assert got[0] == 0.0 and got[2] == 0.0
+    for i in (1, 3):
+        one = N.zermelo_general(F, rotation, [xs[0][i], xs[1][i]], [ys[0][i], ys[1][i]])
+        assert got[i] == pytest.approx(one, rel=1e-15) and got[i] > 0.0
+
+
+def test_travel_time_of_a_stationary_curve_is_zero(euclid_ball, rotation):
+    still = lambda t: ([0.1, 0.0], [0.0, 0.0])
+    assert N.travel_time(euclid_ball.finsler(), rotation, still, 0.0, 1.0, n=16) == 0.0
+
+
 def test_travel_time_combined_force_path(euclid_ball, rotation):
     # drive the object with a fixed unit internal force; the elapsed time
     # equals the deformed-metric length of the swept path
