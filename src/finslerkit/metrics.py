@@ -257,90 +257,88 @@ def cartan_second(F: FinslerField, x, y, u, v, w, z):
 
 # -- torsion norms ------------------------------------------------------------
 #
-# The pointwise norms are suprema over unit flags {y, u} with g_y(y, u) = 0.
-# Both y and u are search variables.  In dimension 2 the orthogonal
-# complement of y is a line, so a fine angle grid plus local refinement is
-# effectively exact; in higher dimension the estimate is a seeded sampled
-# lower bound.  Every norm routine takes one chart point (floats) or column
-# arrays of m sites, in which case all sites are searched in one array pass
-# and the norms come back as an array.
+# The pointwise norms are suprema over flags {y, u} with g_y(y, u) = 0 of
+# the ratios F |C(u, u, u)| / g_y(u, u)^(3/2) and F^2 |C~(u, u, u, u)| /
+# g_y(u, u)^2, which are homogeneous of degree 0 in u.  Both y and u are
+# search variables.  In dimension 2 the orthogonal complement of y is a
+# line, so the search is over the angle of y: a grid, then zoom rounds
+# around the best grid angle.  In higher dimension the estimate is a seeded
+# sampled lower bound.  Every norm routine takes one chart point (floats) or
+# column arrays of m sites, in which case all sites are searched in one
+# array pass per run of sites and the norms come back as an array.
+
+# equally spaced probes per zoom round, the centre included; odd, and
+# 2 / (_ZOOM_PROBES - 1) is a power of 2, so every probe spacing is exact
+_ZOOM_PROBES = 33
 
 
-def _perp_2d(g, y):
-    gy0 = g[0][0] * y[0] + g[0][1] * y[1]
-    gy1 = g[1][0] * y[0] + g[1][1] * y[1]
-    return [-gy1, gy0]
+def _flag_ratio(F, x, y, u, second):
+    """The norm integrand at the flag {y, u}, u g_y-orthogonal to y, and
+    g_y(u, u), from one jet of F^2 along u: its value is F^2, half its second
+    derivative is g_y(u, u) and a quarter of its third (fourth) is the torsion."""
+    order = 4 if second else 3
+    res = directional_derivatives(F.squared, x, y, y_dirs=[(u, order)])
+    f2, guu = res.value, res.partial([2]) * 0.5
+    val = np.abs(res.partial([order]) * 0.25)
+    if second:
+        return f2 * val / (guu * guu), guu
+    return sqrt(f2) * val / guu**1.5, guu
 
 
 def _torsion_ratio_2d(F, x, theta, second: bool):
-    """Norm integrand on the angle grid (theta may be an ndarray)."""
+    """Norm integrand at the angles theta (an ndarray): u = (-d_2 F^2, d_1 F^2)
+    is g_y-orthogonal to y by Euler's identity 2 g_y(y, .) = d_y F^2."""
     y = [np.cos(theta), np.sin(theta)]
-    g = metric_entries(F, x, y)
-    u = _perp_2d(g, y)
-    guu = _linalg.quad_form(g, u, u)
-    fval = F(x, y)
-    if second:
-        val = cartan_second(F, x, y, u, u, u, u)
-        return fval * fval * np.abs(val) / (guu * guu)
-    val = cartan_first(F, x, y, u, u, u)
-    return fval * np.abs(val) / guu**1.5
-
-
-def _golden_max(fun, lo, hi, tol=1e-10):
-    """Golden-section maximum of fun over [lo, hi]; lo and hi may be arrays of
-    brackets, refined together (brackets of equal width shrink in lockstep)
-    with one evaluation of fun per step on the array of probe points."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    batched = np.ndim(lo) > 0
-    pick = np.where if batched else (lambda cond, p, q: p if cond else q)
-    any_ = np.any if batched else bool
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while any_(abs(b - a) > tol):
-        left = fc > fd  # the maximum lies in [a, d]
-        a, b = pick(left, a, c), pick(left, d, b)
-        probe = pick(left, b - invphi * (b - a), a + invphi * (b - a))
-        fp = fun(probe)
-        c, fc, d, fd = (
-            pick(left, probe, d), pick(left, fp, fd), pick(left, c, probe), pick(left, fc, fp)
-        )
-    return np.maximum(fc, fd)
+    d1, _ = derivative_blocks(F.squared, x, y, "y")
+    return _flag_ratio(F, x, y, [-d1[1], d1[0]], second)[0]
 
 
 def _site_grid(x, samples):
-    """Each site of x (floats or column arrays) repeated `samples` times."""
-    return [np.repeat(np.asarray(v, dtype=float), samples) for v in x]
+    """Each site of the column arrays x repeated `samples` times."""
+    return [np.repeat(v, samples) for v in x]
 
 
-def _site_slices(x, samples):
-    """The sites of x (floats or column arrays) in runs of whole sites, each
-    run covering at most TORSION_CHUNK points of the sites x samples grid
-    (one site at least); each run is a list of 1-D coordinate arrays."""
-    cols = [np.atleast_1d(np.asarray(v, dtype=float)) for v in x]
+def _site_slices(m, samples):
+    """Runs of whole sites among m, each covering at most TORSION_CHUNK points
+    of the sites x samples grid (one site at least), as slices."""
     step = max(1, TORSION_CHUNK // samples)
-    return [[c[i : i + step] for c in cols] for i in range(0, len(cols[0]), step)]
+    return [slice(i, i + step) for i in range(0, m, step)]
+
+
+def _ratios_2d(F, x, thetas, second):
+    """The integrand at each site of x over its row of the (sites, k) angle
+    array thetas, one array pass per run of sites."""
+    m, k = thetas.shape
+    if not np.shape(x[0]):  # one point broadcasts over the angles
+        return np.reshape(_torsion_ratio_2d(F, x, thetas[0], second), (1, k))
+    return np.concatenate([
+        np.reshape(_torsion_ratio_2d(F, _site_grid([v[s] for v in x], k), thetas[s].ravel(), second), (-1, k))
+        for s in _site_slices(m, k)
+    ])
 
 
 def _norm_2d(F, x, samples, second):
-    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    sites = np.shape(x[0])
-    if sites:
-        k = np.concatenate([
-            np.argmax(np.reshape(
-                _torsion_ratio_2d(F, _site_grid(xs, samples), np.tile(thetas, len(xs[0])), second),
-                (len(xs[0]), samples),
-            ), axis=-1)
-            for xs in _site_slices(x, samples)
-        ])
-    else:  # one point broadcasts over the angles
-        k = np.argmax(_torsion_ratio_2d(F, x, thetas, second))
-    dt = 2.0 * math.pi / samples
-    best = _golden_max(
-        lambda t: _torsion_ratio_2d(F, x, t, second), thetas[k] - dt, thetas[k] + dt
-    )
-    return best if sites else float(best)
+    """The best of an angle grid, then zoom rounds: each evaluates
+    _ZOOM_PROBES angles across every site's bracket, recentres it on the best
+    probe and shrinks its half-width to one probe spacing, until the bracket
+    is 1e-10 wide.  The result is never below the best grid sample."""
+    m = np.size(x[0])
+    rows = np.arange(m)
+
+    def best_of(thetas):
+        vals = _ratios_2d(F, x, thetas, second)
+        k = np.argmax(vals, axis=-1)
+        return vals[rows, k], thetas[rows, k]
+
+    grid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    best, centre = best_of(np.broadcast_to(grid, (m, samples)))
+    steps = np.linspace(-1.0, 1.0, _ZOOM_PROBES)
+    half = 2.0 * math.pi / samples
+    while 2.0 * half > 1e-10:
+        top, centre = best_of(centre[:, None] + half * steps)
+        best = np.maximum(best, top)
+        half *= steps[1] - steps[0]
+    return best if np.shape(x[0]) else float(best[0])
 
 
 def _fibonacci_sphere(m: int) -> np.ndarray:
@@ -365,7 +363,10 @@ def _norm_sampled(F, x, samples, seed, second):
         ys = rng.normal(size=(samples, n))
         ys /= np.linalg.norm(ys, axis=1)[:, None]
     us = rng.normal(size=(samples, n))
-    best = np.concatenate([_sampled_best(F, xs, ys, us, second) for xs in _site_slices(x, samples)])
+    cols = [np.atleast_1d(np.asarray(v, dtype=float)) for v in x]
+    best = np.concatenate([
+        _sampled_best(F, [v[s] for v in cols], ys, us, second) for s in _site_slices(len(cols[0]), samples)
+    ])
     return best if np.shape(x[0]) else float(best[0])
 
 
@@ -375,19 +376,12 @@ def _sampled_best(F, x, ys, us, second):
     cx = _site_grid(x, samples)
     cy = [np.tile(ys[:, i], m) for i in range(n)]
     cu = [np.tile(us[:, i], m) for i in range(n)]
-    g = metric_entries(F, cx, cy)
-    gyy = _linalg.quad_form(g, cy, cy)
-    gyu = _linalg.quad_form(g, cy, cu)
-    coef = gyu / gyy
+    # Gram-Schmidt coefficient g_y(y, u) / g_y(y, y) = d_u F^2 / (2 F^2)
+    res = directional_derivatives(F.squared, cx, cy, y_dirs=[(cu, 1)])
+    coef = res.partial([1]) / (2.0 * res.value)
     u = [cu[i] - coef * cy[i] for i in range(n)]
-    guu = _linalg.quad_form(g, u, u)
-    fval = np.asarray(F(cx, cy), dtype=float)
-    if second:
-        val = np.abs(np.asarray(cartan_second(F, cx, cy, u, u, u, u), dtype=float))
-    else:
-        val = np.abs(np.asarray(cartan_first(F, cx, cy, u, u, u), dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):  # unusable samples are dropped below
-        ratio = fval * fval * val / (guu * guu) if second else fval * val / guu**1.5
+        ratio, guu = _flag_ratio(F, cx, cy, u, second)
     good = np.reshape(guu > 1e-14, (m, samples))
     if not np.all(np.any(good, axis=-1)):
         raise MetricError(f"no sampled flag with g_y(u, u) > 1e-14 at some site of {F.name}")
@@ -403,14 +397,18 @@ def _torsion_norm(F, x, samples, seed, second):
 
 
 def cartan_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0):
-    """Sampled estimate of ||C||_x (exact up to refinement in dimension 2);
-    an array of estimates when x holds column arrays of sites."""
+    """Sampled estimate of ||C||_x; an array of estimates when x holds column
+    arrays of sites.  In dimension 2 it is exact once the angle grid of
+    `samples` points resolves the integrand's peaks: a coarse grid can pick
+    a secondary peak, and the refinement stays around it."""
     return _torsion_norm(F, x, samples, seed, second=False)
 
 
 def cartan_second_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0):
-    """Sampled estimate of ||C~||_x (exact up to refinement in dimension 2);
-    an array of estimates when x holds column arrays of sites."""
+    """Sampled estimate of ||C~||_x; an array of estimates when x holds column
+    arrays of sites.  In dimension 2 it is exact once the angle grid of
+    `samples` points resolves the integrand's peaks: a coarse grid can pick
+    a secondary peak, and the refinement stays around it."""
     return _torsion_norm(F, x, samples, seed, second=True)
 
 

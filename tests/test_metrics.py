@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from finslerkit import _linalg
 from finslerkit import diffcore as dc
 from finslerkit import gallery
 from finslerkit import metrics as M
@@ -192,6 +193,147 @@ def test_torsion_bounds_across_gallery(name, params):
         assert c2n <= 13.5 * nb + 1e-9
 
 
+# -- the nested-tag route with golden section, against one jet and zoom rounds ---
+
+EPS = np.finfo(float).eps
+
+
+def _reference_ratio_2d(F, x, theta, second):
+    y = [np.cos(theta), np.sin(theta)]
+    g = M.metric_entries(F, x, y)
+    u = [-(g[1][0] * y[0] + g[1][1] * y[1]), g[0][0] * y[0] + g[0][1] * y[1]]
+    guu = _linalg.quad_form(g, u, u)
+    fval = F(x, y)
+    if second:
+        return fval * fval * np.abs(M.cartan_second(F, x, y, u, u, u, u)) / (guu * guu)
+    return fval * np.abs(M.cartan_first(F, x, y, u, u, u)) / guu**1.5
+
+
+def _reference_golden_max(fun, a, b, tol=1e-10):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while np.any(abs(b - a) > tol):
+        left = fc > fd  # the maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fp = fun(probe)
+        c, fc, d, fd = (
+            np.where(left, probe, d), np.where(left, fp, fd), np.where(left, c, probe), np.where(left, fc, fp)
+        )
+    return np.maximum(fc, fd)
+
+
+def reference_torsion_norm(F, x, samples, seed, second):
+    """||C|| (||C~|| when `second`) at column arrays x of m sites, from g
+    and nested order-1 tags: 2-D takes g from the F^2 y-Hessian, u = g y
+    rotated by a right angle, the torsion from nested tags and F evaluated
+    apart, then a golden section on the bracket of the best grid angle;
+    n >= 3 takes Gram-Schmidt in g and the nested-tag torsion on the same
+    seeded samples as cartan_norm."""
+    n, m = F.dim, len(x[0])
+    if n == 2:
+        thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        grid = [np.repeat(v, samples) for v in x]
+        vals = _reference_ratio_2d(F, grid, np.tile(thetas, m), second)
+        k = np.argmax(np.reshape(vals, (m, samples)), axis=-1)
+        dt = 2.0 * math.pi / samples
+        return _reference_golden_max(
+            lambda t: _reference_ratio_2d(F, x, t, second), thetas[k] - dt, thetas[k] + dt
+        )
+    rng = np.random.default_rng([seed, 0xC2 if second else 0xC1])
+    if n == 3:
+        ys = M._fibonacci_sphere(samples)
+    else:
+        ys = rng.normal(size=(samples, n))
+        ys /= np.linalg.norm(ys, axis=1)[:, None]
+    us = rng.normal(size=(samples, n))
+    cx = [np.repeat(v, samples) for v in x]
+    cy = [np.tile(ys[:, i], m) for i in range(n)]
+    cu = [np.tile(us[:, i], m) for i in range(n)]
+    g = M.metric_entries(F, cx, cy)
+    coef = _linalg.quad_form(g, cy, cu) / _linalg.quad_form(g, cy, cy)
+    u = [cu[i] - coef * cy[i] for i in range(n)]
+    guu = _linalg.quad_form(g, u, u)
+    fval = F(cx, cy)
+    if second:
+        ratio = fval * fval * np.abs(M.cartan_second(F, cx, cy, u, u, u, u)) / (guu * guu)
+    else:
+        ratio = fval * np.abs(M.cartan_first(F, cx, cy, u, u, u)) / guu**1.5
+    good = np.reshape(guu > 1e-14, (m, samples))
+    return np.max(np.where(good, np.reshape(ratio, (m, samples)), -np.inf), axis=-1)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in GALLERY_SPECS])
+def test_torsion_norms_match_the_reference_route(entries, name):
+    """Both norms at 4 float sites (default samples) and at 12 column-array
+    sites (1024 samples, as the battery and `finsler scan` take them) lie
+    within 64 eps max(1, |reference|) of the reference route: they differ by
+    rounding only."""
+    F = entries[name].metric
+    pts = F.domain.sample_points(12, seed=29)
+    for second, norm in ((False, M.cartan_norm), (True, M.cartan_second_norm)):
+        want = reference_torsion_norm(F, list(pts.T), 1024, 4, second)
+        got = norm(F, list(pts.T), samples=1024, seed=4)
+        assert np.all(np.abs(got - want) <= 64 * EPS * np.maximum(1.0, np.abs(want)))
+        for x in pts[:4]:
+            want = reference_torsion_norm(F, [np.array([v]) for v in x], 4096, 0, second)[0]
+            got = norm(F, list(x))
+            assert abs(got - want) <= 64 * EPS * max(1.0, abs(want))
+
+
+def counting_field(entry):
+    """The entry's metric, counting its evaluations."""
+    calls = []
+
+    def func(x, y):
+        calls.append(1)
+        return entry.metric.func(x, y)
+
+    return M.FinslerField(entry.metric.domain, func, name=entry.name), calls
+
+
+@pytest.mark.parametrize("norm", [M.cartan_norm, M.cartan_second_norm])
+def test_2d_norm_takes_a_grid_and_at_most_8_zoom_passes_of_3_evaluations(monkeypatch, entries, norm):
+    F, calls = counting_field(entries["slab"])
+    passes = []
+    ratio = M._torsion_ratio_2d
+
+    def counted(*args):
+        passes.append(1)
+        return ratio(*args)
+
+    monkeypatch.setattr(M, "_torsion_ratio_2d", counted)
+    norm(F, [0.1, -0.2], samples=1024)
+    assert 2 <= len(passes) <= 1 + 8
+    # u from one first-order F^2 jet per coordinate, then one jet along u
+    assert len(calls) == 3 * len(passes)
+
+
+@pytest.mark.parametrize("norm", [M.cartan_norm, M.cartan_second_norm])
+def test_sampled_norm_takes_2_evaluations_per_slice(entries, norm):
+    F, calls = counting_field(entries["cylinder"])
+    x = list(F.domain.sample_points(5, seed=2).T)
+    norm(F, x, samples=1024, seed=1)
+    # slices of 4096 // 1024 = 4 sites: one order-1 jet along the sample for
+    # the Gram-Schmidt coefficient, then one jet along u
+    assert len(calls) == 2 * 2
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 4, 5, 6, 7, 8, 1024])
+def test_refined_2d_norm_is_never_below_the_grid(entries, samples):
+    grid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    for name in ("minkowski", "funk", "slab"):
+        F = entries[name].metric
+        pts = F.domain.sample_points(4, seed=17)
+        for second, norm in ((False, M.cartan_norm), (True, M.cartan_second_norm)):
+            got = norm(F, list(pts.T), samples=samples)
+            for s, x in enumerate(pts):
+                floor = np.max(M._torsion_ratio_2d(F, list(x), grid, second))
+                assert got[s] >= floor
+                assert norm(F, list(x), samples=samples) >= floor
+
+
 # -- beta norm and validity -----------------------------------------------------------
 
 
@@ -257,17 +399,20 @@ def test_sampled_norm_without_usable_flags_raises():
         M.cartan_norm(F, [0.0, 0.0, 0.0], samples=64, seed=1)
 
 
-@pytest.mark.parametrize("name,params,sites,bound_mb", [
-    ("minkowski", {"n": 2}, 144, 30.0),
-    ("cylinder", {"n": 3}, 64, 15.0),
-])
-def test_torsion_grids_are_sliced_by_sites(name, params, sites, bound_mb):
-    # the whole sites x samples grid held ~150 MB (2-D) and ~50 MB (3-D) at once
+@pytest.mark.parametrize("name,params,sites,samples,bound_mb", [
+    ("minkowski", {"n": 2}, 144, 1024, 30.0),
+    ("cylinder", {"n": 3}, 64, 1024, 15.0),
+    ("minkowski", {"n": 2}, 2000, 16, 10.0),
+], ids=["minkowski-params0-144-30.0", "cylinder-params1-64-15.0", "minkowski-zoom-2000-sites-16-samples"])
+def test_torsion_grids_are_sliced_by_sites(name, params, sites, samples, bound_mb):
+    # the whole sites x samples grid held ~150 MB (2-D) and ~50 MB (3-D) at
+    # once; with 16 samples the zoom rounds (sites x 33 probes) are the larger
+    # window, ~30 MB at once over 2000 sites
     entry = gallery.make(name, **params)
     pts = entry.metric.domain.sample_points(sites, seed=5)
     tracemalloc.start()
     try:
-        M.cartan_second_norm(entry.metric, list(pts.T), samples=1024, seed=3)
+        M.cartan_second_norm(entry.metric, list(pts.T), samples=samples, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
