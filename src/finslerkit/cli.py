@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -45,15 +46,20 @@ def _parse_vector(text: str, want: str, dim: int) -> list[float]:
         raise UsageError(f"{want} must be a comma-separated list of numbers, got {text!r}") from None
     if len(v) != dim:
         raise UsageError(f"{want} must have dimension {dim}, got {len(v)} entries")
+    if not all(map(math.isfinite, v)):
+        raise UsageError(f"{want} must be finite, got {text!r}")
     return v
 
 
 def _parse_number(text: str, want: str, kind=float):
     try:
-        return kind(text)
+        v = kind(text)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise UsageError(f"{want} must be {noun}, got {text!r}") from None
+    if not math.isfinite(v):
+        raise UsageError(f"{want} must be finite, got {text!r}")
+    return v
 
 
 class UsageError(Exception):
@@ -105,6 +111,7 @@ def cmd_verify(args) -> int:
 def cmd_curvature(args) -> int:
     entry, G = _entry_and_spray(args.metric)
     x = _parse_vector(args.at, "--at", entry.dim)
+    G.domain.require(x)
     y = _parse_direction(args.dir, entry.dim)
     R = riemann(G, x, y)
     payload = {
@@ -274,6 +281,7 @@ def cmd_navigate(args) -> int:
     drift = _parse_drift(args.drift, dom)
     rd = zermelo_riemannian(alpha, drift)
     x = _parse_vector(args.at, "--at", alpha.dim) if args.at else [0.0] * alpha.dim
+    dom.require(x)
     payload = {
         "alpha": args.alpha,
         "drift": args.drift,

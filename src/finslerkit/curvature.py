@@ -17,7 +17,6 @@ spray that evaluates generically (closed-form or built from F) works.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -30,7 +29,6 @@ from .metrics import (
     FinslerField,
     RandersData,
     RiemannianField,
-    fundamental_tensor,
     metric_entries,
     require_nonzero,
 )
@@ -39,23 +37,10 @@ from .spray import SprayField, beta_table, levi_civita_spray, spray_from_metric
 
 @dataclass
 class RiemannOperator:
-    """R_y as a matrix R^i_k at (x, y) with its trace.
-
-    `lowered` is g_y R_y (None without a metric); it builds the fundamental
-    tensor, so it is computed on first access only.
-    """
+    """R_y as a matrix R^i_k at (x, y) with its trace."""
 
     matrix: np.ndarray
     ricci: float
-    metric: Optional[FinslerField] = None
-    x: tuple = ()
-    y: tuple = ()
-
-    @cached_property
-    def lowered(self) -> Optional[np.ndarray]:
-        if self.metric is None:
-            return None
-        return fundamental_tensor(self.metric, self.x, self.y).g @ self.matrix
 
 
 def _along_spray(G: SprayField, x, y, G_at, y_part):
@@ -98,13 +83,11 @@ def riemann(G: SprayField, x, y) -> RiemannOperator:
     """Riemann curvature operator at (x, y) from the spray form of R;
     raises MetricError at y = 0."""
     require_nonzero(y)
-    return _operator(G, x, y, values_array(riemann_entries(G, x, y)))
+    return _operator(values_array(riemann_entries(G, x, y)))
 
 
-def _operator(G: SprayField, x, y, mat: np.ndarray) -> RiemannOperator:
-    return RiemannOperator(
-        matrix=mat, ricci=float(np.trace(mat)), metric=G.metric, x=tuple(x), y=tuple(y)
-    )
+def _operator(mat: np.ndarray) -> RiemannOperator:
+    return RiemannOperator(matrix=mat, ricci=float(np.trace(mat)))
 
 
 def ricci(G: SprayField, x, y) -> float:
@@ -248,7 +231,7 @@ def riemann_via_difference(G: SprayField, G_ref: SprayField, x, y) -> RiemannOpe
                 acc += 2.0 * float(value(Hval[j] * hessH[j][k][i]))
                 acc -= float(value(dHdy[j][i] * dHdy[k][j]))
             mat[i][k] = acc
-    return _operator(G, x, y, mat)
+    return _operator(mat)
 
 
 # -- Randers zero-curvature residuals ------------------------------------------

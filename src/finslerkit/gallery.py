@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _linalg
 from .diffcore import sqrt, value
 from .errors import MetricError
 from .metrics import (
@@ -67,13 +68,6 @@ class GalleryEntry:
 # -- helpers -------------------------------------------------------------------
 
 
-def _dot(u, v):
-    acc = u[0] * v[0]
-    for i in range(1, len(u)):
-        acc = acc + u[i] * v[i]
-    return acc
-
-
 def euclidean_alpha(n: int, domain: Optional[ChartDomain] = None) -> RiemannianField:
     dom = domain or whole_space_domain(n)
     eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
@@ -106,8 +100,8 @@ def minkowski(n: int = 2, eps: float = 0.3) -> GalleryEntry:
     dom = whole_space_domain(n)
 
     def func(x, y):
-        q2 = _dot(y, y)
-        q4 = _dot([yi * yi for yi in y], [yi * yi for yi in y])
+        q2 = _linalg.sum_prod(y, y)
+        q4 = _linalg.sum_prod([yi * yi for yi in y], [yi * yi for yi in y])
         return sqrt(q2 + eps * q4 / q2)
 
     ref = Reference(
@@ -158,9 +152,9 @@ def shen_flat(n: int = 2) -> GalleryEntry:
     dom = ball_domain(n, name=f"shen-ball{n}")
 
     def func(x, y):
-        xy = _dot(x, y)
-        y2 = _dot(y, y)
-        x2 = _dot(x, x)
+        xy = _linalg.sum_prod(x, y)
+        y2 = _linalg.sum_prod(y, y)
+        x2 = _linalg.sum_prod(x, x)
         rad = y2 - (x2 * y2 - xy * xy)
         base = value(rad)
         if isinstance(base, np.ndarray):
@@ -255,7 +249,7 @@ def _rotation_spray(n):
         X, Y = x[0], x[1]
         u, v = y[0], y[1]
         delta = 1.0 - X * X - Y * Y
-        y2 = _dot(y, y)
+        y2 = _linalg.sum_prod(y, y)
         rad = (-Y * u + X * v) ** 2 + y2 * delta
         F = (sqrt(rad) - (-Y * u + X * v)) / delta
         xuyv = X * u + Y * v
@@ -315,7 +309,7 @@ def _s3_alpha(dom: ChartDomain) -> RiemannianField:
     a_ij = [ (1+|x|^2) delta_ij - x_i x_j ] / (1+|x|^2)^2."""
 
     def matrix(x):
-        s2 = 1.0 + _dot(x, x)
+        s2 = 1.0 + _linalg.sum_prod(x, x)
         return [
             [((s2 if i == j else 0.0) - x[i] * x[j]) / (s2 * s2) for j in range(3)]
             for i in range(3)
@@ -342,7 +336,7 @@ def bao_shen_s3(eps: float = 0.3) -> GalleryEntry:
         raise ValueError("|eps| must be < 1")
     dom = ChartDomain(
         dim=3,
-        contains=lambda x: float(_dot(x, x)) < 9.0,
+        contains=lambda x: float(_linalg.sum_prod(x, x)) < 9.0,
         name="s3-chart",
         sample_box=((-0.6, 0.6),) * 3,
     )

@@ -104,17 +104,18 @@ def _christoffel(a_inv, da):
     return gamma
 
 
-def _christoffel_entries(alpha: RiemannianField, x):
-    """Gamma as nested lists of generic scalars (jet-safe)."""
+def _levi_civita(alpha: RiemannianField, x):
+    """(a_ij, a^{ij}, Gamma^i_{jk}) at x as nested lists (jet-safe)."""
+    a = alpha.matrix(x)
     da, _ = derivative_blocks(lambda xs, ys: alpha.matrix(xs), x, [], "x")
-    a_inv, _ = _linalg.spd_factor(alpha.matrix(x))
-    return _christoffel(a_inv, da)
+    a_inv, _ = _linalg.spd_factor(a)
+    return a, a_inv, _christoffel(a_inv, da)
 
 
 def christoffels(alpha: RiemannianField, x) -> np.ndarray:
     """Levi-Civita coefficients Gamma^i_{jk} at a chart point (floats) as an
     (n, n, n) array, symmetric in the last two slots."""
-    return values_array(_christoffel_entries(alpha, x))
+    return values_array(_levi_civita(alpha, x)[2])
 
 
 def levi_civita_spray(alpha: RiemannianField) -> SprayField:
@@ -122,7 +123,7 @@ def levi_civita_spray(alpha: RiemannianField) -> SprayField:
     n = alpha.dim
 
     def at(x):
-        gamma = _christoffel_entries(alpha, x)
+        gamma = _levi_civita(alpha, x)[2]
 
         def G(y):
             return [_linalg.quad_form(gamma[i], y, y) * 0.5 for i in range(n)]
@@ -221,18 +222,49 @@ class BetaContractions:
 def beta_table(randers: RandersData, x, order: int = 2) -> BetaTable:
     """Covariant derivative tables of beta with respect to alpha at x.
 
-    Second covariant derivatives are assembled from raw coordinate partials
-    plus Christoffel corrections, so the same pipeline serves any Randers
-    data, not just metrics with closed-form tables.
+    The second covariant derivatives differentiate the first-order table in
+    x with jets and add the Christoffel corrections,
+    s_{j|k} = d_k s_j - s_l Gamma^l_{jk} and
+    s^i_{j|k} = d_k s^i_j + Gamma^i_{lk} s^l_j - Gamma^l_{jk} s^i_l,
+    so the same pipeline serves any Randers data, not just metrics with
+    closed-form tables.
     """
+    table = _first_order_table(randers, x)
+    if order < 2:
+        return table
     n = randers.dim
-    a0, b = randers.alpha.matrix(x), randers.beta.covector(x)
-    # raw partials: da[k][i][j] = d a_ij / d x^k, db[k][i], d2b[k][l][i]
-    da, _ = derivative_blocks(lambda xs, ys: randers.alpha.matrix(xs), x, [], "x")
-    db, d2b = derivative_blocks(lambda xs, ys: randers.beta.covector(xs), x, [], "x", order)
-    a_inv, _ = _linalg.spd_factor(a0)
-    gamma = _christoffel(a_inv, da)
+    gamma, s_up, s_form = table.gamma, table.s_up, table.s_form
 
+    def first_order_s(xs, ys):
+        t = _first_order_table(randers, xs)
+        return [t.s_form, t.s_up]
+
+    d, _ = derivative_blocks(first_order_s, x, [], "x")  # d[k] = [d_k s_j, d_k s^i_j]
+    table.s_form_cov = [
+        [d[k][0][j] - _sum(s_form[l] * gamma[l][j][k] for l in range(n)) for k in range(n)]
+        for j in range(n)
+    ]
+    table.s_up_cov = [
+        [
+            [
+                d[k][1][i][j]
+                + _sum(gamma[i][l][k] * s_up[l][j] for l in range(n))
+                - _sum(gamma[l][j][k] * s_up[i][l] for l in range(n))
+                for k in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return table
+
+
+def _first_order_table(randers: RandersData, x) -> BetaTable:
+    """The table of beta_table(order=1) (jet-safe in x)."""
+    n = randers.dim
+    b = randers.beta.covector(x)
+    a0, a_inv, gamma = _levi_civita(randers.alpha, x)
+    db, _ = derivative_blocks(lambda xs, ys: randers.beta.covector(xs), x, [], "x")
     b_cov = [
         [
             db[j][i] - _sum(b[l] * gamma[l][i][j] for l in range(n))
@@ -244,74 +276,10 @@ def beta_table(randers: RandersData, x, order: int = 2) -> BetaTable:
     s = [[(b_cov[i][j] - b_cov[j][i]) * 0.5 for j in range(n)] for i in range(n)]
     s_up = [[_sum(a_inv[i][p] * s[p][j] for p in range(n)) for j in range(n)] for i in range(n)]
     s_form = [_sum(b[i] * s_up[i][j] for i in range(n)) for j in range(n)]
-
-    table = BetaTable(
+    return BetaTable(
         x=tuple(x), a=a0, a_inv=a_inv, b=b, gamma=gamma,
         b_cov=b_cov, r=r, s=s, s_up=s_up, s_form=s_form,
     )
-    if order < 2:
-        return table
-
-    # raw coordinate partials of s_ij, a^{ij}, s^i_j and s_j
-    ds = [
-        [[(d2b[j][k][i] - d2b[i][k][j]) * 0.5 for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    d_ainv = [
-        [
-            [
-                -_sum(
-                    a_inv[i][p] * da[k][p][q] * a_inv[q][j]
-                    for p in range(n)
-                    for q in range(n)
-                )
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    d_sup = [
-        [
-            [
-                _sum(d_ainv[i][p][k] * s[p][j] + a_inv[i][p] * ds[p][j][k] for p in range(n))
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    d_sform = [
-        [
-            _sum(db[k][i] * s_up[i][j] + b[i] * d_sup[i][j][k] for i in range(n))
-            for k in range(n)
-        ]
-        for j in range(n)
-    ]
-
-    # covariant derivatives: 1-form s_j and (1,1)-tensor s^i_j
-    s_form_cov = [
-        [
-            d_sform[j][k] - _sum(s_form[l] * gamma[l][j][k] for l in range(n))
-            for k in range(n)
-        ]
-        for j in range(n)
-    ]
-    s_up_cov = [
-        [
-            [
-                d_sup[i][j][k]
-                + _sum(gamma[i][l][k] * s_up[l][j] for l in range(n))
-                - _sum(gamma[l][j][k] * s_up[i][l] for l in range(n))
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    table.s_form_cov = s_form_cov
-    table.s_up_cov = s_up_cov
-    return table
 
 
 def _sum(it):

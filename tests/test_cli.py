@@ -116,6 +116,34 @@ def test_a_malformed_number_names_its_option(argv, named, capsys):
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["curvature", "euclidean:n=2", "--at", "nan,0", "--dir", "1,0"], "--at"),
+    (["curvature", "euclidean:n=2", "--at", "0,0", "--dir", "inf,0"], "--dir"),
+    (["curvature", "rotation2d", "--at", "0.1,0", "--dir", "1,0", "--flag", "0,-inf"], "--flag"),
+    (["geodesic", "euclidean:n=2", "--from", "0,nan", "--dir", "1,0"], "--from"),
+    (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=0:inf:3,y=0:1:2"], "--grid axis 'x'"),
+    (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=0:1:3,y=-inf:1:2"], "--grid axis 'y'"),
+    (["navigate", "--alpha", "euclidean:n=2", "--drift", "constant:v1=nan"], "--drift component v1"),
+    (["verify", "funk:n=2", "--points", "20", "--tol", "flag_constant=inf"], "--tol flag_constant"),
+], ids=["at-nan", "dir-inf", "flag-inf", "from-nan", "grid-hi-inf", "grid-lo-inf", "drift-nan", "tol-inf"])
+def test_a_non_finite_number_is_a_usage_error_naming_its_option(argv, named, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"{named} must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,where", [
+    (["navigate", "--alpha", "euclidean:n=2", "--drift", "rotation", "--at", "5,0"], "(5.0, 0.0)"),
+    (["navigate", "--alpha", "euclidean:n=2", "--drift", "rotation", "--at", "5,0", "--dir", "1,0"],
+     "(5.0, 0.0)"),
+    (["curvature", "funk", "--at", "2,0", "--dir", "1,0"], "(2.0, 0.0)"),
+], ids=["navigate", "navigate-dir", "curvature"])
+def test_a_point_outside_the_chart_is_a_domain_error(argv, where, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert f"DomainError: point {where} outside domain" in err
+
+
 GEODESIC = ["geodesic", "euclidean:n=2", "--from", "0,0", "--dir", "1,0"]
 
 

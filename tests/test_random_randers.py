@@ -20,6 +20,7 @@ from finslerkit.metrics import (
     OneFormField,
     RandersData,
     RiemannianField,
+    fundamental_tensor,
     whole_space_domain,
 )
 
@@ -137,4 +138,5 @@ def test_riemann_operator_kernel_on_random_data(a, b, x1, x2, y1, y2):
     R = C.riemann(G, x, y)
     scale = 1.0 + np.max(np.abs(R.matrix))
     assert np.max(np.abs(R.matrix @ y)) <= 1e-8 * scale
-    assert np.max(np.abs(R.lowered - R.lowered.T)) <= 1e-8 * scale
+    lowered = fundamental_tensor(rd.finsler(), x, y).g @ R.matrix
+    assert np.max(np.abs(lowered - lowered.T)) <= 1e-8 * scale

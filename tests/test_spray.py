@@ -149,6 +149,63 @@ def test_second_order_tables_match_fd_of_first_order(entries):
     assert np.max(np.abs(sup_cov - sup_cov_fd)) <= 1e-6
 
 
+def reference_second_order_table(randers, x):
+    """(s_{j|k}, s^i_{j|k}) by product rules on raw coordinate partials: the
+    second derivatives of b_i and the derivative of a^{ij} = -a^{ip} d a_pq a^{qj}
+    replace the jet derivative of the first-order table."""
+    n = randers.dim
+    tbl = S.beta_table(randers, x, order=1)
+    b, a_inv, gamma, s, s_up, s_form = tbl.b, tbl.a_inv, tbl.gamma, tbl.s, tbl.s_up, tbl.s_form
+    da, _ = dc.derivative_blocks(lambda xs, ys: randers.alpha.matrix(xs), x, [], "x")
+    db, d2b = dc.derivative_blocks(lambda xs, ys: randers.beta.covector(xs), x, [], "x", 2)
+    R = range(n)
+
+    def total(terms):
+        terms = list(terms)
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = acc + t
+        return acc
+
+    ds = [[[(d2b[j][k][i] - d2b[i][k][j]) * 0.5 for k in R] for j in R] for i in R]
+    d_ainv = [
+        [[-total(a_inv[i][p] * da[k][p][q] * a_inv[q][j] for p in R for q in R) for k in R] for j in R]
+        for i in R
+    ]
+    d_sup = [
+        [[total(d_ainv[i][p][k] * s[p][j] + a_inv[i][p] * ds[p][j][k] for p in R) for k in R] for j in R]
+        for i in R
+    ]
+    d_sform = [[total(db[k][i] * s_up[i][j] + b[i] * d_sup[i][j][k] for i in R) for k in R] for j in R]
+    s_form_cov = [[d_sform[j][k] - total(s_form[l] * gamma[l][j][k] for l in R) for k in R] for j in R]
+    s_up_cov = [
+        [
+            [
+                d_sup[i][j][k]
+                + total(gamma[i][l][k] * s_up[l][j] for l in R)
+                - total(gamma[l][j][k] * s_up[i][l] for l in R)
+                for k in R
+            ]
+            for j in R
+        ]
+        for i in R
+    ]
+    return s_form_cov, s_up_cov
+
+
+@pytest.mark.parametrize("name,kw", RANDERS_SPECS, ids=[n for n, _ in RANDERS_SPECS])
+def test_second_order_tables_match_the_product_rule_reference(name, kw):
+    rd = gallery.make(name, **kw).randers
+    pts = rd.domain.sample_points(12, seed=29)
+    sites = [list(p) for p in pts[:4]] + [list(pts.T)]
+    for x in sites:
+        tbl = S.beta_table(rd, x, order=2)
+        for got, ref in zip((tbl.s_form_cov, tbl.s_up_cov), reference_second_order_table(rd, x)):
+            got, ref = dc.values_array(got, sites=np.shape(x[0])), dc.values_array(ref, sites=np.shape(x[0]))
+            tol = 64 * np.finfo(float).eps * max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(got - ref)) <= tol
+
+
 def test_contractions_against_direct_sums(rotation2d):
     tbl = S.beta_table(rotation2d.randers, [0.15, 0.35], order=2)
     y = [0.8, -0.6]
