@@ -23,9 +23,10 @@ from .diffcore import basis, values_array
 from .errors import FinslerError
 from .measures import s_curvature
 from .metrics import RiemannianField, ball_domain, cartan_norm, cartan_second_norm
-from .navigation import DriftField, volume_preservation_check, zermelo_general, zermelo_riemannian
-from .spray import geodesic_integrate, randers_spray, spray_from_metric
-from .verify import density_field, run_verification
+from .navigation import DriftField, radial_drift, rotation_drift, volume_preservation_check
+from .navigation import zermelo_general, zermelo_riemannian
+from .spray import geodesic_integrate
+from .verify import run_verification
 
 # grid sites per array pass of `finsler scan`: bounds its memory (a torsion-norm site is --samples points)
 SCAN_CHUNK = 128
@@ -82,12 +83,6 @@ def _emit_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _entry_and_spray(spec: str):
-    entry = gallery.parse_spec(spec)
-    G = randers_spray(entry.randers) if entry.randers is not None else spray_from_metric(entry.metric)
-    return entry, G
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -109,7 +104,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    entry, G = _entry_and_spray(args.metric)
+    entry = gallery.parse_spec(args.metric)
+    G = entry.spray
     x = _parse_vector(args.at, "--at", entry.dim)
     G.domain.require(x)
     y = _parse_direction(args.dir, entry.dim)
@@ -122,7 +118,7 @@ def cmd_curvature(args) -> int:
         "riemann": R.matrix.tolist(),
         "ricci": R.ricci,
     }
-    sigma = density_field(entry)
+    sigma = entry.density
     if sigma is not None:
         payload["s_curvature"] = s_curvature(G, sigma, x, y)
     if args.flag:
@@ -134,10 +130,10 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    entry, G = _entry_and_spray(args.metric)
+    entry = gallery.parse_spec(args.metric)
     x0 = _parse_vector(getattr(args, "from"), "--from", entry.dim)
     y0 = _parse_direction(args.dir, entry.dim)
-    traj = geodesic_integrate(G, x0, y0, T=args.time, dt=args.dt, speed_check=entry.metric)
+    traj = geodesic_integrate(entry.spray, x0, y0, T=args.time, dt=args.dt, speed_check=entry.metric)
     n = entry.dim
     header = (
         ["t"]
@@ -201,13 +197,14 @@ def _scan_values(args, entry, G, sigma, y, u, rows: np.ndarray) -> np.ndarray:
 
 
 def cmd_scan(args) -> int:
-    entry, G = _entry_and_spray(args.metric)
+    entry = gallery.parse_spec(args.metric)
+    G = entry.spray
     axes = _parse_grid(args.grid)
     if len(axes) != entry.dim:
         raise UsageError(f"grid must have {entry.dim} axes for {entry.name}")
     y = _parse_direction(args.dir, entry.dim) if args.dir else basis(entry.dim, 0)
     u = _parse_vector(args.flag, "--flag", entry.dim) if args.flag else basis(entry.dim, 1)
-    sigma = density_field(entry)
+    sigma = entry.density
     if args.quantity == "S" and sigma is None:
         raise UsageError(f"no differentiable density available for {entry.name}")
 
@@ -240,12 +237,7 @@ def cmd_scan(args) -> int:
     return 0
 
 
-_DRIFTS = {
-    "radial": lambda dom: DriftField(dom, lambda x: [-v for v in x], name="radial"),
-    "rotation": lambda dom: DriftField(
-        dom, lambda x: [-x[1], x[0]] + [0.0] * (dom.dim - 2), name="rotation"
-    ),
-}
+_DRIFTS = {"radial": radial_drift, "rotation": rotation_drift}
 
 
 def _parse_drift(spec: str, dom) -> DriftField:

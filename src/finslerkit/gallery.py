@@ -2,12 +2,15 @@
 
 Each entry couples a metric (generic Finsler field or Randers data) with
 whatever closed forms are known for it: spray coefficients, covariant tables,
-curvature constants, densities.  The references are test oracles, never code
+curvature constants, densities.  Those references are test oracles, not code
 paths: engine computations must reproduce them within module tolerances.
+An entry also carries what the engine runs on: its spray, its differentiable
+volume density and its verification-tolerance overrides.
 """
 
 from __future__ import annotations
 
+import inspect
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -28,14 +31,16 @@ from .metrics import (
     whole_space_domain,
     zero_one_form,
 )
-from .navigation import DriftField, zermelo_riemannian
+from .measures import VolumeDensity, constant_density_field, randers_density_field
+from .navigation import DriftField, radial_drift, rotation_drift, zermelo_riemannian
+from .spray import SprayField, randers_spray, spray_from_metric
 
 log = logging.getLogger("finslerkit")
 
 
 @dataclass
 class Reference:
-    """Optional analytic providers attached to a gallery entry."""
+    """Optional analytic providers of a gallery entry, its density and its tolerance overrides."""
 
     flag_curvature: Optional[float] = None     # constant K, when known
     s_curvature: Optional[float] = None        # constant S (0 for the core examples)
@@ -47,6 +52,8 @@ class Reference:
     gauss_alpha: Optional[Callable] = None     # Gauss curvature of alpha (2D)
     cartan2_profile: Optional[Callable] = None # theta -> C~ ratio profile (slab)
     ricci_fn: Optional[Callable] = None        # Ric(x, y) closed form
+    density_field: Optional[VolumeDensity] = None  # differentiable density of a non-Randers entry
+    tolerances: dict = field(default_factory=dict) # check id -> tolerance replacing the CHECKS default
 
 
 @dataclass
@@ -58,11 +65,20 @@ class GalleryEntry:
     drift: Optional[DriftField] = None        # navigation data used to build it
     source_alpha: Optional[RiemannianField] = None
     reference: Reference = field(default_factory=Reference)
-    note: str = ""
 
     @property
     def dim(self) -> int:
         return self.metric.dim
+
+    @property
+    def spray(self) -> SprayField:
+        """A new spray: the Randers closed form, else the one derived from F."""
+        return randers_spray(self.randers) if self.randers is not None else spray_from_metric(self.metric)
+
+    @property
+    def density(self) -> Optional[VolumeDensity]:
+        """The differentiable density: the Randers closed form, else the reference's."""
+        return randers_density_field(self.randers) if self.randers is not None else self.reference.density_field
 
 
 # -- helpers -------------------------------------------------------------------
@@ -109,6 +125,7 @@ def minkowski(n: int = 2, eps: float = 0.3) -> GalleryEntry:
         s_curvature=0.0,
         projectively_flat=True,
         spray=lambda x, y: [0.0] * n,
+        density_field=constant_density_field(1.0),
     )
     return GalleryEntry(
         "minkowski", {"n": n, "eps": eps},
@@ -122,7 +139,7 @@ def funk(n: int = 2) -> GalleryEntry:
     geodesics, and unit volume density."""
     dom = ball_domain(n, name=f"funk-ball{n}")
     alpha = euclidean_alpha(n, dom)
-    drift = DriftField(dom, lambda x: [-xi for xi in x], name="radial")
+    drift = radial_drift(dom)
     rd = zermelo_riemannian(alpha, drift)
     rd = RandersData(rd.alpha, rd.beta, name=f"funk{n}")
     F = rd.finsler()
@@ -131,11 +148,9 @@ def funk(n: int = 2) -> GalleryEntry:
         density=1.0,
         projectively_flat=True,
         ricci_fn=lambda x, y: -0.25 * (n - 1) * float(F(list(x), list(y))) ** 2,
+        tolerances={"flag_constant": 1e-7},
     )
-    return GalleryEntry(
-        "funk", {"n": n}, F, randers=rd, drift=drift, source_alpha=alpha, reference=ref,
-        note="shortest-time deformation of the flat ball by the inward radial field",
-    )
+    return GalleryEntry("funk", {"n": n}, F, randers=rd, drift=drift, source_alpha=alpha, reference=ref)
 
 
 def shen_flat(n: int = 2) -> GalleryEntry:
@@ -188,18 +203,11 @@ def shen_flat(n: int = 2) -> GalleryEntry:
 def _rotation_randers(n: int, dom: ChartDomain) -> tuple[RandersData, DriftField, RiemannianField]:
     """Navigation data of flat space with the rotation field (-x2, x1, 0, ...)."""
     alpha = euclidean_alpha(n, dom)
-
-    def vfield(x):
-        out = [0.0] * n
-        out[0] = -x[1]
-        out[1] = x[0]
-        return out
-
-    drift = DriftField(dom, vfield, name="rotation")
+    drift = rotation_drift(dom)
 
     def matrix(x):
         delta = 1.0 - (x[0] * x[0] + x[1] * x[1])
-        w = vfield(x)
+        w = drift(x)
         return [
             [(w[i] * w[j] + (delta if i == j else 0.0)) / (delta * delta) for j in range(n)]
             for i in range(n)
@@ -276,8 +284,7 @@ def rotation2d() -> GalleryEntry:
         gauss_alpha=lambda x: -(5.0 + x[0] ** 2 + x[1] ** 2) / (1.0 - x[0] ** 2 - x[1] ** 2),
     )
     return GalleryEntry(
-        "rotation2d", {}, rd.finsler(), randers=rd, drift=drift, source_alpha=alpha,
-        reference=ref, note="unit disk stirred by the rotation field (-y, x)",
+        "rotation2d", {}, rd.finsler(), randers=rd, drift=drift, source_alpha=alpha, reference=ref,
     )
 
 
@@ -296,8 +303,7 @@ def cylinder(n: int = 3) -> GalleryEntry:
         spray=_rotation_spray(n),
     )
     return GalleryEntry(
-        "cylinder", {"n": n}, rd.finsler(), randers=rd, drift=drift, source_alpha=alpha,
-        reference=ref, note="rotating tank: drift (-y, x, 0, ...) on the solid cylinder",
+        "cylinder", {"n": n}, rd.finsler(), randers=rd, drift=drift, source_alpha=alpha, reference=ref,
     )
 
 
@@ -346,9 +352,7 @@ def bao_shen_s3(eps: float = 0.3) -> GalleryEntry:
     rd = RandersData(rd.alpha, rd.beta, name=f"bao-shen-s3({eps})")
     ref = Reference(flag_curvature=1.0, s_curvature=0.0, projectively_flat=False)
     return GalleryEntry(
-        "bao_shen_s3", {"eps": eps}, rd.finsler(), randers=rd, drift=drift,
-        source_alpha=alpha, reference=ref,
-        note="round sphere in central projection, drifted along the quaternionic frame",
+        "bao_shen_s3", {"eps": eps}, rd.finsler(), randers=rd, drift=drift, source_alpha=alpha, reference=ref,
     )
 
 
@@ -405,11 +409,19 @@ def names() -> list[str]:
 
 
 def make(name: str, **params) -> GalleryEntry:
-    """Build a gallery entry by name; raises ValueError for unknown names or
+    """Build a gallery entry by name; raises ValueError for unknown names,
+    unknown parameters, a non-integer value of an integer parameter or
     out-of-range parameters."""
     key = name.replace("-", "_")
     if key not in _BUILDERS:
         raise ValueError(f"unknown gallery metric {name!r}; known: {', '.join(names())}")
+    accepted = inspect.signature(_BUILDERS[key]).parameters
+    for k, v in params.items():
+        if k not in accepted or (accepted[k].annotation == "int" and not isinstance(v, (int, np.integer))):
+            spec = ":".join([name, ",".join(f"{p}={q}" for p, q in params.items())])
+            problem = f"has no parameter {k!r}" if k not in accepted else f"needs an integer {k}, got {v!r}"
+            accepts = ", ".join(accepted) or "no parameters"
+            raise ValueError(f"metric spec {spec!r} {problem}; {name} accepts: {accepts}")
     return _BUILDERS[key](**params)
 
 

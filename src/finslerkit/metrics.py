@@ -20,7 +20,6 @@ from . import _linalg
 from .diffcore import derivative_blocks, directional_derivatives, sqrt, value, values_array
 from .errors import DomainError, MetricError
 
-BOUNDARY_BETA_GUARD = 1.0 - 1e-12
 # points of a sites x samples torsion grid evaluated in one array pass
 TORSION_CHUNK = 4096
 
@@ -197,12 +196,6 @@ def beta_norm(randers: RandersData, x):
     b = [value(e) for e in randers.beta.covector(x)]
     a_inv, _ = _linalg.spd_factor(a)
     return sqrt(np.maximum(_linalg.quad_form(a_inv, b, b), 0.0))
-
-
-def require_valid_randers(randers: RandersData, x) -> None:
-    nb = beta_norm(randers, x)
-    if nb >= BOUNDARY_BETA_GUARD:
-        raise MetricError(f"||beta||_alpha = {nb} at {tuple(x)}: metric degenerates")
 
 
 # -- fundamental tensor -----------------------------------------------------

@@ -41,6 +41,17 @@ class DriftField:
         return self.func(x)
 
 
+def radial_drift(domain: ChartDomain) -> DriftField:
+    """The inward radial field v = -x."""
+    return DriftField(domain, lambda x: [-c for c in x], name="radial")
+
+
+def rotation_drift(domain: ChartDomain) -> DriftField:
+    """The rotation field v = (-x2, x1, 0, ...) in the plane of the first two axes."""
+    n = domain.dim
+    return DriftField(domain, lambda x: [-x[1], x[0]] + [0.0] * (n - 2), name="rotation")
+
+
 # -- closed form for Riemannian sources -----------------------------------------
 
 

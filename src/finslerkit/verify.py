@@ -3,11 +3,12 @@
 Runs every check applicable to a metric (homogeneity, positive definiteness,
 spray cross-oracles, curvature and S-curvature identities, torsion bounds,
 volume checks) with seeded sampling and produces a machine-readable report.
-CHECKS lists every check id with its claim and default tolerance; six check
-groups yield the residuals of the checks that apply.  Each check evaluates
-all its sites in one array pass and carries the mathematical claim it
-certifies, the sample count, seed, tolerance, and the worst residual
-observed; it passes only on a finite residual within tolerance.
+CHECKS lists every check id with its claim and default tolerance; the entry
+supplies its spray, density (the S checks need one) and tolerance overrides;
+six check groups yield the residuals of the checks that apply.  Each check
+evaluates all its sites in one array pass and carries the claim it certifies,
+the sample count, seed, tolerance, and the worst residual observed; it passes
+only on a finite residual within tolerance.
 """
 
 from __future__ import annotations
@@ -31,16 +32,14 @@ from .errors import DegenerateFlagError
 from .gallery import GalleryEntry
 from .measures import (
     bh_density_mc,
-    constant_density_field,
     randers_density,
-    randers_density_field,
     randers_s_curvature,
     s_curvature,
     s_curvature_dynamic,
     s_zero_criterion,
 )
 from .metrics import metric_entries
-from .spray import geodesic_integrate, projective_residual, randers_spray, spray_from_metric
+from .spray import geodesic_integrate, projective_residual, spray_from_metric
 
 log = logging.getLogger("finslerkit")
 
@@ -115,15 +114,6 @@ def _sample_sites(entry: GalleryEntry, n: int, seed: int):
     return pts, dirs
 
 
-def density_field(entry: GalleryEntry):
-    """The differentiable volume density of a gallery entry, or None."""
-    if entry.randers is not None:
-        return randers_density_field(entry.randers)
-    if entry.name == "minkowski":
-        return constant_density_field(1.0)
-    return None
-
-
 def _cols(mat: np.ndarray) -> list:
     return [mat[:, i] for i in range(mat.shape[1])]
 
@@ -164,7 +154,7 @@ class _Battery:
     def __init__(self, entry: GalleryEntry, points: int, seed: int):
         self.entry, self.points, self.seed = entry, points, seed
         self.F, self.rd, self.ref = entry.metric, entry.randers, entry.reference
-        self.G = randers_spray(self.rd) if self.rd is not None else spray_from_metric(self.F)
+        self.G = entry.spray
         self.n_small = max(MIN_POINTS, points // 10)
         self.pts, self.dirs = _sample_sites(entry, points, seed)
         self.x, self.y = _cols(self.pts[: self.n_small]), _cols(self.dirs[: self.n_small])
@@ -217,7 +207,7 @@ def _curvature_checks(b: _Battery):
 
 
 def _s_checks(b: _Battery):
-    sigma = density_field(b.entry)
+    sigma = b.entry.density
     if sigma is not None and b.ref.s_curvature == 0.0:
         yield "s_zero", len(b.pts), max_s_residual(b.G, sigma, b.pts, b.dirs)
     if b.rd is None:
@@ -291,15 +281,13 @@ _GROUPS = (_metric_checks, _curvature_checks, _s_checks, _torsion_checks, _volum
 
 
 def _tolerances(entry: GalleryEntry, tol_overrides: dict) -> dict:
-    """The tolerance of every check: the CHECKS default, funk's flag_constant
-    1e-7, then the overrides; an unknown override id raises ValueError."""
+    """The tolerance of every check: the CHECKS default, then the entry's
+    tolerances, then the overrides; an unknown override id raises ValueError."""
     unknown = sorted(set(tol_overrides) - set(CHECKS))
     if unknown:
         raise ValueError(f"unknown check id(s) {', '.join(unknown)}; known: {', '.join(sorted(CHECKS))}")
     tols = {check_id: tol for check_id, (_, tol) in CHECKS.items()}
-    if entry.name == "funk":
-        tols["flag_constant"] = 1e-7
-    return {**tols, **tol_overrides}
+    return {**tols, **entry.reference.tolerances, **tol_overrides}
 
 
 def run_verification(

@@ -28,7 +28,7 @@ SEED = 5
 def reference_residuals(entry, points, seed):
     """Residual of every batched check, from per-site loops."""
     ref, F, rd = entry.reference, entry.metric, entry.randers
-    G = S.randers_spray(rd) if rd is not None else S.spray_from_metric(F)
+    G = entry.spray
     n_small = max(10, points // 10)
     pts, dirs = _sample_sites(entry, points, seed)
     small = [(list(x), list(y)) for x, y in zip(pts[:n_small], dirs[:n_small])]
@@ -86,9 +86,7 @@ def reference_residuals(entry, points, seed):
             for r in [C.riemann(G, x, y).ricci]
         )
 
-    sigma = ME.randers_density_field(rd) if rd is not None else None
-    if entry.name == "minkowski":
-        sigma = ME.constant_density_field(1.0)
+    sigma = entry.density
     if sigma is not None and ref.s_curvature == 0.0:
         out["s_zero"] = max(abs(ME.s_curvature(G, sigma, x, y)) for x, y in every)
 

@@ -54,6 +54,18 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(["curvature", "funk", "--at", "0.1", "--dir", "1,0"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("spec,named", [
+    ("funk:m=2", "has no parameter 'm'; funk accepts: n"),
+    ("rotation2d:n=2", "has no parameter 'n'; rotation2d accepts: no parameters"),
+    ("euclidean:n=2.0", "needs an integer n, got 2.0; euclidean accepts: n"),
+    ("cylinder:n=3.5", "needs an integer n, got 3.5; cylinder accepts: n"),
+], ids=["unknown-parameter", "no-parameters", "float-n", "fractional-n"])
+def test_a_mistyped_metric_spec_is_a_usage_error(spec, named, capsys):
+    code, out, err = run_cli(["verify", spec], capsys)
+    assert code == 2 and out == ""
+    assert f"metric spec {spec!r} {named}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("metric", ["euclidean:n=2", "shen_flat"])
 def test_zero_direction_is_a_usage_error(metric, capsys):
     code, out, err = run_cli(["curvature", metric, "--at", "0.1,0", "--dir", "0,0"], capsys)

@@ -126,9 +126,7 @@ def reference_riemann(G, x, y):
 
 
 def spray_of(entry, kind):
-    if kind == "default" and entry.randers is not None:
-        return S.randers_spray(entry.randers)
-    return S.spray_from_metric(entry.metric)
+    return entry.spray if kind == "default" else S.spray_from_metric(entry.metric)
 
 
 @pytest.mark.parametrize("kind", ["default", "generic"])
@@ -312,7 +310,7 @@ def test_flag_curvature_matches_the_matrix_formula(entries, name):
     generic path; they differ by rounding, bounded through the reference's
     term magnitudes T by 64 eps (|u.g| T |u|) / denom."""
     entry = entries[name]
-    G = S.randers_spray(entry.randers) if entry.randers is not None else S.spray_from_metric(entry.metric)
+    G = entry.spray
     rng = np.random.default_rng(29)
     pts, dirs = sample_sites(entry, 3, seed=29)
     for x, y in zip(pts, dirs):

@@ -359,12 +359,6 @@ def test_randers_field_is_alpha_plus_beta(rotation2d):
     assert rd.finsler()(x, y) == rd.alpha.norm(x, y) + rd.beta.pairing(x, y)
 
 
-def test_boundary_beta_guard(rotation2d):
-    x_near = [1.0 - 1e-13, 0.0]
-    with pytest.raises(MetricError):
-        M.require_valid_randers(rotation2d.randers, x_near)
-
-
 # -- 0-homogeneity and recovery invariants ---------------------------------------------
 
 

@@ -25,10 +25,6 @@ def _bits(values):
     return [(type(v).__name__, float(v).hex()) for v in values]
 
 
-def _spray(entry):
-    return S.randers_spray(entry.randers) if entry.randers is not None else S.spray_from_metric(entry.metric)
-
-
 def _replay(fn):
     notes = []
     return dc.Replay(fn, notes.append), notes
@@ -43,7 +39,7 @@ def _site(dim, box):
 @pytest.mark.parametrize("name,params", GALLERY_SPECS)
 def test_replay_equals_direct_evaluation(name, params):
     entry = gallery.make(name, **params)
-    G, F = _spray(entry), entry.metric
+    G, F = entry.spray, entry.metric
     site = _site(entry.dim, entry.metric.domain.sample_box)
 
     @settings(max_examples=15, deadline=None)
@@ -66,7 +62,7 @@ def _unrecordable(field):
 
 def test_battery_trajectory_equals_the_unrecorded_one(caplog):
     entry = gallery.make("bao_shen_s3")
-    G, F = _spray(entry), entry.metric
+    G, F = entry.spray, entry.metric
     x0, y0 = [0.31, -0.22, 0.4], [0.2, 0.35, -0.15]
     fast = S.geodesic_integrate(G, x0, y0, T=0.5, dt=2e-3, speed_check=F, speed_rtol=0.5)
     with caplog.at_level(logging.DEBUG, logger="finslerkit"):
@@ -206,7 +202,7 @@ def test_an_ensemble_logs_a_guard_that_fails_on_one_row(caplog):
 
 def test_an_ensemble_trajectory_equals_the_unrecorded_one(caplog):
     entry = gallery.make("bao_shen_s3")
-    G, F = _spray(entry), entry.metric
+    G, F = entry.spray, entry.metric
     x0, y0 = _columns(entry, 4, 3)
     x0, y0 = np.array(x0).T, 0.5 * np.array(y0).T
     with caplog.at_level(logging.DEBUG, logger="finslerkit"):

@@ -278,8 +278,7 @@ def test_q_term_is_divergence_free(rotation2d):
 
 def test_spray_two_homogeneity(entries):
     for entry in entries.values():
-        G = (S.randers_spray(entry.randers) if entry.randers is not None
-             else S.spray_from_metric(entry.metric))
+        G = entry.spray
         pts, dirs = sample_sites(entry, 10, seed=37)
         for x, y in zip(pts, dirs):
             base = np.array([float(v) for v in G(list(x), list(y))])

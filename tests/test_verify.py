@@ -1,12 +1,13 @@
 """The verification battery's reductions: NaN residuals and degenerate samples fail."""
 
+import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
 
-from finslerkit import verify
+from finslerkit import gallery, verify
 from finslerkit.errors import DegenerateFlagError
 from finslerkit.spray import randers_spray
 
@@ -56,3 +57,19 @@ def test_reports_follow_the_check_table(rotation2d):
     claims = {c.check_id: c.claim for c in report.checks}
     assert claims["flag_constant"] == "flag curvature equals 0.0"
     assert claims["g_zero_homogeneity"] == "g_{t y} = g_y for t > 0"
+
+
+@pytest.mark.parametrize("name,check_id,tolerance", [
+    ("minkowski", "s_zero", verify.CHECKS["s_zero"][1]),
+    ("funk", "flag_constant", 1e-7),
+], ids=["minkowski", "funk"])
+def test_a_renamed_entry_verifies_like_the_original(name, check_id, tolerance):
+    """The battery reads an entry's density and tolerances from the entry,
+    never from its name; every tolerance an entry overrides is a check id."""
+    entry = gallery.make(name)
+    original = verify.run_verification(entry, points=20, seed=3).to_dict()
+    renamed = verify.run_verification(dataclasses.replace(entry, name="renamed"), points=20, seed=3).to_dict()
+    assert renamed == {**original, "metric": "renamed"}
+    assert {c["check_id"]: c["tolerance"] for c in renamed["checks"]}[check_id] == tolerance
+    for known in gallery.names():
+        assert set(gallery.make(known).reference.tolerances) <= set(verify.CHECKS), known
