@@ -8,8 +8,12 @@ be written with ordinary arithmetic plus the generic `sqrt`/`log`/`exp`/
 on numpy arrays (batched points), on jets and on the recorded floats that
 `Replay` replays.
 
-A fully independent finite-difference oracle (`fd_oracle`) mirrors `jet_eval`
-for cross-validation; it never touches jet arithmetic.
+`directional_derivatives` seeds jets along given directions and returns a
+`TaylorResult` whose `partial` reads any mixed partial up to the seeded
+orders; `derivative_blocks` (gradient and Hessian blocks in x or y) and
+`joint_derivative` (one derivative along a joint (dx, dy) direction) are built
+on it.  The finite-difference oracle that cross-checks the jets lives with
+the tests (`tests/fd_oracle.py`).
 """
 
 from __future__ import annotations
@@ -18,15 +22,11 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, OrderCapError
-
-X_ORDER_CAP = 2
-Y_ORDER_CAP = 4
+from .errors import OrderCapError
 
 _TAGS = itertools.count(1)
 
@@ -641,130 +641,3 @@ def values_array(entries, sites: tuple = ()) -> np.ndarray:
     site_shape = np.broadcast_shapes(tuple(sites), *(v.shape for v in leaves))
     return np.stack([np.broadcast_to(v, site_shape) for v in leaves])[where]
 
-
-# -- public request / value types ------------------------------------------
-
-
-@dataclass(frozen=True)
-class JetRequest:
-    """A mixed partial-derivative query at a chart point and tangent vector."""
-
-    base_x: tuple
-    base_y: tuple
-    orders_x: tuple
-    orders_y: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "base_x", tuple(float(v) for v in self.base_x))
-        object.__setattr__(self, "base_y", tuple(float(v) for v in self.base_y))
-        object.__setattr__(self, "orders_x", tuple(int(k) for k in self.orders_x))
-        object.__setattr__(self, "orders_y", tuple(int(k) for k in self.orders_y))
-        if len(self.orders_x) != len(self.base_x) or len(self.orders_y) != len(self.base_y):
-            raise ValueError("order multi-indices must match coordinate dimensions")
-        if any(k < 0 for k in self.orders_x + self.orders_y):
-            raise ValueError("derivative orders must be non-negative")
-        if sum(self.orders_x) > X_ORDER_CAP:
-            raise OrderCapError(
-                f"total x-order {sum(self.orders_x)} exceeds cap {X_ORDER_CAP}"
-            )
-        if sum(self.orders_y) > Y_ORDER_CAP:
-            raise OrderCapError(
-                f"total y-order {sum(self.orders_y)} exceeds cap {Y_ORDER_CAP}"
-            )
-
-
-@dataclass
-class JetValue:
-    """Field value plus every requested mixed partial (componentwise-below)."""
-
-    value: float
-    partials: dict = field(default_factory=dict)
-
-    def partial(self, orders_x: Sequence[int], orders_y: Sequence[int]) -> float:
-        return self.partials[(tuple(orders_x), tuple(orders_y))]
-
-
-def _sub_multi_indices(orders):
-    return itertools.product(*(range(k + 1) for k in orders))
-
-
-def jet_eval(f: Callable, req: JetRequest) -> JetValue:
-    """Evaluate a scalar field and its mixed partials via jet arithmetic.
-
-    Returns every partial with multi-index componentwise at most the request.
-    Deterministic and exact to floating point rounding for smooth fields.
-    """
-    # one jet per coordinate with a nonzero order: x coordinates, then y
-    xi = [i for i, k in enumerate(req.orders_x) if k > 0]
-    yi = [i for i, k in enumerate(req.orders_y) if k > 0]
-    x_dirs = [(basis(len(req.base_x), i), req.orders_x[i]) for i in xi]
-    y_dirs = [(basis(len(req.base_y), i), req.orders_y[i]) for i in yi]
-    try:
-        res = directional_derivatives(f, req.base_x, req.base_y, x_dirs, y_dirs)
-    except DomainError as e:
-        raise DomainError(f"field evaluation failed at x={req.base_x}, y={req.base_y}: {e}") from e
-    out = {}
-    for ox in _sub_multi_indices(req.orders_x):
-        for oy in _sub_multi_indices(req.orders_y):
-            multi = [ox[i] for i in xi] + [oy[i] for i in yi]
-            out[(ox, oy)] = float(value(res.partial(multi)))
-    zero = (tuple(0 for _ in req.orders_x), tuple(0 for _ in req.orders_y))
-    return JetValue(value=out[zero], partials=out)
-
-
-# -- finite-difference oracle ----------------------------------------------
-
-_STENCILS = {
-    0: ((0, 1.0),),
-    1: ((1, 0.5), (-1, -0.5)),
-    2: ((1, 1.0), (0, -2.0), (-1, 1.0)),
-    3: ((2, 0.5), (1, -1.0), (-1, 1.0), (-2, -0.5)),
-    4: ((2, 1.0), (1, -4.0), (0, 6.0), (-1, -4.0), (-2, 1.0)),
-}
-
-
-def _fd_single(f, x, y, orders_x, orders_y, h):
-    """Tensor-product central-difference estimate, O(h^2)."""
-    axes = [("x", i, k) for i, k in enumerate(orders_x) if k > 0]
-    axes += [("y", i, k) for i, k in enumerate(orders_y) if k > 0]
-    total = 0.0
-    for combo in itertools.product(*(_STENCILS[k] for (_, _, k) in axes)):
-        xs = list(x)
-        ys = list(y)
-        w = 1.0
-        for (kind, i, k), (shift, wgt) in zip(axes, combo):
-            if kind == "x":
-                xs[i] = xs[i] + shift * h
-            else:
-                ys[i] = ys[i] + shift * h
-            w *= wgt / h**k
-        total += w * f(xs, ys)
-    return total
-
-
-# Cancellation noise in a central stencil of total order d grows like eps/h^d,
-# so a single step cannot serve every order: 1e-4 is right up to d=2 but
-# useless at d=4.  Auto steps balance truncation (O(h^4) after Richardson)
-# against cancellation per total order.
-_AUTO_STEPS = {0: 1e-4, 1: 1e-4, 2: 1e-4, 3: 5e-3, 4: 2e-2, 5: 4e-2, 6: 6e-2}
-
-
-def fd_oracle(f: Callable, req: JetRequest, step: float | None = None) -> JetValue:
-    """Central-difference derivative oracle with one Richardson level.
-
-    Error is O(step^4) for smooth fields; entirely independent of the jet
-    machinery.  With ``step=None`` each partial uses a step suited to its
-    total order.  Raises DomainError if the stencil leaves the field's
-    domain.
-    """
-    if step is not None and step <= 0:
-        raise ValueError("step must be positive")
-    out = {}
-    for ox in _sub_multi_indices(req.orders_x):
-        for oy in _sub_multi_indices(req.orders_y):
-            h = step if step is not None else _AUTO_STEPS[sum(ox) + sum(oy)]
-            coarse = _fd_single(f, req.base_x, req.base_y, ox, oy, h)
-            fine = _fd_single(f, req.base_x, req.base_y, ox, oy, h / 2.0)
-            out[(ox, oy)] = (4.0 * fine - coarse) / 3.0
-    zero = (tuple(0 for _ in req.orders_x), tuple(0 for _ in req.orders_y))
-    return JetValue(value=out[zero], partials=out)

@@ -6,11 +6,11 @@ class FinslerError(Exception):
 
 
 class OrderCapError(FinslerError, ValueError):
-    """A derivative request exceeds the supported order caps."""
+    """A partial of higher order than its jets were seeded to."""
 
 
 class DomainError(FinslerError):
-    """A chart point (or a finite-difference stencil) left the chart domain."""
+    """A chart point left the chart domain."""
 
 
 class MetricError(FinslerError):

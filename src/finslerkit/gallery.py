@@ -84,6 +84,11 @@ class GalleryEntry:
 # -- helpers -------------------------------------------------------------------
 
 
+def _require_dim(name: str, n: int, least: int) -> None:
+    if n < least:
+        raise ValueError(f"{name} requires n >= {least}, got n={n}")
+
+
 def euclidean_alpha(n: int, domain: Optional[ChartDomain] = None) -> RiemannianField:
     dom = domain or whole_space_domain(n)
     eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
@@ -95,6 +100,7 @@ def euclidean_alpha(n: int, domain: Optional[ChartDomain] = None) -> RiemannianF
 
 def euclidean(n: int = 2) -> GalleryEntry:
     """Flat Euclidean norm; everything vanishes."""
+    _require_dim("euclidean", n, 2)
     alpha = euclidean_alpha(n)
     rd = RandersData(alpha, zero_one_form(alpha.domain), name=f"euclidean{n}")
     ref = Reference(
@@ -111,6 +117,7 @@ def minkowski(n: int = 2, eps: float = 0.3) -> GalleryEntry:
     """An x-independent (locally Minkowskian) non-Riemannian norm:
     F = sqrt(|y|^2 + eps * (sum y_i^4) / |y|^2).  Flat and S-free but with
     nonvanishing Cartan torsion."""
+    _require_dim("minkowski", n, 2)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     dom = whole_space_domain(n)
@@ -137,6 +144,7 @@ def funk(n: int = 2) -> GalleryEntry:
     """Navigation metric of the Euclidean ball with inward radial drift
     v = -x: unit-ball metric with constant flag curvature -1/4, straight
     geodesics, and unit volume density."""
+    _require_dim("funk", n, 2)
     dom = ball_domain(n, name=f"funk-ball{n}")
     alpha = euclidean_alpha(n, dom)
     drift = radial_drift(dom)
@@ -164,6 +172,7 @@ def shen_flat(n: int = 2) -> GalleryEntry:
     logged at debug level on the "finslerkit" logger, except where a replay
     (diffcore.Replay) repeats a recorded one.
     """
+    _require_dim("shen_flat", n, 2)
     dom = ball_domain(n, name=f"shen-ball{n}")
 
     def func(x, y):
@@ -291,8 +300,7 @@ def rotation2d() -> GalleryEntry:
 def cylinder(n: int = 3) -> GalleryEntry:
     """Rotating-cylinder metric in dimension n >= 3: the first two coordinates
     carry the rotation, the rest are flat; K = 0 and S = 0."""
-    if n < 3:
-        raise ValueError("cylinder requires n >= 3")
+    _require_dim("cylinder", n, 3)
     dom = cylinder_domain(n)
     rd, drift, alpha = _rotation_randers(n, dom)
     ref = Reference(
@@ -432,13 +440,16 @@ def parse_spec(spec: str) -> GalleryEntry:
     if rest:
         for item in rest.split(","):
             k, eq, v = item.partition("=")
+            k = k.strip()
             if not eq:
                 raise ValueError(f"malformed parameter {item!r} in metric spec {spec!r}")
+            if k in params:
+                raise ValueError(f"repeated parameter {k!r} in metric spec {spec!r}")
             try:
-                params[k.strip()] = int(v)
+                params[k] = int(v)
             except ValueError:
                 try:
-                    params[k.strip()] = float(v)
+                    params[k] = float(v)
                 except ValueError:
                     raise ValueError(f"non-numeric parameter {item!r} in metric spec {spec!r}")
     return make(name.strip(), **params)

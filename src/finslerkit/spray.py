@@ -34,16 +34,12 @@ log = logging.getLogger("finslerkit")
 class SprayField:
     """Geodesic coefficients G^i(x, y) as an evaluable vector field.
 
-    `provenance` records how the coefficients were built:
-    generic-from-F, randers-closed-form, levi-civita or analytic-gallery.
     `site`, when given, maps x to y -> func(x, y) with the work that depends
     on x alone done once.
     """
 
     domain: ChartDomain
     func: Callable
-    provenance: str
-    metric: Optional[FinslerField] = None
     site: Optional[Callable] = None
 
     def __call__(self, x, y):
@@ -82,7 +78,7 @@ def spray_from_metric(F: FinslerField) -> SprayField:
         ]
         return [0.25 * _linalg.sum_prod(g_inv[i], rhs) for i in range(n)]
 
-    return SprayField(F.domain, G, provenance="generic-from-F", metric=F)
+    return SprayField(F.domain, G)
 
 
 # -- Levi-Civita data ----------------------------------------------------------
@@ -130,7 +126,7 @@ def levi_civita_spray(alpha: RiemannianField) -> SprayField:
 
         return G
 
-    return SprayField(alpha.domain, lambda x, y: at(x)(y), "levi-civita", alpha.finsler(), site=at)
+    return SprayField(alpha.domain, lambda x, y: at(x)(y), site=at)
 
 
 # -- covariant tables for beta -------------------------------------------------
@@ -311,10 +307,7 @@ def randers_spray(randers: RandersData) -> SprayField:
 
         return G
 
-    return SprayField(
-        randers.domain, lambda x, y: at(x)(y), provenance="randers-closed-form",
-        metric=randers.finsler(), site=at,
-    )
+    return SprayField(randers.domain, lambda x, y: at(x)(y), site=at)
 
 
 # -- geodesics -----------------------------------------------------------------

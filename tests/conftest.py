@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from finslerkit import gallery
+from finslerkit.diffcore import basis, directional_derivatives
+
+from fd_oracle import sub_multi_indices
 
 GALLERY_SPECS = [
     ("euclidean", {"n": 2}),
@@ -51,6 +54,24 @@ def sample_sites(entry, n, seed):
     dirs = rng.normal(size=(n, entry.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     return pts, dirs
+
+
+def jet_partials(f, x, y, orders_x, orders_y) -> dict:
+    """Every mixed partial of f at (x, y) componentwise at most (orders_x,
+    orders_y), keyed like `fd_oracle.fd_partials`, from one
+    directional_derivatives call with a jet per coordinate of nonzero order."""
+    xi = [i for i, k in enumerate(orders_x) if k > 0]
+    yi = [i for i, k in enumerate(orders_y) if k > 0]
+    res = directional_derivatives(
+        f, [float(v) for v in x], [float(v) for v in y],
+        [(basis(len(x), i), orders_x[i]) for i in xi],
+        [(basis(len(y), i), orders_y[i]) for i in yi],
+    )
+    return {
+        (ox, oy): float(res.partial([ox[i] for i in xi] + [oy[i] for i in yi]))
+        for ox in sub_multi_indices(orders_x)
+        for oy in sub_multi_indices(orders_y)
+    }
 
 
 def disk_sites(n, seed, radius=0.95, dim=2, z_extent=0.0):

@@ -66,6 +66,20 @@ def test_a_mistyped_metric_spec_is_a_usage_error(spec, named, capsys):
     assert f"metric spec {spec!r} {named}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["euclidean", "minkowski", "funk", "shen_flat"])
+def test_a_one_dimensional_spec_is_a_usage_error(name, capsys):
+    # a 1-D entry has no flags, so the battery could not run its curvature checks
+    code, out, err = run_cli(["verify", f"{name}:n=1", "--points", "10"], capsys)
+    assert code == 2 and out == ""
+    assert f"{name} requires n >= 2, got n=1" in err and "Traceback" not in err
+
+
+def test_a_repeated_spec_parameter_is_a_usage_error(capsys):
+    code, out, err = run_cli(["verify", "funk:n=2,n=3", "--points", "10"], capsys)
+    assert code == 2 and out == ""
+    assert "repeated parameter 'n' in metric spec 'funk:n=2,n=3'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("metric", ["euclidean:n=2", "shen_flat"])
 def test_zero_direction_is_a_usage_error(metric, capsys):
     code, out, err = run_cli(["curvature", metric, "--at", "0.1,0", "--dir", "0,0"], capsys)

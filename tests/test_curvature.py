@@ -64,9 +64,7 @@ def test_cylinder_riemann_vanishes(cylinder3):
 
 def test_cylinder_third_row_is_exactly_zero(cylinder3):
     # with the closed-form spray, G^3 = 0 identically, so row 3 of R is 0
-    G = S.SprayField(
-        cylinder3.metric.domain, cylinder3.reference.spray, provenance="analytic-gallery",
-    )
+    G = S.SprayField(cylinder3.metric.domain, cylinder3.reference.spray)
     R = C.riemann(G, [0.2, -0.3, 0.5], [0.7, 0.1, -0.4])
     np.testing.assert_array_equal(R.matrix[2], np.zeros(3))
 
@@ -156,7 +154,7 @@ def counting_spray(n):
         calls.append(1)
         return [x[(i + 1) % n] * y[i] * y[(i + 1) % n] + y[i] * y[0] for i in range(n)]
 
-    return S.SprayField(ball_domain(n), G, provenance="test"), calls
+    return S.SprayField(ball_domain(n), G), calls
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -222,7 +220,6 @@ def test_ricci_2d_takes_only_the_blocks_it_reads(monkeypatch):
     G = S.SprayField(
         ball_domain(2),
         lambda x, y: [x[1] * y[0] * y[1] + y[0] * y[0], x[0] * y[1] * y[1]],
-        provenance="test",
     )
     calls = []
     real = diffcore.directional_derivatives

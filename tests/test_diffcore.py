@@ -1,5 +1,6 @@
 """Jet evaluation against exact values and the finite-difference oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,36 +12,36 @@ from finslerkit import diffcore as dc
 from finslerkit import gallery
 from finslerkit.errors import OrderCapError
 
-from conftest import GALLERY_SPECS, sample_sites
+from conftest import GALLERY_SPECS, jet_partials, sample_sites
+from fd_oracle import fd_partials
 
 
 def test_quadratic_form_second_derivative():
     f = lambda x, y: y[0] * y[0] + y[1] * y[1]
-    req = dc.JetRequest((0.0, 0.0), (0.3, -0.2), (0, 0), (2, 0))
-    assert dc.jet_eval(f, req).partial((0, 0), (2, 0)) == pytest.approx(2.0, abs=1e-14)
+    res = dc.directional_derivatives(f, [0.0, 0.0], [0.3, -0.2], y_dirs=[([1.0, 0.0], 2)])
+    assert res.partial([2]) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_polynomial_mixed_partial():
     f = lambda x, y: x[0] * y[0] * y[0]
-    req = dc.JetRequest((1.0, 0.0), (3.0, 0.0), (1, 0), (1, 0))
-    assert dc.jet_eval(f, req).partial((1, 0), (1, 0)) == pytest.approx(6.0, abs=1e-14)
+    e0 = [1.0, 0.0]
+    res = dc.directional_derivatives(f, [1.0, 0.0], [3.0, 0.0], x_dirs=[(e0, 1)], y_dirs=[(e0, 1)])
+    assert res.partial([1, 1]) == pytest.approx(6.0, abs=1e-14)
 
 
 def test_funk_mixed_partials_match_fd():
     F = gallery.funk(2).metric
     x, y = (0.21, -0.13), (0.8, 0.55)
     for ox, oy in [((1, 0), (1, 0)), ((0, 1), (0, 2)), ((2, 0), (0, 0)), ((0, 0), (2, 1))]:
-        req = dc.JetRequest(x, y, ox, oy)
-        jv = dc.jet_eval(F.func, req)
-        fv = dc.fd_oracle(F.func, req)
-        for key in jv.partials:
-            assert jv.partials[key] == pytest.approx(fv.partials[key], abs=1e-6)
+        jv = jet_partials(F.func, x, y, ox, oy)
+        fv = fd_partials(F.func, x, y, ox, oy)
+        for key in jv:
+            assert jv[key] == pytest.approx(fv[key], abs=1e-6)
 
 
 def test_fd_quadratic_with_explicit_step():
     f = lambda x, y: y[0] * y[0] + y[1] * y[1]
-    req = dc.JetRequest((0.0, 0.0), (1.0, 2.0), (0, 0), (2, 0))
-    got = dc.fd_oracle(f, req, step=1e-3).partial((0, 0), (2, 0))
+    got = fd_partials(f, (0.0, 0.0), (1.0, 2.0), (0, 0), (2, 0), step=1e-3)[((0, 0), (2, 0))]
     assert got == pytest.approx(2.0, abs=1e-8)
 
 
@@ -49,17 +50,15 @@ def test_fd_slab_fourth_order_partials():
     th = math.pi / 3.0
     y = (math.cos(th), math.sin(th))
     for oy in [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]:
-        req = dc.JetRequest((0.0, 0.0), y, (0, 0), oy)
-        jv = dc.jet_eval(F2, req).partial((0, 0), oy)
-        fv = dc.fd_oracle(F2, req).partial((0, 0), oy)
+        jv = jet_partials(F2, (0.0, 0.0), y, (0, 0), oy)[((0, 0), oy)]
+        fv = fd_partials(F2, (0.0, 0.0), y, (0, 0), oy)[((0, 0), oy)]
         assert jv == pytest.approx(fv, abs=1e-5)
 
 
 def test_fd_constant_field_is_flat():
     f = lambda x, y: 3.25
-    req = dc.JetRequest((0.1,), (0.7,), (2,), (2,))
-    out = dc.fd_oracle(f, req)
-    for key, val in out.partials.items():
+    out = fd_partials(f, (0.1,), (0.7,), (2,), (2,))
+    for key, val in out.items():
         if key != ((0,), (0,)):
             assert val == pytest.approx(0.0, abs=1e-10)
 
@@ -91,14 +90,13 @@ def test_derivative_blocks_match_jet_eval_and_fd(wrt, order):
     def check(block, coords):
         orders = tuple(sum(1 for c in coords if c == k) for k in range(2))
         ox, oy = (orders, (0, 0)) if wrt == "x" else ((0, 0), orders)
-        req = dc.JetRequest(x, y, ox, oy)
         for i in range(2):
             for j in range(2):
                 comp = lambda xs, ys, i=i, j=j: _nested_field(xs, ys)[i][j]
                 got = float(block[i][j])
-                jet = dc.jet_eval(comp, req).partial(ox, oy)
+                jet = jet_partials(comp, x, y, ox, oy)[(ox, oy)]
                 assert got == pytest.approx(jet, rel=1e-14, abs=1e-14)
-                assert got == pytest.approx(dc.fd_oracle(comp, req).partial(ox, oy), abs=1e-6)
+                assert got == pytest.approx(fd_partials(comp, x, y, ox, oy)[(ox, oy)], abs=1e-6)
 
     for k in range(2):
         check(d1[k], (k,))
@@ -135,15 +133,6 @@ def test_joint_derivative_is_the_sum_of_the_x_and_y_derivatives():
             assert d[i][j] == pytest.approx(along_x[i][j] + along_y[i][j], rel=1e-15, abs=1e-15)
 
 
-def test_order_caps_rejected():
-    with pytest.raises(OrderCapError):
-        dc.JetRequest((0.0,), (1.0,), (3,), (0,))
-    with pytest.raises(OrderCapError):
-        dc.JetRequest((0.0,), (1.0,), (0,), (5,))
-    with pytest.raises(ValueError):
-        dc.JetRequest((0.0,), (1.0,), (-1,), (0,))
-
-
 @pytest.mark.parametrize("name,params", GALLERY_SPECS)
 def test_euler_homogeneity_on_gallery(name, params):
     entry = gallery.make(name, **params)
@@ -171,11 +160,10 @@ def test_jet_matches_fd_on_downstream_orders(name, params):
     F2 = entry.metric.squared
     for x, y in zip(pts, dirs):
         for ox, oy in order_sets:
-            req = dc.JetRequest(tuple(x), tuple(y), ox, oy)
-            jv = dc.jet_eval(F2, req)
-            fv = dc.fd_oracle(F2, req)
-            for key in jv.partials:
-                assert jv.partials[key] == pytest.approx(fv.partials[key], abs=1e-5)
+            jv = jet_partials(F2, x, y, ox, oy)
+            fv = fd_partials(F2, x, y, ox, oy)
+            for key in jv:
+                assert jv[key] == pytest.approx(fv[key], abs=1e-5)
 
 
 coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -192,13 +180,12 @@ def test_jets_reproduce_polynomial_partials(cs, x0, y0):
         return (c0 + c1 * x[0] + c2 * y[0] + c3 * x[0] * y[0]
                 + c4 * y[0] * y[0] + c5 * x[0] * x[0] * y[0])
 
-    req = dc.JetRequest((x0,), (y0,), (2,), (2,))
-    jv = dc.jet_eval(f, req)
-    assert jv.partial((1,), (0,)) == pytest.approx(c1 + c3 * y0 + 2 * c5 * x0 * y0, abs=1e-12)
-    assert jv.partial((0,), (1,)) == pytest.approx(c2 + c3 * x0 + 2 * c4 * y0 + c5 * x0 * x0, abs=1e-12)
-    assert jv.partial((1,), (1,)) == pytest.approx(c3 + 2 * c5 * x0, abs=1e-12)
-    assert jv.partial((0,), (2,)) == pytest.approx(2 * c4, abs=1e-12)
-    assert jv.partial((2,), (1,)) == pytest.approx(2 * c5, abs=1e-12)
+    jv = jet_partials(f, (x0,), (y0,), (2,), (2,))
+    assert jv[(1,), (0,)] == pytest.approx(c1 + c3 * y0 + 2 * c5 * x0 * y0, abs=1e-12)
+    assert jv[(0,), (1,)] == pytest.approx(c2 + c3 * x0 + 2 * c4 * y0 + c5 * x0 * x0, abs=1e-12)
+    assert jv[(1,), (1,)] == pytest.approx(c3 + 2 * c5 * x0, abs=1e-12)
+    assert jv[(0,), (2,)] == pytest.approx(2 * c4, abs=1e-12)
+    assert jv[(2,), (1,)] == pytest.approx(2 * c5, abs=1e-12)
 
 
 @given(a=st.floats(min_value=0.3, max_value=3.0), b=st.floats(min_value=-1.0, max_value=1.0))
@@ -209,32 +196,25 @@ def test_jet_analytic_functions_match_derivatives(a, b):
         t = y[0]
         return dc.exp(b * t) * dc.sqrt(a + t * t) + dc.log(a + t * t) + dc.sin(b * t) * dc.cos(t)
 
-    req = dc.JetRequest((0.0,), (0.4,), (0,), (3,))
-    jv = dc.jet_eval(f, req)
-    fv = dc.fd_oracle(f, req)
-    for key in jv.partials:
-        assert jv.partials[key] == pytest.approx(fv.partials[key], abs=2e-5)
+    jv = jet_partials(f, (0.0,), (0.4,), (0,), (3,))
+    fv = fd_partials(f, (0.0,), (0.4,), (0,), (3,))
+    for key in jv:
+        assert jv[key] == pytest.approx(fv[key], abs=2e-5)
 
 
 def test_partials_dict_covers_sub_multi_indices():
+    # one jet per coordinate of x0 x1 y0 y1 reads every mixed partial of order
+    # at most one in each: the product of the coordinates not differentiated
     f = lambda x, y: x[0] * x[1] * y[0] * y[1]
-    req = dc.JetRequest((1.0, 2.0), (3.0, 4.0), (1, 1), (1, 1))
-    jv = dc.jet_eval(f, req)
-    assert set(jv.partials) == {(ox, oy) for ox in [(0, 0), (0, 1), (1, 0), (1, 1)]
-                                for oy in [(0, 0), (0, 1), (1, 0), (1, 1)]}
-    assert jv.partial((1, 1), (1, 1)) == pytest.approx(1.0, abs=1e-14)
-    assert jv.value == pytest.approx(1.0 * 2.0 * 3.0 * 4.0, abs=1e-14)
-
-
-def test_domain_failure_propagates_with_location():
-    from finslerkit.errors import DomainError
-
-    def field(x, y):
-        raise DomainError("outside")
-
-    req = dc.JetRequest((0.25, 0.5), (1.0, 0.0), (1, 0), (0, 0))
-    with pytest.raises(DomainError, match=r"x=\(0\.25, 0\.5\)"):
-        dc.jet_eval(field, req)
+    e0, e1 = [1.0, 0.0], [0.0, 1.0]
+    res = dc.directional_derivatives(
+        f, [1.0, 2.0], [3.0, 4.0], x_dirs=[(e0, 1), (e1, 1)], y_dirs=[(e0, 1), (e1, 1)]
+    )
+    for multi in itertools.product((0, 1), repeat=4):
+        want = math.prod(v for v, d in zip((1.0, 2.0, 3.0, 4.0), multi) if d == 0)
+        assert res.partial(list(multi)) == pytest.approx(want, abs=1e-14)
+    assert res.partial([1, 1, 1, 1]) == pytest.approx(1.0, abs=1e-14)
+    assert res.value == pytest.approx(1.0 * 2.0 * 3.0 * 4.0, abs=1e-14)
 
 
 def test_batched_array_coordinates():

@@ -89,7 +89,7 @@ def _kinked_spray():
             k = 0.3 if x[0] < 0.05 else -0.2
         return [k * y[0] * y[1], k * y[0] * y[0]]
 
-    return S.SprayField(whole_space_domain(2), G, provenance="test")
+    return S.SprayField(whole_space_domain(2), G)
 
 
 def test_a_flipped_branch_falls_back_to_direct_evaluation(caplog):

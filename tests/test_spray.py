@@ -336,7 +336,6 @@ def test_speed_drift_raises(rotation2d):
     bad = S.SprayField(
         rotation2d.metric.domain,
         lambda x, y: [v * 0.5 for v in rotation2d.reference.spray_alpha(x, y)],
-        provenance="analytic-gallery",
     )
     with pytest.raises(IntegrationError):
         S.geodesic_integrate(
@@ -352,7 +351,7 @@ def _nan_past(x_max):
         past = np.asarray(dc.value(x[0])) > x_max
         return [np.where(past, np.nan, 0.0) * y[0], 0.0 * y[1]]
 
-    return S.SprayField(whole_space_domain(2), G, provenance="test")
+    return S.SprayField(whole_space_domain(2), G)
 
 
 def test_non_finite_state_stops_the_geodesic():
@@ -373,7 +372,7 @@ def test_non_finite_state_stops_only_its_row_of_an_ensemble():
 
 
 def test_non_finite_speed_raises():
-    flat = S.SprayField(whole_space_domain(2), lambda x, y: [0.0 * y[0], 0.0 * y[1]], "test")
+    flat = S.SprayField(whole_space_domain(2), lambda x, y: [0.0 * y[0], 0.0 * y[1]])
     speed = FinslerField(
         whole_space_domain(2),
         lambda x, y: (np.nan if float(x[0]) > 0.05 else 1.0) * (y[0] * y[0] + y[1] * y[1]) ** 0.5,
@@ -424,7 +423,6 @@ def test_an_ensemble_drift_names_the_first_drifting_row(rotation2d):
     bad = S.SprayField(
         rotation2d.metric.domain,
         lambda x, y: [v * 0.5 for v in rotation2d.reference.spray_alpha(x, y)],
-        provenance="analytic-gallery",
     )
     pts = np.array([[0.5, 0.0], [0.0, 0.3], [-0.2, 0.1]])
     vel = np.array([[0.1, 0.1], [1.0, 1.0], [1.0, -0.5]])
