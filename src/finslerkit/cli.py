@@ -28,7 +28,8 @@ from .navigation import zermelo_general, zermelo_riemannian
 from .spray import geodesic_integrate
 from .verify import run_verification
 
-# grid sites per array pass of `finsler scan`: bounds its memory (a torsion-norm site is --samples points)
+# grid sites per array pass of `finsler scan`: bounds the jets held at once and the sites
+# re-evaluated one by one when a pass fails (torsion norms slice by metrics.TORSION_CHUNK)
 SCAN_CHUNK = 128
 
 
@@ -265,11 +266,10 @@ def cmd_navigate(args) -> int:
     )
     if not riemannian:
         raise UsageError("--alpha must name a Riemannian gallery metric (e.g. euclidean:n=2)")
+    # the charts of the gallery's Riemannian sources all contain the unit ball
     alpha = alpha_entry.randers.alpha
-    dom = alpha.domain
-    if args.alpha.startswith("euclidean"):
-        dom = ball_domain(alpha.dim, name=f"nav-ball{alpha.dim}")
-        alpha = RiemannianField(dom, alpha.matrix, name=alpha.name)
+    dom = ball_domain(alpha.dim, name=f"nav-ball{alpha.dim}")
+    alpha = RiemannianField(dom, alpha.matrix, name=alpha.name)
     drift = _parse_drift(args.drift, dom)
     rd = zermelo_riemannian(alpha, drift)
     x = _parse_vector(args.at, "--at", alpha.dim) if args.at else [0.0] * alpha.dim

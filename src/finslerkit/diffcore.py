@@ -30,9 +30,6 @@ from .errors import OrderCapError
 
 _TAGS = itertools.count(1)
 
-_FACT = [math.factorial(k) for k in range(10)]
-
-
 class Jet:
     """Truncated univariate Taylor expansion with ring-valued coefficients.
 
@@ -517,7 +514,7 @@ class TaylorResult:
                 raise OrderCapError(f"order {d} exceeds seeded order {self.orders[i]}")
         scale = 1
         for d in multi:
-            scale *= _FACT[d]
+            scale *= math.factorial(d)
         return self._extract(self.root, multi, scale)
 
     def _extract(self, obj, multi, scale):

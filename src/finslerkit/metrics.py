@@ -58,33 +58,33 @@ class ChartDomain:
         return np.array(out)
 
 
-def ball_domain(n: int, radius: float = 1.0, name: str = "", margin: float = 1e-9) -> ChartDomain:
-    # the sampling box stays clear of the rim, where round-off is amplified
-    # by the metric blow-up; the chart predicate itself covers the open ball
-    r2 = (radius - margin) ** 2
+def ball_domain(n: int, name: str = "") -> ChartDomain:
+    """The open unit ball.  Its sampling box stays clear of the rim, where
+    round-off is amplified by the metric blow-up."""
+    r2 = (1.0 - 1e-9) ** 2
     return ChartDomain(
         dim=n,
         contains=lambda x: float(sum(v * v for v in x)) < r2,
-        name=name or f"ball{n}(r={radius})",
-        sample_box=tuple((-radius * 0.62, radius * 0.62) for _ in range(n)),
+        name=name or f"ball{n}(r=1.0)",
+        sample_box=tuple((-0.62, 0.62) for _ in range(n)),
     )
 
 
-def whole_space_domain(n: int, box: float = 1.0, name: str = "") -> ChartDomain:
+def whole_space_domain(n: int) -> ChartDomain:
     return ChartDomain(
         dim=n,
         contains=lambda x: True,
-        name=name or f"R^{n}",
-        sample_box=tuple((-box, box) for _ in range(n)),
+        name=f"R^{n}",
+        sample_box=tuple((-1.0, 1.0) for _ in range(n)),
     )
 
 
-def cylinder_domain(n: int, radius: float = 1.0, margin: float = 1e-9) -> ChartDomain:
-    r2 = (radius - margin) ** 2
+def cylinder_domain(n: int) -> ChartDomain:
+    r2 = (1.0 - 1e-9) ** 2
     return ChartDomain(
         dim=n,
         contains=lambda x: float(x[0] * x[0] + x[1] * x[1]) < r2,
-        name=f"cylinder{n}(r={radius})",
+        name=f"cylinder{n}(r=1.0)",
         sample_box=((-0.62, 0.62), (-0.62, 0.62)) + tuple((-1.0, 1.0) for _ in range(n - 2)),
     )
 
@@ -253,22 +253,28 @@ def cartan_second(F: FinslerField, x, y, u, v, w, z):
 # The pointwise norms are suprema over flags {y, u} with g_y(y, u) = 0 of
 # the ratios F |C(u, u, u)| / g_y(u, u)^(3/2) and F^2 |C~(u, u, u, u)| /
 # g_y(u, u)^2, which are homogeneous of degree 0 in u.  Both y and u are
-# search variables.  In dimension 2 the orthogonal complement of y is a
-# line, so the search is over the angle of y: a grid, then zoom rounds
-# around the best grid angle.  In higher dimension the estimate is a seeded
-# sampled lower bound.  Every norm routine takes one chart point (floats) or
-# column arrays of m sites, in which case all sites are searched in one
-# array pass per run of sites and the norms come back as an array.
+# search variables; u is a start edge u0 Gram-Schmidt orthogonalized against
+# y in g_y.  In dimension 2 the orthogonal complement of y is a line, so the
+# search is over the angle of y alone.  Every norm routine takes one chart
+# point (floats) or column arrays of m sites, in which case all sites are
+# searched in one array pass per run of sites and the norms come back as an
+# array.
 
 # equally spaced probes per zoom round, the centre included; odd, and
 # 2 / (_ZOOM_PROBES - 1) is a power of 2, so every probe spacing is exact
 _ZOOM_PROBES = 33
 
 
-def _flag_ratio(F, x, y, u, second):
-    """The norm integrand at the flag {y, u}, u g_y-orthogonal to y, and
-    g_y(u, u), from one jet of F^2 along u: its value is F^2, half its second
-    derivative is g_y(u, u) and a quarter of its third (fourth) is the torsion."""
+def _flag_ratio(F, x, y, u0, second):
+    """The norm integrand at the flag {y, u} and g_y(u, u), u = u0 - c y
+    g_y-orthogonal to y.  One order-1 jet of F^2 along u0 gives the
+    coefficient c = g_y(y, u0) / g_y(y, y) = d_u0 F^2 / (2 F^2); one jet of
+    F^2 along u then has value F^2, half its second derivative is g_y(u, u)
+    and a quarter of its third (fourth) is the torsion."""
+    res = directional_derivatives(F.squared, x, y, y_dirs=[(u0, 1)])
+    coef = res.partial([1]) / (2.0 * res.value)
+    u = [a - coef * b for a, b in zip(u0, y)]
+    del res, coef  # not held through the order-3 (4) jet
     order = 4 if second else 3
     res = directional_derivatives(F.squared, x, y, y_dirs=[(u, order)])
     f2, guu = res.value, res.partial([2]) * 0.5
@@ -278,60 +284,33 @@ def _flag_ratio(F, x, y, u, second):
     return sqrt(f2) * val / guu**1.5, guu
 
 
-def _torsion_ratio_2d(F, x, theta, second: bool):
-    """Norm integrand at the angles theta (an ndarray): u = (-d_2 F^2, d_1 F^2)
-    is g_y-orthogonal to y by Euler's identity 2 g_y(y, .) = d_y F^2."""
-    y = [np.cos(theta), np.sin(theta)]
-    d1, _ = derivative_blocks(F.squared, x, y, "y")
-    return _flag_ratio(F, x, y, [-d1[1], d1[0]], second)[0]
-
-
-def _site_grid(x, samples):
-    """Each site of the column arrays x repeated `samples` times."""
-    return [np.repeat(v, samples) for v in x]
-
-
-def _site_slices(m, samples):
-    """Runs of whole sites among m, each covering at most TORSION_CHUNK points
-    of the sites x samples grid (one site at least), as slices."""
-    step = max(1, TORSION_CHUNK // samples)
-    return [slice(i, i + step) for i in range(0, m, step)]
-
-
-def _ratios_2d(F, x, thetas, second):
-    """The integrand at each site of x over its row of the (sites, k) angle
-    array thetas, one array pass per run of sites."""
-    m, k = thetas.shape
-    if not np.shape(x[0]):  # one point broadcasts over the angles
-        return np.reshape(_torsion_ratio_2d(F, x, thetas[0], second), (1, k))
-    return np.concatenate([
-        np.reshape(_torsion_ratio_2d(F, _site_grid([v[s] for v in x], k), thetas[s].ravel(), second), (-1, k))
-        for s in _site_slices(m, k)
-    ])
-
-
-def _norm_2d(F, x, samples, second):
-    """The best of an angle grid, then zoom rounds: each evaluates
-    _ZOOM_PROBES angles across every site's bracket, recentres it on the best
-    probe and shrinks its half-width to one probe spacing, until the bracket
-    is 1e-10 wide.  The result is never below the best grid sample."""
-    m = np.size(x[0])
-    rows = np.arange(m)
-
-    def best_of(thetas):
-        vals = _ratios_2d(F, x, thetas, second)
-        k = np.argmax(vals, axis=-1)
-        return vals[rows, k], thetas[rows, k]
-
-    grid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    best, centre = best_of(np.broadcast_to(grid, (m, samples)))
-    steps = np.linspace(-1.0, 1.0, _ZOOM_PROBES)
-    half = 2.0 * math.pi / samples
-    while 2.0 * half > 1e-10:
-        top, centre = best_of(centre[:, None] + half * steps)
-        best = np.maximum(best, top)
-        half *= steps[1] - steps[0]
-    return best if np.shape(x[0]) else float(best[0])
+def _best_flags(F, x, y, u0, second):
+    """The largest integrand over the usable flags of each site, and its flag
+    index, as arrays over the sites.  x holds one site (floats, which
+    broadcast over the flags) or column arrays of m sites; y and u0 hold n
+    arrays of k flags, shaped (k,) when every site takes the same flags or
+    (m, k).  A flag is usable when g_y(u, u) > 1e-14.  The sites x flags
+    grid is evaluated in one array pass per run of whole sites of at most
+    TORSION_CHUNK points.  Raises MetricError at a site without a usable flag."""
+    m, k = np.size(x[0]), np.shape(y[0])[-1]
+    step = max(1, TORSION_CHUNK // k)  # sites per run, one at least
+    best, index = [], []
+    for s in (slice(i, i + step) for i in range(0, m, step)):
+        if np.shape(x[0]):  # the run's sites, each repeated over its flags
+            cx = [np.repeat(v[s], k) for v in x]
+            cy, cu = ([np.broadcast_to(v, (m, k))[s].ravel() for v in w] for w in (y, u0))
+        else:
+            cx, cy, cu = x, [np.ravel(v) for v in y], [np.ravel(v) for v in u0]
+        with np.errstate(divide="ignore", invalid="ignore"):  # unusable flags are dropped below
+            ratio, guu = _flag_ratio(F, cx, cy, cu, second)
+        good = np.reshape(guu > 1e-14, (-1, k))
+        if not np.all(np.any(good, axis=-1)):
+            raise MetricError(f"no flag with g_y(u, u) > 1e-14 at some site of {F.name}")
+        vals = np.where(good, np.reshape(ratio, (-1, k)), -np.inf)
+        i = np.argmax(vals, axis=-1)
+        best.append(vals[np.arange(len(i)), i])
+        index.append(i)
+    return np.concatenate(best), np.concatenate(index)
 
 
 def _fibonacci_sphere(m: int) -> np.ndarray:
@@ -343,65 +322,62 @@ def _fibonacci_sphere(m: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _norm_sampled(F, x, samples, seed, second):
-    """Batched sampled lower bound: y on the unit sphere (Fibonacci lattice
-    when the sphere is 2-dimensional), u Gram-Schmidt orthogonalized against
-    y in g_y.  Every site uses the same sample set.  Raises MetricError at a
-    site where no sample has g_y(u, u) > 1e-14."""
-    n = F.dim
-    rng = np.random.default_rng([seed, 0xC2 if second else 0xC1])
-    if n == 3:
-        ys = _fibonacci_sphere(samples)
-    else:
-        ys = rng.normal(size=(samples, n))
-        ys /= np.linalg.norm(ys, axis=1)[:, None]
-    us = rng.normal(size=(samples, n))
-    cols = [np.atleast_1d(np.asarray(v, dtype=float)) for v in x]
-    best = np.concatenate([
-        _sampled_best(F, [v[s] for v in cols], ys, us, second) for s in _site_slices(len(cols[0]), samples)
-    ])
-    return best if np.shape(x[0]) else float(best[0])
-
-
-def _sampled_best(F, x, ys, us, second):
-    """The largest usable sampled ratio at each site of the column arrays x."""
-    n, samples, m = F.dim, len(ys), len(x[0])
-    cx = _site_grid(x, samples)
-    cy = [np.tile(ys[:, i], m) for i in range(n)]
-    cu = [np.tile(us[:, i], m) for i in range(n)]
-    # Gram-Schmidt coefficient g_y(y, u) / g_y(y, y) = d_u F^2 / (2 F^2)
-    res = directional_derivatives(F.squared, cx, cy, y_dirs=[(cu, 1)])
-    coef = res.partial([1]) / (2.0 * res.value)
-    u = [cu[i] - coef * cy[i] for i in range(n)]
-    with np.errstate(divide="ignore", invalid="ignore"):  # unusable samples are dropped below
-        ratio, guu = _flag_ratio(F, cx, cy, u, second)
-    good = np.reshape(guu > 1e-14, (m, samples))
-    if not np.all(np.any(good, axis=-1)):
-        raise MetricError(f"no sampled flag with g_y(u, u) > 1e-14 at some site of {F.name}")
-    return np.max(np.where(good, np.reshape(ratio, (m, samples)), -np.inf), axis=-1)
-
-
 def _torsion_norm(F, x, samples, seed, second):
+    """In dimension 2, the best of an angle grid (u0 a right angle ahead of
+    y), then zoom rounds: each evaluates _ZOOM_PROBES angles across every
+    site's bracket, recentres it on the best probe and shrinks its half-width
+    to one probe spacing, until the bracket is 1e-10 wide; the result is
+    never below the best grid sample.  In higher dimension, a lower bound:
+    the best of `samples` seeded flags shared by every site, y on the unit
+    sphere (Fibonacci lattice when the sphere is 2-dimensional), u0 Gaussian."""
     if samples < 1:
         raise ValueError(f"torsion norms need at least 1 sample, got {samples}")
     if F.dim == 2:
-        return _norm_2d(F, x, samples, second)
-    return _norm_sampled(F, x, samples, seed, second)
+        rows = np.arange(np.size(x[0]))
+
+        def best_at(theta):
+            c, s = np.cos(theta), np.sin(theta)
+            return _best_flags(F, x, [c, s], [-s, c], second)
+
+        grid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        best, k = best_at(grid)
+        centre = grid[k]
+        steps = np.linspace(-1.0, 1.0, _ZOOM_PROBES)
+        half = 2.0 * math.pi / samples
+        while 2.0 * half > 1e-10:
+            thetas = centre[:, None] + half * steps
+            top, k = best_at(thetas)
+            best = np.maximum(best, top)
+            centre = thetas[rows, k]
+            half *= steps[1] - steps[0]
+    else:
+        rng = np.random.default_rng([seed, 0xC2 if second else 0xC1])
+        if F.dim == 3:
+            ys = _fibonacci_sphere(samples)
+        else:
+            ys = rng.normal(size=(samples, F.dim))
+            ys /= np.linalg.norm(ys, axis=1)[:, None]
+        best = _best_flags(F, x, list(ys.T), list(rng.normal(size=(samples, F.dim)).T), second)[0]
+    return best if np.shape(x[0]) else float(best[0])
 
 
 def cartan_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0):
     """Sampled estimate of ||C||_x; an array of estimates when x holds column
-    arrays of sites.  In dimension 2 it is exact once the angle grid of
-    `samples` points resolves the integrand's peaks: a coarse grid can pick
-    a secondary peak, and the refinement stays around it."""
+    arrays of sites.  Each flag's edge is Gram-Schmidt orthogonalized against
+    y in g_y (2 jets of F^2 per pass); a site without a flag of g_y(u, u) >
+    1e-14 raises MetricError, in every dimension.  In dimension 2 it is exact
+    once the angle grid of `samples` points resolves the integrand's peaks: a
+    coarse grid can pick a secondary peak, and the refinement stays around it."""
     return _torsion_norm(F, x, samples, seed, second=False)
 
 
 def cartan_second_norm(F: FinslerField, x, samples: int = 4096, seed: int = 0):
     """Sampled estimate of ||C~||_x; an array of estimates when x holds column
-    arrays of sites.  In dimension 2 it is exact once the angle grid of
-    `samples` points resolves the integrand's peaks: a coarse grid can pick
-    a secondary peak, and the refinement stays around it."""
+    arrays of sites.  Each flag's edge is Gram-Schmidt orthogonalized against
+    y in g_y (2 jets of F^2 per pass); a site without a flag of g_y(u, u) >
+    1e-14 raises MetricError, in every dimension.  In dimension 2 it is exact
+    once the angle grid of `samples` points resolves the integrand's peaks: a
+    coarse grid can pick a secondary peak, and the refinement stays around it."""
     return _torsion_norm(F, x, samples, seed, second=True)
 
 

@@ -64,31 +64,25 @@ def zermelo_riemannian(alpha: RiemannianField, v: DriftField) -> RandersData:
     """
     n = alpha.dim
 
-    def check(x):
+    def scalars(x):
+        """a(x), w = a v and lam at x."""
         a = alpha.matrix(x)
         vx = v(x)
-        lam = 1.0 - float(value(_linalg.quad_form(a, vx, vx)))
-        if lam <= 0.0:
-            raise DriftError(f"alpha(v) >= 1 at {tuple(float(value(c)) for c in x)}")
+        return a, _linalg.matvec(a, vx), 1.0 - _linalg.quad_form(a, vx, vx)
 
     for x in alpha.domain.sample_points(16, seed=3):
-        check(list(x))
+        if float(value(scalars(list(x))[2])) <= 0.0:
+            raise DriftError(f"alpha(v) >= 1 at {tuple(float(c) for c in x)}")
 
     def matrix(x):
-        a = alpha.matrix(x)
-        vx = v(x)
-        w = _linalg.matvec(a, vx)
-        lam = 1.0 - _linalg.quad_form(a, vx, vx)
+        a, w, lam = scalars(x)
         return [
             [(w[i] * w[j] + lam * a[i][j]) / (lam * lam) for j in range(n)]
             for i in range(n)
         ]
 
     def covector(x):
-        a = alpha.matrix(x)
-        vx = v(x)
-        w = _linalg.matvec(a, vx)
-        lam = 1.0 - _linalg.quad_form(a, vx, vx)
+        _, w, lam = scalars(x)
         return [-w[i] / lam for i in range(n)]
 
     return RandersData(
@@ -154,7 +148,7 @@ def zermelo_general(F: FinslerField, v: DriftField, x, y) -> float:
     return 1.0 / float(_scales(F, v, x, y))
 
 
-def navigation_metric(F: FinslerField, v: DriftField, name: str = "") -> FinslerField:
+def navigation_metric(F: FinslerField, v: DriftField) -> FinslerField:
     """Deformed metric F~ induced by a source metric and a drift field.
 
     Evaluation solves F(y/F~ - v) = 1 at each site, on floats (giving a
@@ -168,7 +162,7 @@ def navigation_metric(F: FinslerField, v: DriftField, name: str = "") -> Finsler
         ft = 1.0 / _scales(F, v, x, y)
         return float(ft) if ft.ndim == 0 else ft
 
-    return FinslerField(F.domain, func, name=name or f"navigation({F.name})")
+    return FinslerField(F.domain, func, name=f"navigation({F.name})")
 
 
 # -- identity checks ---------------------------------------------------------------

@@ -335,6 +335,20 @@ def test_navigate_rotation_reproduces_disk_tables(capsys):
     assert payload["a_tilde"][0][0] == pytest.approx((1 - 0.09) / 0.75**2, abs=1e-12)
 
 
+def test_navigate_takes_every_riemannian_source_on_the_unit_ball(capsys):
+    # the slab plane at kappa = 0 is R^2: the same source as euclidean:n=2
+    payloads = []
+    for alpha in ("euclidean:n=2", "slab:kappa=0"):
+        code, out, _ = run_cli(
+            ["navigate", "--alpha", alpha, "--drift", "rotation", "--at", "0.3,0.4", "--dir", "1,0"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload.pop("alpha") == alpha
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 def test_navigate_radial_gives_funk_coefficients(capsys):
     code, out, _ = run_cli(
         ["navigate", "--alpha", "euclidean:n=2", "--drift", "radial",

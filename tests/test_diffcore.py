@@ -119,6 +119,12 @@ def test_partial_maps_over_nested_root():
         res.partial([2, 0])
 
 
+def test_partials_of_order_10_and_more():
+    res = dc.directional_derivatives(lambda x, y: dc.exp(y[0]), [0.0], [0.0], y_dirs=[([1.0], 12)])
+    assert res.partial([10]) == 1.0
+    assert res.partial([12]) == 1.0
+
+
 def test_joint_derivative_is_the_sum_of_the_x_and_y_derivatives():
     # one tag along (dx, dy) gives d/dt f(x + t dx, y + t dy) = f_x.dx + f_y.dy,
     # nested like the value of f

@@ -294,20 +294,20 @@ def counting_field(entry):
 
 
 @pytest.mark.parametrize("norm", [M.cartan_norm, M.cartan_second_norm])
-def test_2d_norm_takes_a_grid_and_at_most_8_zoom_passes_of_3_evaluations(monkeypatch, entries, norm):
+def test_2d_norm_takes_a_grid_and_at_most_8_zoom_passes_of_2_evaluations(monkeypatch, entries, norm):
     F, calls = counting_field(entries["slab"])
     passes = []
-    ratio = M._torsion_ratio_2d
+    best = M._best_flags
 
     def counted(*args):
         passes.append(1)
-        return ratio(*args)
+        return best(*args)
 
-    monkeypatch.setattr(M, "_torsion_ratio_2d", counted)
+    monkeypatch.setattr(M, "_best_flags", counted)
     norm(F, [0.1, -0.2], samples=1024)
     assert 2 <= len(passes) <= 1 + 8
-    # u from one first-order F^2 jet per coordinate, then one jet along u
-    assert len(calls) == 3 * len(passes)
+    # one order-1 jet along u0 for the Gram-Schmidt coefficient, then one jet along u
+    assert len(calls) == 2 * len(passes)
 
 
 @pytest.mark.parametrize("norm", [M.cartan_norm, M.cartan_second_norm])
@@ -323,13 +323,14 @@ def test_sampled_norm_takes_2_evaluations_per_slice(entries, norm):
 @pytest.mark.parametrize("samples", [1, 2, 3, 4, 5, 6, 7, 8, 1024])
 def test_refined_2d_norm_is_never_below_the_grid(entries, samples):
     grid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    y, u0 = [np.cos(grid), np.sin(grid)], [-np.sin(grid), np.cos(grid)]
     for name in ("minkowski", "funk", "slab"):
         F = entries[name].metric
         pts = F.domain.sample_points(4, seed=17)
         for second, norm in ((False, M.cartan_norm), (True, M.cartan_second_norm)):
             got = norm(F, list(pts.T), samples=samples)
             for s, x in enumerate(pts):
-                floor = np.max(M._torsion_ratio_2d(F, list(x), grid, second))
+                floor = M._best_flags(F, list(x), y, u0, second)[0][0]
                 assert got[s] >= floor
                 assert norm(F, list(x), samples=samples) >= floor
 
@@ -388,9 +389,10 @@ def test_domain_predicate_is_open_at_samples(entries):
 
 def test_sampled_norm_without_usable_flags_raises():
     # g_y has rank one, so every u orthogonalized against y has g_y(u, u) = 0
-    F = M.FinslerField(M.whole_space_domain(3), lambda x, y: dc.sqrt(y[0] * y[0]))
-    with pytest.raises(MetricError):
-        M.cartan_norm(F, [0.0, 0.0, 0.0], samples=64, seed=1)
+    for n in (2, 3):
+        F = M.FinslerField(M.whole_space_domain(n), lambda x, y: dc.sqrt(y[0] * y[0]))
+        with pytest.raises(MetricError):
+            M.cartan_norm(F, [0.0] * n, samples=64, seed=1)
 
 
 @pytest.mark.parametrize("name,params,sites,samples,bound_mb", [
