@@ -242,18 +242,25 @@ _DRIFTS = {"radial": radial_drift, "rotation": rotation_drift}
 
 
 def _parse_drift(spec: str, dom) -> DriftField:
-    name, _, rest = spec.partition(":")
+    name, colon, rest = spec.partition(":")
     name = name.strip()
     if name in _DRIFTS:
+        if colon:
+            raise UsageError(f"drift {name} takes no components, got {rest!r}")
         return _DRIFTS[name](dom)
     if name == "constant":
-        comps = {}
+        names, comps = [f"v{i + 1}" for i in range(dom.dim)], {}
         for item in rest.split(","):
             k, eq, v = item.partition("=")
+            k = k.strip()
             if not eq:
                 raise UsageError(f"malformed drift component {item!r}")
-            comps[k.strip()] = _parse_number(v, f"--drift component {k.strip()}")
-        vec = [comps.get(f"v{i + 1}", 0.0) for i in range(dom.dim)]
+            if k not in names:
+                raise UsageError(f"unknown drift component {k!r}; use {', '.join(names)}")
+            if k in comps:
+                raise UsageError(f"drift component {k} given twice")
+            comps[k] = _parse_number(v, f"--drift component {k}")
+        vec = [comps.get(k, 0.0) for k in names]
         return DriftField(dom, lambda x: list(vec), name="constant")
     raise UsageError(f"unknown drift {spec!r}; use radial, rotation, or constant:v1=..,v2=..")
 

@@ -60,6 +60,15 @@ def _y_gradient(G_xs, xs, ys):
     return derivative_blocks(lambda _, zs: G_xs(zs), xs, ys, "y")[0]
 
 
+def _spray_form_blocks(H: SprayField, x, y, G_at):
+    """dH^i/dx^k, dH^i/dy^k and D(dH^i/dy^k), each as [k][i], with D the
+    derivative along (-y, 2G) and G_at the site function of G at x:
+    2n + 1 evaluations of H and one of G_at.  H = G gives the blocks of the
+    spray form of R."""
+    dHdx, _ = derivative_blocks(H, x, y, "x")
+    return (dHdx, *_along_spray(H, x, y, G_at, _y_gradient))
+
+
 def riemann_entries(G: SprayField, x, y) -> list:
     """R^i_k as a nested list of generic scalars (jet-safe inputs allowed).
 
@@ -67,8 +76,7 @@ def riemann_entries(G: SprayField, x, y) -> list:
     y-derivatives taken on the jet along the spray.
     """
     n = len(y)
-    dGdx, _ = derivative_blocks(G, x, y, "x")
-    dGdy, DdGdy = _along_spray(G, x, y, G.at(list(x)), _y_gradient)
+    dGdx, dGdy, DdGdy = _spray_form_blocks(G, x, y, G.at(list(x)))
     R = [[None] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
@@ -108,8 +116,7 @@ def ricci_2d(G: SprayField, x, y):
     """
     if G.dim != 2:
         raise ValueError("ricci_2d requires a two-dimensional spray")
-    dGdx, _ = derivative_blocks(G, x, y, "x")
-    dGdy, DdGdy = _along_spray(G, x, y, G.at(list(x)), _y_gradient)
+    dGdx, dGdy, DdGdy = _spray_form_blocks(G, x, y, G.at(list(x)))
     S = dGdy[0][0] + dGdy[1][1]
     val = (
         2.0 * (dGdx[0][0] + dGdx[1][1] + dGdy[0][0] * dGdy[1][1] - dGdy[1][0] * dGdy[0][1])
@@ -170,68 +177,38 @@ def _riemann_times(G: SprayField, x, y, u) -> list:
 # -- curvature via a reference spray ------------------------------------------
 
 
-@dataclass(frozen=True)
-class DifferenceField:
-    """Spray difference H^i = G^i - G_ref^i with its horizontal derivative.
-
-    `value` evaluates H; `horizontal` evaluates
-    H^i_{|k} = dH^i/dx^k + H^j d^2G_ref^i/dy^j dy^k - dH^i/dy^j dG_ref^j/dy^k.
-    Both are jet-safe, and H inherits 2-homogeneity in y from the sprays.
-    """
-
-    spray: SprayField
-    reference: SprayField
-
-    def value(self, xs, ys):
-        a = self.spray(xs, ys)
-        b = self.reference(xs, ys)
-        return [ai - bi for ai, bi in zip(a, b)]
-
-    def horizontal(self, xs, ys):
-        n = len(ys)
-        Hval = self.value(xs, ys)
-        dHdx, _ = derivative_blocks(self.value, xs, ys, "x")
-        dHdy, _ = derivative_blocks(self.value, xs, ys, "y")
-        ref_at = self.reference.at(xs)
-        dRefdy, refHess = derivative_blocks(lambda _, zs: ref_at(zs), xs, ys, "y", order=2)
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                acc = dHdx[k][i]
-                for j in range(n):
-                    acc = acc + Hval[j] * refHess[j][k][i] - dHdy[j][i] * dRefdy[k][j]
-                out[i][k] = acc
-        return out
-
-
 def riemann_via_difference(G: SprayField, G_ref: SprayField, x, y) -> RiemannOperator:
-    """Assemble R from the reference spray's curvature plus H-terms,
-    H^i = G^i - G_ref^i:
+    """Riemann curvature of G from that of a reference spray G~: with
+    H = G - G~, N = dG~/dy and D the derivative along (-y, 2G),
 
-        R^i_k = R~^i_k + 2 H^i_{|k} - y^j (H^i_{|j})_{y^k}
-                + 2 H^j (H^i)_{y^j y^k} - (H^i)_{y^j} (H^j)_{y^k}
+        R^i_k = R~^i_k + 2 dH^i/dx^k + D(dH^i/dy^k) + 2 H^j dN^i_k/dy^j
+                - N^i_j dH^j/dy^k - dH^i/dy^j N^j_k - dH^i/dy^j dH^j/dy^k
+
+    2n + 2 evaluations of G and 5n + 2 of G~; raises MetricError at y = 0.
     """
+    require_nonzero(y)
     n = len(y)
-    diff = DifferenceField(spray=G, reference=G_ref)
-    H = diff.value
-    H_cov = diff.horizontal
 
-    base = riemann(G_ref, x, y)
-    Hc = H_cov(list(x), list(y))
-    # y^j (H^i_{|j})_{y^k}: differentiate each column j of H_cov in y^k, then contract
-    dHc, _ = derivative_blocks(H_cov, x, y, "y")  # [k][i][j]
-    Hval = H(list(x), list(y))
-    dHdy, hessH = derivative_blocks(H, x, y, "y", order=2)
-    mat = np.zeros((n, n))
+    def H_at(xs):
+        G_xs, ref_xs = G.at(xs), G_ref.at(xs)
+        return lambda ys: [a - b for a, b in zip(G_xs(ys), ref_xs(ys))]
+
+    H = SprayField(G.domain, lambda xs, ys: H_at(xs)(ys), site=H_at)
+    dHdx, dHdy, DdHdy = _spray_form_blocks(H, x, y, G.at(list(x)))
+    # N and its y-derivative along 2H, from one jet moving y by 2H
+    N, HdN = joint_derivative(
+        lambda xs, ys: _y_gradient(G_ref.at(xs), xs, ys),
+        x, y, [0.0] * n, [2.0 * h for h in H_at(list(x))(list(y))],
+    )
+    base = riemann_entries(G_ref, x, y)
+    R = [[None] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
-            acc = base.matrix[i][k] + 2.0 * float(value(Hc[i][k]))
+            acc = base[i][k] + 2.0 * dHdx[k][i] + DdHdy[k][i] + HdN[k][i]
             for j in range(n):
-                acc -= float(value(y[j] * dHc[k][i][j]))
-                acc += 2.0 * float(value(Hval[j] * hessH[j][k][i]))
-                acc -= float(value(dHdy[j][i] * dHdy[k][j]))
-            mat[i][k] = acc
-    return _operator(mat)
+                acc = acc - N[j][i] * dHdy[k][j] - dHdy[j][i] * (N[k][j] + dHdy[k][j])
+            R[i][k] = acc
+    return _operator(values_array(R))
 
 
 # -- Randers zero-curvature residuals ------------------------------------------

@@ -44,7 +44,7 @@ class Reference:
 
     flag_curvature: Optional[float] = None     # constant K, when known
     s_curvature: Optional[float] = None        # constant S (0 for the core examples)
-    density: Optional[float] = None            # constant sigma_F, when known
+    density: Optional[float] = None            # constant sigma_F of a Randers entry, when known
     projectively_flat: Optional[bool] = None
     spray: Optional[Callable] = None           # G^i(x, y) closed form
     spray_alpha: Optional[Callable] = None     # Levi-Civita G~^i(x, y) of alpha

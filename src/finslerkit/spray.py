@@ -360,19 +360,17 @@ def geodesic_integrate(
     dt: float = 1e-3,
     speed_check: Optional[FinslerField] = None,
     speed_rtol: float = 0.01,
-    guard: Optional[Callable] = None,
 ) -> Trajectory:
     """Fixed-step classical Runge-Kutta solution of x'' + 2 G(x, x') = 0.
 
     `x0` and `y0` are one start point and velocity, or (m, n) arrays of m of
     them integrated as an ensemble: every Runge-Kutta stage evaluates the
     spray once for all rows still running.  A row stops, with its
-    `boundary_exit` flag set, when it leaves the chart domain (or the
-    optional guard fails), when a stage raises MetricError, DomainError or
-    an ArithmeticError, or when its state turns non-finite; each stop is
-    logged at debug level on the "finslerkit" logger.  If `speed_check` is given,
-    F(x'(t)) is recorded and a drift beyond `speed_rtol` (or a non-finite
-    speed) raises IntegrationError.  A zero start velocity raises MetricError;
+    `boundary_exit` flag set, when it leaves the chart domain, when a stage
+    raises MetricError, DomainError or an ArithmeticError, or when its state
+    turns non-finite; each stop is logged at debug level on the "finslerkit"
+    logger.  If `speed_check` is given, F(x'(t)) is recorded and a drift
+    beyond `speed_rtol` (or a non-finite speed) raises IntegrationError.  A zero start velocity raises MetricError;
     an empty ensemble, x0 and y0 of different shapes or not of G's dimension,
     a non-finite T and a dt that is not finite and positive raise ValueError.
     T == 0 returns the start sample alone.
@@ -424,8 +422,6 @@ def geodesic_integrate(
             return "non-finite state"
         if not G.domain.contains(s[:n]):
             return "left the domain"
-        if guard is not None and not guard(np.asarray(s[:n])):
-            return "guard failed"
         return None
 
     rows = [x + v for x, v in zip(X0.tolist(), V0.tolist())]

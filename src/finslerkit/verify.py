@@ -254,11 +254,11 @@ def _torsion_checks(b: _Battery):
 
 
 def _volume_checks(b: _Battery):
-    if b.rd is None and b.ref.density is None:
+    if b.rd is None:
         return
     x0 = list(b.pts[0])
     mc = bh_density_mc(b.F, x0, n_samples=200_000, seed=b.seed)
-    closed = randers_density(b.rd, x0) if b.rd is not None else float(b.ref.density)
+    closed = randers_density(b.rd, x0)
     gap = abs(mc.value - closed) / max(abs(closed), 1e-300)
     yield "volume_closed_vs_mc", mc.n_samples, gap, {"mc": mc.value, "mc_stderr": mc.stderr, "closed_form": closed}
 

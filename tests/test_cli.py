@@ -126,6 +126,9 @@ def test_unknown_tolerance_override_is_a_usage_error(capsys):
     assert "riemann_zer0" in err and "riemann_zero" in err
 
 
+NAVIGATE = ["navigate", "--alpha", "euclidean:n=2", "--at", "0,0", "--dir", "1,0", "--drift"]
+
+
 @pytest.mark.parametrize("argv,named", [
     (["verify", "funk:n=2", "--points", "20", "--tol", "flag_constant=abc"], "--tol flag_constant"),
     (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=0:0.5:a,y=0:0.5:2"], "--grid axis 'x' count"),
@@ -135,7 +138,13 @@ def test_unknown_tolerance_override_is_a_usage_error(capsys):
      "--grid axis 'y' count must be at least 1, got -1"),
     (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=0:1:0,y=0:1:2"],
      "--grid axis 'x' count must be at least 1, got 0"),
-], ids=["tol", "grid-count", "grid-bound", "drift", "grid-count-negative", "grid-count-zero"])
+    (NAVIGATE + ["constant:x1=0.5"], "unknown drift component 'x1'"),
+    (NAVIGATE + ["constant:v1=0.5,v3=0.2"], "unknown drift component 'v3'"),
+    (NAVIGATE + ["constant:v1=0.5,v2=0.2,v1=0.1"], "drift component v1 given twice"),
+    (NAVIGATE + ["rotation:foo"], "got 'foo'"),
+    (NAVIGATE + ["radial:v1=0.5"], "got 'v1=0.5'"),
+], ids=["tol", "grid-count", "grid-bound", "drift", "grid-count-negative", "grid-count-zero",
+        "drift-unknown", "drift-beyond-dim", "drift-repeated", "drift-rotation-text", "drift-radial-text"])
 def test_a_malformed_number_names_its_option(argv, named, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""

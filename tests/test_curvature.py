@@ -166,6 +166,17 @@ def test_riemann_takes_2n_plus_1_spray_evaluations(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_riemann_via_difference_takes_2n_plus_2_and_5n_plus_2_evaluations(n):
+    G, calls = counting_spray(n)
+    G_ref, ref_calls = counting_spray(n)
+    C.riemann_via_difference(G, G_ref, [0.1, 0.2, -0.1][:n], [0.7, -0.3, 0.4][:n])
+    # through H: n x-derivatives, n y-derivatives along (-y, 2G) and the value;
+    # G alone: the direction 2G; G_ref alone: R~ (2n + 1) and N on the jet along 2H
+    assert len(calls) <= 2 * n + 2
+    assert len(ref_calls) <= 5 * n + 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_flag_curvature_takes_4_spray_evaluations(n):
     G, calls = counting_spray(n)
     F = gallery.euclidean_alpha(n, ball_domain(n)).finsler()
@@ -341,16 +352,6 @@ def test_difference_formula_with_equal_sprays(rot_spray, rotation2d):
     np.testing.assert_allclose(via.matrix, direct.matrix, atol=1e-12)
 
 
-def test_difference_field_is_two_homogeneous(rotation2d, rot_spray):
-    G_ref = S.levi_civita_spray(rotation2d.randers.alpha)
-    diff = C.DifferenceField(spray=rot_spray, reference=G_ref)
-    x, y = [0.3, 0.2], [0.9, -0.4]
-    base = np.array([float(v) for v in diff.value(x, y)])
-    for lam in (0.5, 3.0):
-        scaled = np.array([float(v) for v in diff.value(x, [lam * y[0], lam * y[1]])])
-        np.testing.assert_allclose(scaled, lam * lam * base, rtol=1e-12)
-
-
 def test_difference_formula_rotation_vs_levi_civita(rotation2d, rot_spray):
     G_ref = S.levi_civita_spray(rotation2d.randers.alpha)
     pts, dirs = sample_sites(rotation2d, 20, seed=19)
@@ -368,6 +369,24 @@ def test_difference_formula_funk_vs_euclidean(funk2, funk_spray, entries):
         via = C.riemann_via_difference(funk_spray, G_ref, list(x), list(y))
         direct = C.riemann(funk_spray, list(x), list(y))
         assert np.max(np.abs(via.matrix - direct.matrix)) <= 1e-7
+
+
+@pytest.mark.parametrize("pair", ["cylinder3-levi-civita", "bao_shen_s3-generic-levi-civita", "shen_flat-funk"])
+def test_difference_formula_matches_riemann(entries, cylinder3, pair):
+    """riemann_via_difference agrees with riemann on G within 1e-12 (1 + max|R|)."""
+    s3, shen, funk = entries["bao_shen_s3"], entries["shen_flat"], entries["funk"]
+    entry, G, G_ref, sites = {
+        "cylinder3-levi-civita": (
+            cylinder3, S.randers_spray(cylinder3.randers), S.levi_civita_spray(cylinder3.randers.alpha), 4),
+        "bao_shen_s3-generic-levi-civita": (
+            s3, S.spray_from_metric(s3.metric), S.levi_civita_spray(s3.randers.alpha), 2),
+        "shen_flat-funk": (shen, S.spray_from_metric(shen.metric), S.randers_spray(funk.randers), 4),
+    }[pair]
+    pts, dirs = sample_sites(entry, sites, seed=31)
+    for x, y in zip(pts, dirs):
+        direct = C.riemann(G, list(x), list(y)).matrix
+        via = C.riemann_via_difference(G, G_ref, list(x), list(y)).matrix
+        assert np.max(np.abs(via - direct)) <= 1e-12 * (1.0 + np.max(np.abs(direct)))
 
 
 # -- Randers zero-curvature residuals -----------------------------------------------------

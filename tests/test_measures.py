@@ -146,9 +146,15 @@ def test_randers_density_riemannian_case(rotation2d):
     )
 
 
-def test_unit_density_for_rotation_and_cylinder(rotation2d, cylinder3):
-    for entry, x in ((rotation2d, [0.5, -0.3]), (cylinder3, [0.2, 0.4, 1.7])):
-        assert ME.randers_density(entry.randers, x) == pytest.approx(1.0, abs=1e-12)
+def test_declared_densities_are_the_randers_closed_form(entries):
+    """Every entry that declares a constant Reference.density is Randers,
+    and randers_density gives that constant at sampled sites."""
+    declared = {name: e for name, e in entries.items() if e.reference.density is not None}
+    assert sorted(declared) == ["cylinder", "euclidean", "funk", "rotation2d", "slab"]
+    for entry in declared.values():
+        pts, _ = sample_sites(entry, 8, seed=17)
+        for x in pts:
+            assert ME.randers_density(entry.randers, list(x)) == pytest.approx(entry.reference.density, abs=1e-12)
 
 
 # -- distortion -------------------------------------------------------------------------
