@@ -171,6 +171,8 @@ def _parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
             raise UsageError(f"grid axis must be name=lo:hi:count, got {item!r}")
         name = name.strip()
         want = f"--grid axis {name!r}"
+        if not name or name in (a for a, _ in axes):
+            raise UsageError(f"{want} needs a name of its own, got {spec!r}")
         lo, hi = _parse_number(parts[0], want), _parse_number(parts[1], want)
         count = _parse_number(parts[2], f"{want} count", int)
         if count < 1:

@@ -311,6 +311,11 @@ def _guard(cmp, expect):
 _ARITH = (operator.add, operator.sub, operator.mul, operator.truediv)
 _CMPS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
 _GUARDS = {(cmp, r): _guard(cmp, r) for cmp in _CMPS for r in (False, True)}
+# a record is compiled at this replay: compiling costs ~15 us a record, which
+# 100-175 replays of the interpreted loop pay back
+_COMPILE_AT = 128
+# records per compiled function: bounds the compiler's memory and source size
+_PIECE = 256
 
 
 def _nest(f, obj):
@@ -399,11 +404,21 @@ class Replay:
     the last two unless fn raises.  The list is flat and the merge keys are
     ints because a few thousand tuples freed at the end of a call would stay
     in CPython's tuple free lists and lift the peak RSS.
+
+    A loop interprets the record for its first 127 replays.  The 128th
+    (`_COMPILE_AT`; compiling costs what 100-175 replays save) compiles it to
+    straight-line Python: one local per slot, infix arithmetic, the guards
+    and other functions called by name, in functions of at most 256 records
+    each (`_PIECE`, which bounds the compiler's memory and source size), and
+    notes "compiled N records in K pieces".  The compiled code runs the same
+    operations in the same order, so it too is bit-identical to fn; a
+    comparison that comes out otherwise there falls back to fn as above, and
+    later calls keep the compiled code.
     """
 
     def __init__(self, fn: Callable, note: Callable[[str], None]):
         self.fn, self.note = fn, note
-        self.out, self.recordable = None, True
+        self.out, self.recordable, self.replays, self.runs = None, True, 0, None
 
     def __call__(self, x, y):
         if self.out is None and self.recordable:
@@ -419,18 +434,56 @@ class Replay:
             except Exception:  # fn raises it again, or meets row 0 among the other rows
                 pass
         if self.out is not None:
+            self.replays += 1
+            if self.replays == _COMPILE_AT:
+                self._compile()
             v = self.values.copy()
             v[: len(x) + len(y)] = x + y
-            ops = iter(self.ops)
             try:
-                for fn, out, a, b in zip(ops, ops, ops, ops):
-                    v[out] = fn(v[a], v[b])
+                if self.runs is None:
+                    ops = iter(self.ops)
+                    for fn, out, a, b in zip(ops, ops, ops, ops):
+                        v[out] = fn(v[a], v[b])
+                else:
+                    for run in self.runs:
+                        run(v)
                 return _nest(v.__getitem__, self.out)
             except GuardFailed:
                 out = self.fn(x, y)  # a call that raises needs no note
                 self.note("guard failed, stage evaluated directly")
                 return out
         return self.fn(x, y)
+
+    def _compile(self):
+        """Replace the loop by one function of the value list per _PIECE records.
+        A piece loads the slots it reads before writing them and stores back
+        those that later pieces or the outputs read."""
+        ops, infix = self.ops, dict(zip((*_ARITH, operator.pow), ("+", "-", "*", "/", "**")))
+        scope, runs, live = {}, [], set()
+        names = {}  # function -> its name in scope
+        _nest(live.add, self.out)
+        for start in reversed(range(0, len(ops), 4 * _PIECE)):
+            body, loads, written = [], set(), set()
+            for i in range(start, min(start + 4 * _PIECE, len(ops)), 4):
+                fn, out, a, b = ops[i : i + 4]
+                loads.update({a, b} - written)
+                written.add(out)
+                if fn in infix:
+                    body.append(f"    s{out} = s{a} {infix[fn]} s{b}")
+                else:
+                    name = names.setdefault(fn, f"f{len(names)}")
+                    body.append(f"    s{out} = {name}(s{a}, s{b})")
+            stores, live = live & written, loads | (live - written)
+            src = "\n".join(
+                ["def run(v):", *(f"    s{k} = v[{k}]" for k in sorted(loads)), *body,
+                 *(f"    v[{k}] = s{k}" for k in sorted(stores))]
+            )
+            exec(compile(src, "<replay>", "exec"), scope)
+            runs.append(scope.pop("run"))
+        scope.update((name, fn) for fn, name in names.items())
+        self.runs = runs[::-1]
+        k = len(runs)
+        self.note(f"compiled {len(ops) // 4} records in {k} piece{'s' * (k != 1)}")
 
     def _reuse_dead_slots(self):
         """End a recording: drop the merge keys and renumber the slots in place so a

@@ -379,7 +379,10 @@ def geodesic_integrate(
     state: the floats of the row when m == 1, (live,) arrays for an ensemble.
     G and `speed_check` are recorded at their first evaluation, on the floats
     of row 0, and replayed at later ones (diffcore.Replay), bit-identically;
-    the log says when a field cannot be recorded or a comparison changes.
+    the 128th replay compiles the record to straight-line Python in pieces of
+    at most 256 records.  A stage where a recorded comparison changes is
+    evaluated directly.  The log says when a field cannot be recorded, when a
+    comparison changes and when a record is compiled.
     """
     if not (0 < dt < math.inf and math.isfinite(T / dt)):
         raise ValueError(f"T must be finite and dt finite and positive, got T={T} and dt={dt}")

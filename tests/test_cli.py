@@ -143,8 +143,13 @@ NAVIGATE = ["navigate", "--alpha", "euclidean:n=2", "--at", "0,0", "--dir", "1,0
     (NAVIGATE + ["constant:v1=0.5,v2=0.2,v1=0.1"], "drift component v1 given twice"),
     (NAVIGATE + ["rotation:foo"], "got 'foo'"),
     (NAVIGATE + ["radial:v1=0.5"], "got 'v1=0.5'"),
+    (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "x=0:1:2,x=0:1:2"],
+     "--grid axis 'x' needs a name of its own"),
+    (["scan", "euclidean:n=2", "--quantity", "K", "--grid", "=0:1:2,y=0:1:2"],
+     "--grid axis '' needs a name of its own"),
 ], ids=["tol", "grid-count", "grid-bound", "drift", "grid-count-negative", "grid-count-zero",
-        "drift-unknown", "drift-beyond-dim", "drift-repeated", "drift-rotation-text", "drift-radial-text"])
+        "drift-unknown", "drift-beyond-dim", "drift-repeated", "drift-rotation-text", "drift-radial-text",
+        "grid-repeated", "grid-unnamed"])
 def test_a_malformed_number_names_its_option(argv, named, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""

@@ -3,6 +3,7 @@ on floats and over column arrays must reproduce direct evaluation bit for bit,
 or fall back to it."""
 
 import dataclasses
+import dis
 import logging
 import math
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from finslerkit import diffcore as dc
 from finslerkit import gallery
 from finslerkit import spray as S
-from finslerkit.metrics import whole_space_domain
+from finslerkit.metrics import ball_domain, whole_space_domain
+from finslerkit.navigation import DriftField, zermelo_riemannian
 
 from conftest import GALLERY_SPECS
 
@@ -207,7 +209,10 @@ def test_an_ensemble_trajectory_equals_the_unrecorded_one(caplog):
     x0, y0 = np.array(x0).T, 0.5 * np.array(y0).T
     with caplog.at_level(logging.DEBUG, logger="finslerkit"):
         fast = S.geodesic_integrate(G, x0, y0, T=0.1, dt=2e-3, speed_check=F, speed_rtol=0.5)
-    assert caplog.records == []
+    # the spray's 128th call compiles its record; the 51 speed checks do not
+    assert [r.getMessage() for r in caplog.records] == [
+        "geodesic ensemble of 4 rows at t=0.062: spray compiled 1558 records in 7 pieces"
+    ]
     slow = S.geodesic_integrate(
         _unrecordable(G), x0, y0, T=0.1, dt=2e-3, speed_check=_unrecordable(F), speed_rtol=0.5,
     )
@@ -298,3 +303,93 @@ def test_unrecordable_fields_are_evaluated_directly(fn):
     for x in (0.3, 0.7, 0.9):
         assert np.array_equal(rec([x], [1.5]), fn([x], [1.5]))
     assert rec.out is None and len(notes) == 1 and notes[0].startswith("not recorded: ")
+
+
+# -- compiled replays ----------------------------------------------------------------
+
+
+def _compiled_note(rec):
+    return f"compiled {len(rec.ops) // 4} records in {len(rec.runs)} piece{'s' * (len(rec.runs) != 1)}"
+
+
+def _rows(x, y, i):
+    return [float(c[i]) for c in x], [float(c[i]) for c in y]
+
+
+@pytest.mark.parametrize("name,params", GALLERY_SPECS)
+def test_a_compiled_replay_equals_direct_evaluation(name, params):
+    entry = gallery.make(name, **params)
+    x, y = _columns(entry, 4, 6)
+    for label, fn in (("spray", entry.spray), ("F", entry.metric)):
+        rows, notes = _replay(fn)
+        cols, col_notes = _replay(fn)
+        for _ in range(dc._COMPILE_AT - 1):
+            rows(*_rows(x, y, 0))
+            cols(x, y)
+        assert rows.runs is None and cols.runs is None and notes == col_notes == [], label
+        for i in range(4):
+            assert _bits(rows(*_rows(x, y, i))) == _bits(fn(*_rows(x, y, i))), label
+        assert _array_bits(cols(x, y)) == _array_bits(fn(x, y)), label
+        assert notes == [_compiled_note(rows)] and col_notes == [_compiled_note(cols)], label
+
+
+def test_a_guard_failing_after_compilation_falls_back_and_keeps_the_code():
+    G = _kinked_spray()
+    direct = []
+    rec, notes = _replay(lambda x, y: (direct.append(1), G(x, y))[1])
+    for _ in range(dc._COMPILE_AT):
+        rec([0.0, 0.0], [1.0, 0.5])
+    runs = rec.runs
+    assert notes == [_compiled_note(rec)] and len(direct) == 1  # the recording
+    assert _bits(rec([0.07, 0.0], [1.0, 0.5])) == _bits(G([0.07, 0.0], [1.0, 0.5]))
+    assert notes[1:] == ["guard failed, stage evaluated directly"] and len(direct) == 2
+    assert _bits(rec([0.01, 0.0], [0.5, 0.2])) == _bits(G([0.01, 0.0], [0.5, 0.2]))
+    assert rec.runs is runs and len(direct) == 2 and len(notes) == 2
+
+
+def test_short_ensembles_and_arcs_are_not_compiled(caplog, entries):
+    entry = entries["bao_shen_s3"]
+    x0, y0 = _columns(entry, 3, 2)
+    x0, y0 = np.array(x0).T, 0.5 * np.array(y0).T
+    with caplog.at_level(logging.DEBUG, logger="finslerkit"):
+        ensemble = S.geodesic_integrate(entry.spray, x0, y0, T=0.016, dt=2e-3)  # 32 spray calls
+        arc = S.geodesic_integrate(entry.spray, x0[0], y0[0], T=0.04, dt=2e-3, speed_check=entry.metric)
+    assert len(ensemble.t) == 9 and len(arc.t) == 21  # 80 spray calls and 21 speed checks
+    assert caplog.records == []
+
+
+def _instructions(run):
+    """Records in one compiled piece: one infix operator or call each."""
+    return sum(i.opname in ("BINARY_OP", "CALL") for i in dis.get_instructions(run))
+
+
+def test_a_long_record_compiles_in_bounded_pieces(entries):
+    entry = entries["bao_shen_s3"]
+    rec, notes = _replay(entry.spray)
+    x, y = [0.31, -0.22, 0.4], [0.2, 0.35, -0.15]
+    for _ in range(dc._COMPILE_AT):
+        rec(x, y)
+    sizes = [_instructions(run) for run in rec.runs]
+    assert sum(sizes) == len(rec.ops) // 4 == 1558 and max(sizes) <= dc._PIECE
+    assert notes == ["compiled 1558 records in 7 pieces"]
+    assert _bits(rec(y, x)) == _bits(entry.spray(y, x))
+
+
+def test_a_stirred_six_ball_record_compiles_bit_identically():
+    # the Killing drift V = r x Q on the unit 6-ball, Q antisymmetric and r |Q| = 0.9
+    n = 6
+    A = np.random.default_rng(7).normal(size=(n, n))
+    Q = A - A.T
+    r = 0.9 / np.linalg.norm(Q, 2)
+    rQ = (r * Q).tolist()
+    ball = ball_domain(n)
+    V = DriftField(ball, lambda x: [sum(x[i] * rQ[i][j] for i in range(n)) for j in range(n)])
+    G = S.randers_spray(zermelo_riemannian(gallery.euclidean_alpha(n, ball), V))
+    rec, notes = _replay(G)
+    sites = np.random.default_rng(3).uniform(-0.35, 0.35, size=(3, 2, n)).tolist()
+    for _ in range(dc._COMPILE_AT - 1):
+        rec(*sites[0])
+    for x, y in sites:
+        assert _bits(rec(x, y)) == _bits(G(x, y))
+    assert len(rec.ops) // 4 > 8000 and len(rec.runs) == math.ceil(len(rec.ops) / 4 / dc._PIECE)
+    assert notes == [_compiled_note(rec)]

@@ -494,7 +494,8 @@ def test_row_stops_are_logged(caplog, funk2):
             T=-2.0, dt=1e-2,
         )
     assert traj.boundary_exit.tolist() == [True, False]
-    (record,) = caplog.records
+    compiled, record = caplog.records  # the spray's 128th call compiles its record
+    assert compiled.getMessage() == "geodesic ensemble of 2 rows at t=-0.31: spray compiled 380 records in 2 pieces"
     assert record.name == "finslerkit" and record.levelno == logging.DEBUG
     assert record.getMessage().startswith("geodesic row 0 stopped after t=-0.")
     assert "MetricError" in record.getMessage()
@@ -510,6 +511,19 @@ def test_row_stop_reasons_are_logged(caplog):
         "geodesic ensemble of 2 rows at t=0: spray not recorded: "
         "a recorded value was converted to a Python or numpy value",
         "geodesic row 0 stopped after t=0.05: non-finite state",
+    ]
+
+
+def test_compiled_records_are_logged(caplog, rotation2d):
+    with caplog.at_level(logging.DEBUG, logger="finslerkit"):
+        traj = S.geodesic_integrate(
+            rotation2d.spray, [0.1, 0.2], [0.3, -0.1], T=0.5, dt=2e-3, speed_check=rotation2d.metric,
+        )
+    assert len(traj.t) == 251
+    # the 128th of 1000 spray calls and of 251 speed checks compiles each record once
+    assert [r.getMessage() for r in caplog.records] == [
+        "geodesic row 0 at t=0.062: spray compiled 289 records in 2 pieces",
+        "geodesic row 0 at t=0.254: speed check compiled 36 records in 1 piece",
     ]
 
 
