@@ -73,8 +73,10 @@ def riemann_entries(G: SprayField, x, y) -> list:
     """R^i_k as a nested list of generic scalars (jet-safe inputs allowed).
 
     2n + 1 spray evaluations: the value, n x-derivatives and the n
-    y-derivatives taken on the jet along the spray.
+    y-derivatives taken on the jet along the spray.  Raises MetricError at
+    y = 0.
     """
+    require_nonzero(y)
     n = len(y)
     dGdx, dGdy, DdGdy = _spray_form_blocks(G, x, y, G.at(list(x)))
     R = [[None] * n for _ in range(n)]
@@ -90,7 +92,6 @@ def riemann_entries(G: SprayField, x, y) -> list:
 def riemann(G: SprayField, x, y) -> RiemannOperator:
     """Riemann curvature operator at (x, y) from the spray form of R;
     raises MetricError at y = 0."""
-    require_nonzero(y)
     return _operator(values_array(riemann_entries(G, x, y)))
 
 
@@ -113,9 +114,11 @@ def ricci_2d(G: SprayField, x, y):
         Ric = 2 { G^1_x + G^2_y + G^1_u G^2_v - G^1_v G^2_u } - S^2 + D(S)
 
     S and dG/dy come at order 0 of the jet along the spray, D(S) at order 1.
+    Raises MetricError at y = 0.
     """
     if G.dim != 2:
         raise ValueError("ricci_2d requires a two-dimensional spray")
+    require_nonzero(y)
     dGdx, dGdy, DdGdy = _spray_form_blocks(G, x, y, G.at(list(x)))
     S = dGdy[0][0] + dGdy[1][1]
     val = (
@@ -186,7 +189,7 @@ def riemann_via_difference(G: SprayField, G_ref: SprayField, x, y) -> RiemannOpe
 
     2n + 2 evaluations of G and 5n + 2 of G~; raises MetricError at y = 0.
     """
-    require_nonzero(y)
+    base = riemann_entries(G_ref, x, y)  # raises MetricError at y = 0
     n = len(y)
 
     def H_at(xs):
@@ -200,7 +203,6 @@ def riemann_via_difference(G: SprayField, G_ref: SprayField, x, y) -> RiemannOpe
         lambda xs, ys: _y_gradient(G_ref.at(xs), xs, ys),
         x, y, [0.0] * n, [2.0 * h for h in H_at(list(x))(list(y))],
     )
-    base = riemann_entries(G_ref, x, y)
     R = [[None] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):

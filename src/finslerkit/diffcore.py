@@ -301,8 +301,7 @@ class GuardFailed(Exception):
 
 def _guard(cmp, expect):
     def check(p, q):
-        r = cmp(p, q)  # a bool on floats, a bool array on column arrays
-        if r is not expect and not np.all(r == expect):
+        if cmp(p, q) != expect:  # a numpy constant in the record gives a numpy bool
             raise GuardFailed
 
     return check
@@ -375,7 +374,7 @@ class Recorded:
     __radd__, __rsub__, __rmul__, __rtruediv__ = (_binary(f, swap=True) for f in _ARITH)
     __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = (_compare(c) for c in _CMPS)
     __neg__, __abs__ = _unary(operator.neg), _unary(abs)
-    # the generic functions above: a replay over column arrays takes numpy's
+    # the generic functions above, which take math's on replayed floats
     sqrt, log, exp, sin, cos = map(_unary, (sqrt, log, exp, sin, cos))
     __float__ = __bool__ = __int__ = __index__ = __array__ = _refuse
 
@@ -389,21 +388,20 @@ class Recorded:
 
 
 class Replay:
-    """fn(x, y) on lists of Python floats or of column arrays of sites,
-    recorded at the first call on the floats of row 0 and replayed at every
-    call with the same float operations in the same order, elementwise over
-    column arrays: fn performs the same operations at every point as long as
-    its comparisons come out the same, so results are bit-identical to
-    calling fn, without its jet bookkeeping.
+    """fn(x, y) on lists of Python floats, recorded at the first call and
+    replayed at every call with the same float operations in the same order:
+    fn performs the same operations at every point as long as its
+    comparisons come out the same, so results are bit-identical to calling
+    fn, without its jet bookkeeping.
 
     The record is a flat list of quadruples function, out, a, b over
     numbered slots; identical records are merged, which is exact.  fn itself
-    evaluates a call that raises while it is recorded, the whole of a call
-    where a recorded comparison comes out otherwise on some row, and every
-    call if fn cannot be recorded (see Recorded); `note(message)` hears of
-    the last two unless fn raises.  The list is flat and the merge keys are
-    ints because a few thousand tuples freed at the end of a call would stay
-    in CPython's tuple free lists and lift the peak RSS.
+    evaluates a call that raises while it is recorded, a call where a
+    recorded comparison comes out otherwise, and every call if fn cannot be
+    recorded (see Recorded); `note(message)` hears of the last two unless fn
+    raises.  The list is flat and the merge keys are ints because a few
+    thousand tuples freed at the end of a call would stay in CPython's tuple
+    free lists and lift the peak RSS.
 
     A loop interprets the record for its first 127 replays.  The 128th
     (`_COMPILE_AT`; compiling costs what 100-175 replays save) compiles it to
@@ -422,7 +420,7 @@ class Replay:
 
     def __call__(self, x, y):
         if self.out is None and self.recordable:
-            self.values = [float(v[0]) if isinstance(v, np.ndarray) else v for v in x + y]
+            self.values = x + y
             self.ops, self._memo = [], {}
             args = [Recorded(self, i) for i in range(len(self.values))]
             try:
@@ -431,7 +429,7 @@ class Replay:
             except (Unrecordable, TypeError) as e:
                 self.recordable = False
                 self.note(f"not recorded: {e}")
-            except Exception:  # fn raises it again, or meets row 0 among the other rows
+            except Exception:  # fn raises it again
                 pass
         if self.out is not None:
             self.replays += 1
@@ -488,7 +486,7 @@ class Replay:
     def _reuse_dead_slots(self):
         """End a recording: drop the merge keys and renumber the slots in place so a
         result reuses the slot of a value read for the last time (inputs and constants
-        first, outputs kept): a replay over column arrays holds only the live arrays."""
+        first, outputs kept): the value list that every replay copies stays short."""
         ops, values, self._memo = self.ops, self.values, None
         keep, last, new = set(), [-1] * len(values), [None] * len(values)
         _nest(keep.add, self.out)

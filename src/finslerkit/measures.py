@@ -1,10 +1,11 @@
 """Volume densities, distortion and the S-curvature.
 
 Three independent S-curvature routes are provided: the local formula from
-the spray and the volume density, the dynamic definition (rate of change of
-distortion along a short geodesic), and the Randers closed form.  They are
-cross-checked in tests; only differentiable density sources are accepted by
-the local formula.
+the spray and the volume density, the dynamic definition (the derivative of
+the distortion along the spray vector field, which is its rate of change
+along geodesics), and the Randers closed form.  They are cross-checked in
+tests; only differentiable density sources are accepted by the local
+formula.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _linalg
-from .diffcore import derivative_blocks, directional_derivatives, log, sqrt, value, values_array
+from .diffcore import derivative_blocks, directional_derivatives, joint_derivative
+from .diffcore import log, sqrt, value, values_array
 from .errors import MetricError
 from .metrics import FinslerField, RandersData, RiemannianField, metric_entries, require_nonzero
-from .spray import SprayField, beta_table, geodesic_integrate
+from .spray import SprayField, beta_table, spray_from_metric
 
 # Radial quadrature: 2k trapezoid nodes in the azimuth and k Gauss nodes on
 # every further polar axis; the error estimate is the same rule at k/2.  Above
@@ -224,23 +226,28 @@ def bh_density_mc(F: FinslerField, x, n_samples: int = 1_000_000, seed: int = 0)
 # -- distortion and S-curvature -------------------------------------------------
 
 
+def _mu(F: FinslerField, sigma: VolumeDensity, x, y):
+    """ln( sqrt(det g(x, y)) / sigma(x) ) as a generic scalar (jet-safe)."""
+    return 0.5 * log(_det_generic(metric_entries(F, x, y))) - log(sigma(x))
+
+
 def distortion(F: FinslerField, sigma: VolumeDensity, x, y):
     """mu(x, y) = ln( sqrt(det g(x, y)) / sigma(x) ); raises MetricError
     where g is not positive definite."""
     require_nonzero(y)
-    det = value(_det_generic(metric_entries(F, x, y)))
-    return 0.5 * log(det) - log(value(sigma(x)))
+    return value(_mu(F, sigma, x, y))
 
 
 def s_curvature(G: SprayField, sigma: VolumeDensity, x, y) -> float:
     """S(x, y) = dG^i/dy^i - y^i d/dx^i [ ln sigma(x) ].
 
     Rejects a density declared sampled ("monte-carlo"), so sampling noise is
-    never presented as curvature.  Column arrays of sites give an array of
-    values.
+    never presented as curvature, and raises MetricError at y = 0.  Column
+    arrays of sites give an array of values.
     """
     if not sigma.differentiable:
         raise MetricError(f"density method {sigma.method!r} is not differentiable")
+    require_nonzero(y)
     G_at = G.at(list(x))
     dGdy, _ = derivative_blocks(lambda _, ys: G_at(ys), x, y, "y")
     div = 0.0
@@ -250,29 +257,23 @@ def s_curvature(G: SprayField, sigma: VolumeDensity, x, y) -> float:
     return div - value(res.partial([1]))
 
 
-def s_curvature_dynamic(
-    F: FinslerField,
-    sigma: VolumeDensity,
-    x,
-    y,
-    dt: float = 5e-4,
-    G: Optional[SprayField] = None,
-) -> float:
-    """S as the t-derivative of the distortion along the geodesic through (x, y):
-    central difference of mu(c'(t)) at t = 0 with a short Runge-Kutta arc.
-    Column arrays of sites are integrated as one geodesic ensemble per
-    direction of time and give an array of values."""
-    from .spray import spray_from_metric
-
+def s_curvature_dynamic(F: FinslerField, sigma: VolumeDensity, x, y, G: Optional[SprayField] = None) -> float:
+    """S as the rate of change of the distortion along the geodesic through
+    (x, y): S = D mu, D the derivative along the spray vector field
+    (y, -2G(x, y)) on TM, which a geodesic (x, x') follows (Shen, Differential
+    Geometry of Spray and Finsler Spaces, 2001).  One jet moves x by y and y
+    by -2G together.  G defaults to the generic spray of F.  Raises
+    DomainError off the chart and MetricError at y = 0; column arrays of
+    sites give an array of values."""
     if G is None:
         G = spray_from_metric(F)
-    sub = 8
-    x0, y0 = np.asarray(x, dtype=float).T, np.asarray(y, dtype=float).T
-    fwd = geodesic_integrate(G, x0, y0, dt, dt / sub)
-    bwd = geodesic_integrate(G, x0, y0, -dt, dt / sub)
-    mu_f = distortion(F, sigma, list(fwd.x[-1].T), list(fwd.v[-1].T))
-    mu_b = distortion(F, sigma, list(bwd.x[-1].T), list(bwd.v[-1].T))
-    return (mu_f - mu_b) / (2.0 * dt)
+    for p in np.atleast_2d(np.asarray(x, dtype=float).T):
+        G.domain.require(p)
+    require_nonzero(y)
+    _, rate = joint_derivative(
+        lambda xs, ys: _mu(F, sigma, xs, ys), x, y, y, [-2.0 * g for g in G(list(x), list(y))]
+    )
+    return value(rate)
 
 
 @dataclass
@@ -305,7 +306,9 @@ def _rho_from_table(tbl) -> RhoGradient:
 
 def randers_s_curvature(randers: RandersData, x, y):
     """Closed form S = (n+1) { P - rho_0 } with P = (r_00 - 2 alpha s_0)/(2F);
-    an array of values over column arrays of sites."""
+    an array of values over column arrays of sites.  Raises MetricError at
+    y = 0."""
+    require_nonzero(y)
     n = randers.dim
     tbl = beta_table(randers, x, order=1)
     c = tbl.contract(y)

@@ -95,7 +95,7 @@ class FinslerField:
 
     The callable must be written with generic arithmetic (diffcore.sqrt and
     friends) so it also evaluates on jets and on arrays of batched points.
-    A single-row geodesic records it once and replays it (diffcore.Replay):
+    A geodesic records it once and replays it (diffcore.Replay):
     a value branch must compare the generic scalar rather than float() it,
     or the field is evaluated with jets at every stage.
     """

@@ -315,12 +315,9 @@ def randers_spray(randers: RandersData) -> SprayField:
 
 @dataclass
 class Trajectory:
-    """Sampled geodesic: times, positions, velocities and an exit flag.
-
-    For an ensemble of m geodesics `x` and `v` are (steps, m, n) arrays,
-    `speed` is (steps, m) and `boundary_exit` is a per-row boolean array; a
-    row that stopped early keeps its last good state in the later samples.
-    """
+    """Sampled geodesic: times, (steps, n) positions and velocities, and
+    whether it stopped early (left the chart, a stage raised, or its state
+    turned non-finite); `speed` holds F(x'(t)) when it was checked."""
 
     t: np.ndarray
     x: np.ndarray
@@ -331,25 +328,18 @@ class Trajectory:
 
 def _rk4(rhs, h, s):
     """One classical Runge-Kutta step of s' = rhs(s) for a state of 2n
-    columns: Python floats for one row, (live,) arrays for an ensemble.
-    Returns the new rows as lists and, per row, None or the error a stage
-    that left the chart raised (on Python floats a pole raises
-    ZeroDivisionError); once an ensemble stage raises, every row steps alone
-    on floats.  Module-level, so no closure cycle keeps rhs and its recorded
-    fields alive after geodesic_integrate returns."""
-    ensemble = isinstance(s[0], np.ndarray)
+    Python floats.  Returns (the new state, None), or (None, the error) when
+    a stage left the chart (on Python floats a pole raises
+    ZeroDivisionError).  Module-level, so no closure cycle keeps rhs and its
+    recorded fields alive after geodesic_integrate returns."""
     try:
         k1 = rhs(s)
         k2 = rhs([a + 0.5 * h * b for a, b in zip(s, k1)])
         k3 = rhs([a + 0.5 * h * b for a, b in zip(s, k2)])
         k4 = rhs([a + h * b for a, b in zip(s, k3)])
     except (MetricError, DomainError, ArithmeticError) as e:
-        if not ensemble:
-            return [None], [e]
-        rows = [_rk4(rhs, h, row) for row in np.array(s).T.tolist()]
-        return [r for (r,), _ in rows], [e for _, (e,) in rows]
-    new = [a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w) for a, p, q, r, w in zip(s, k1, k2, k3, k4)]
-    return (np.array(new).T.tolist(), [None] * len(s[0])) if ensemble else ([new], [None])
+        return None, e
+    return [a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w) for a, p, q, r, w in zip(s, k1, k2, k3, k4)], None
 
 
 def geodesic_integrate(
@@ -361,105 +351,79 @@ def geodesic_integrate(
     speed_check: Optional[FinslerField] = None,
     speed_rtol: float = 0.01,
 ) -> Trajectory:
-    """Fixed-step classical Runge-Kutta solution of x'' + 2 G(x, x') = 0.
+    """Fixed-step classical Runge-Kutta solution of x'' + 2 G(x, x') = 0
+    from one start point `x0` with velocity `y0`.
 
-    `x0` and `y0` are one start point and velocity, or (m, n) arrays of m of
-    them integrated as an ensemble: every Runge-Kutta stage evaluates the
-    spray once for all rows still running.  A row stops, with its
-    `boundary_exit` flag set, when it leaves the chart domain, when a stage
-    raises MetricError, DomainError or an ArithmeticError, or when its state
-    turns non-finite; each stop is logged at debug level on the "finslerkit"
-    logger.  If `speed_check` is given, F(x'(t)) is recorded and a drift
-    beyond `speed_rtol` (or a non-finite speed) raises IntegrationError.  A zero start velocity raises MetricError;
-    an empty ensemble, x0 and y0 of different shapes or not of G's dimension,
-    a non-finite T and a dt that is not finite and positive raise ValueError.
+    The geodesic stops, with `boundary_exit` set, when it leaves the chart
+    domain, when a stage raises MetricError, DomainError or an
+    ArithmeticError, or when its state turns non-finite; the stop is logged
+    at debug level on the "finslerkit" logger.  If `speed_check` is given,
+    F(x'(t)) is recorded and a drift beyond `speed_rtol` (or a non-finite
+    speed) raises IntegrationError.  A zero start velocity raises
+    MetricError; x0 and y0 that are not both vectors of G's dimension, a
+    non-finite T and a dt that is not finite and positive raise ValueError.
     T == 0 returns the start sample alone.
 
-    Each row's state is a list of Python floats.  A stage steps one column
-    state: the floats of the row when m == 1, (live,) arrays for an ensemble.
-    G and `speed_check` are recorded at their first evaluation, on the floats
-    of row 0, and replayed at later ones (diffcore.Replay), bit-identically;
-    the 128th replay compiles the record to straight-line Python in pieces of
-    at most 256 records.  A stage where a recorded comparison changes is
-    evaluated directly.  The log says when a field cannot be recorded, when a
-    comparison changes and when a record is compiled.
+    The state is a list of Python floats.  G and `speed_check` are recorded
+    at their first evaluation and replayed at later ones (diffcore.Replay),
+    bit-identically; the 128th replay compiles the record to straight-line
+    Python in pieces of at most 256 records.  A stage where a recorded
+    comparison changes is evaluated directly.  The log says when a field
+    cannot be recorded, when a comparison changes and when a record is
+    compiled.
     """
     if not (0 < dt < math.inf and math.isfinite(T / dt)):
         raise ValueError(f"T must be finite and dt finite and positive, got T={T} and dt={dt}")
-    single = np.ndim(x0) == 1
-    X0, V0 = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x0, y0))
-    if X0.shape != V0.shape or X0.shape[-1:] != (G.dim,):
-        raise ValueError(f"x0 {np.shape(x0)} and y0 {np.shape(y0)} must share a shape ending in {G.dim}")
-    if len(X0) == 0:
-        raise ValueError("geodesic_integrate needs at least one start point")
-    for x in X0:
-        G.domain.require(x)
-    require_nonzero(list(V0.T))
-    m, n = X0.shape
+    n = G.dim
+    X0, V0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    if X0.shape != (n,) or V0.shape != (n,):
+        raise ValueError(f"x0 {X0.shape} and y0 {V0.shape} must both have shape ({n},)")
+    G.domain.require(X0)
+    require_nonzero(V0)
     steps = max(1, int(round(abs(T) / dt))) if T else 0
     h = T / max(steps, 1)
-    ts, label = [0.0], "row 0" if m == 1 else f"ensemble of {m} rows"
+    ts = [0.0]
 
     def replayed(field, what):
         if field is None:
             return None
-        return Replay(field, lambda why: log.debug("geodesic %s at t=%g: %s %s", label, ts[-1], what, why))
+        return Replay(field, lambda why: log.debug("geodesic row 0 at t=%g: %s %s", ts[-1], what, why))
 
     spray, speed_field = replayed(G, "spray"), replayed(speed_check, "speed check")
 
     def rhs(s):
         return s[n:] + [-2.0 * g for g in spray(s[:n], s[n:])]
 
-    def columns(live):  # the column state of the rows `live`
-        return rows[live[0]] if m == 1 else list(np.array([rows[i] for i in live]).T)
-
-    def speeds_of(live):
-        s = columns(live)
-        f = speed_field(s[:n], s[n:])
-        return [f] if m == 1 else values_array(f, sites=(len(live),)).tolist()
-
-    def stop_reason(s, error):
+    def stop_reason(new, error):
         if error is not None:
             return f"a stage raised {type(error).__name__}: {error}"
-        if not all(map(math.isfinite, s)):
+        if not all(map(math.isfinite, new)):
             return "non-finite state"
-        if not G.domain.contains(s[:n]):
+        if not G.domain.contains(new[:n]):
             return "left the domain"
         return None
 
-    rows = [x + v for x, v in zip(X0.tolist(), V0.tolist())]
-    live, states = list(range(m)), [rows]
-    speeds = None if speed_field is None else [speeds_of(live)]
+    s = X0.tolist() + V0.tolist()
+    states, exited = [s], False
+    speeds = None if speed_field is None else [speed_field(s[:n], s[n:])]
     for k in range(steps):
-        new, errors = _rk4(rhs, h, columns(live))
-        rows, moved = list(rows), []
-        for i, s, error in zip(live, new, errors):
-            why = stop_reason(s, error)
-            if why is None:
-                rows[i] = s
-                moved.append(i)
-            else:
-                log.debug("geodesic row %d stopped after t=%g: %s", i, k * h, why)
-        live = moved
-        if not live:
+        new, error = _rk4(rhs, h, s)
+        why = stop_reason(new, error)
+        if why is not None:
+            log.debug("geodesic row 0 stopped after t=%g: %s", k * h, why)
+            exited = True
             break
+        s = new
         ts.append((k + 1) * h)
-        states.append(rows)
+        states.append(s)
         if speeds is not None:
-            f0, fk = speeds[0], list(speeds[-1])
-            for i, f in zip(live, speeds_of(live)):
-                fk[i] = f
-                if not abs(f - f0[i]) <= speed_rtol * abs(f0[i]):
-                    raise IntegrationError(f"geodesic speed drifted from {f0[i]} to {f} at t={ts[-1]}")
-            speeds.append(fk)
+            f, f0 = speed_field(s[:n], s[n:]), speeds[0]
+            if not abs(f - f0) <= speed_rtol * abs(f0):
+                raise IntegrationError(f"geodesic speed drifted from {f0} to {f} at t={ts[-1]}")
+            speeds.append(f)
     path = np.array(states)
     speed = None if speeds is None else np.array(speeds, dtype=float)
-    exited = np.isin(np.arange(m), live, invert=True)
-    if single:
-        path, speed, exited = path[:, 0], None if speed is None else speed[:, 0], bool(exited[0])
-    return Trajectory(
-        t=np.array(ts), x=path[..., :n], v=path[..., n:], boundary_exit=exited, speed=speed
-    )
+    return Trajectory(t=np.array(ts), x=path[:, :n], v=path[:, n:], boundary_exit=exited, speed=speed)
 
 
 def projective_residual(G: SprayField, x, y) -> np.ndarray:

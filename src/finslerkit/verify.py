@@ -216,7 +216,7 @@ def _s_checks(b: _Battery):
     xm, ym = _cols(b.pts[:m]), _cols(b.dirs[:m])
     s_cf = randers_s_curvature(b.rd, xm, ym)
     s_gen = s_curvature(b.G, sigma, xm, ym)
-    s_dyn = s_curvature_dynamic(b.F, sigma, xm, ym, dt=5e-4, G=b.G)
+    s_dyn = s_curvature_dynamic(b.F, sigma, xm, ym, G=b.G)
     scale = 1.0 + np.abs(s_cf)
     yield "s_three_way_closed", m, _worst(np.abs(s_gen - s_cf) / scale)
     yield "s_three_way_dynamic", m, _worst(np.abs(s_dyn - s_cf) / scale)

@@ -187,7 +187,7 @@ def test_criterion_08_s_vanishing_and_route_agreement(entries):
             local = ME.s_curvature(G, sigma, list(x), list(y))
             dyn = ME.s_curvature_dynamic(entry.metric, sigma, list(x), list(y), G=G)
             worst_route = max(worst_route, abs(local - closed), abs(dyn - closed))
-    ok = ok and worst_route <= 1e-6
+    ok = ok and worst_route <= 1e-10
     report(8, "S = 0 pointwise criterion holds; the three S routes agree", ok,
            f"criterion={worst_crit:.2e} route gap={worst_route:.2e}")
 

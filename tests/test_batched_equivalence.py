@@ -94,7 +94,7 @@ def reference_residuals(entry, points, seed):
         closed = dynamic = 0.0
         for x, y in small[: max(5, n_small // 2)]:
             s_cf = ME.randers_s_curvature(rd, x, y)
-            s_dyn = ME.s_curvature_dynamic(F, sigma, x, y, dt=5e-4, G=G)
+            s_dyn = ME.s_curvature_dynamic(F, sigma, x, y, G=G)
             closed = max(closed, abs(ME.s_curvature(G, sigma, x, y) - s_cf) / (1.0 + abs(s_cf)))
             dynamic = max(dynamic, abs(s_dyn - s_cf) / (1.0 + abs(s_cf)))
         out.update(s_three_way_closed=closed, s_three_way_dynamic=dynamic)

@@ -461,6 +461,6 @@ def test_euclidean_identity_residuals_are_tiny(capsys):
     assert code == 0
     report = json.loads(out)
     for check in report["checks"]:
-        if check["check_id"] in ("volume_closed_vs_mc", "s_three_way_dynamic", "geodesic_speed"):
+        if check["check_id"] in ("volume_closed_vs_mc", "geodesic_speed"):
             continue  # Monte-Carlo or integrator-limited accuracy
         assert check["max_residual"] < 1e-10, check["check_id"]

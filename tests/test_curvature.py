@@ -7,8 +7,10 @@ import pytest
 
 from finslerkit import curvature as C
 from finslerkit import diffcore, gallery
+from finslerkit import measures as ME
 from finslerkit import metrics as M
 from finslerkit import spray as S
+from finslerkit import verify
 from finslerkit.errors import DegenerateFlagError, MetricError
 from finslerkit.metrics import ball_domain
 from conftest import GALLERY_SPECS, sample_sites
@@ -43,6 +45,26 @@ def test_riemann_rejects_the_zero_direction(entries, rot_spray):
     for G in (rot_spray, S.spray_from_metric(entries["shen_flat"].metric)):
         with pytest.raises(MetricError):
             C.riemann(G, [0.1, 0.2], [0.0, 0.0])
+
+
+ZERO_DIRECTION_CALLS = {
+    "riemann_entries": lambda e, x, y: C.riemann_entries(e.spray, x, y),
+    "ricci_2d": lambda e, x, y: C.ricci_2d(e.spray, x, y),
+    "s_curvature": lambda e, x, y: ME.s_curvature(e.spray, e.density, x, y),
+    "randers_s_curvature": lambda e, x, y: ME.randers_s_curvature(e.randers, x, y),
+}
+
+
+@pytest.mark.parametrize("sites", ["float", "columns"])
+@pytest.mark.parametrize("quantity", sorted(ZERO_DIRECTION_CALLS))
+def test_a_zero_direction_raises_metric_error(rotation2d, quantity, sites):
+    if sites == "float":
+        x, y = [0.1, 0.2], [0.0, 0.0]
+    else:  # the second of three sites has y = 0
+        x = [np.array([0.1, 0.2, -0.3]), np.array([0.2, 0.0, 0.1])]
+        y = [np.array([1.0, 0.0, 0.3]), np.array([0.5, 0.0, -0.2])]
+    with pytest.raises(MetricError, match="nonzero"):
+        ZERO_DIRECTION_CALLS[quantity](rotation2d, x, y)
 
 
 def test_rotation_riemann_vanishes_everywhere(rotation2d, rot_spray):
@@ -80,6 +102,38 @@ def test_riemann_operator_invariants(rotation2d, funk2, rot_spray, funk_spray):
             # and is self-adjoint after lowering with g
             lowered = M.fundamental_tensor(entry.metric, list(x), list(y)).g @ R.matrix
             assert np.max(np.abs(lowered - lowered.T)) <= 1e-8 * scale
+
+
+# g_y R_y is self-adjoint for the geodesic spray of F: g_ij R^j_k = g_kj R^j_i.
+# Per site the asymmetry is scaled by max|g| (1 + max|R|): g grows toward the
+# rim of shen_flat, and R is rounding noise on the K = 0 entries.
+SELF_ADJOINT_TOL = 1e-11
+
+
+def self_adjoint_residual(F, G, x, y) -> float:
+    g = diffcore.values_array(M.metric_entries(F, x, y))
+    R = diffcore.values_array(C.riemann_entries(G, x, y), sites=g.shape[2:])
+    gR = np.einsum("ijm,jkm->ikm", g, R)
+    asym = np.max(np.abs(gR - gR.transpose(1, 0, 2)), axis=(0, 1))
+    scale = np.max(np.abs(g), axis=(0, 1)) * (1.0 + np.max(np.abs(R), axis=(0, 1)))
+    return float(np.max(asym / scale))
+
+
+def _battery_columns(entry):
+    pts, dirs = verify._sample_sites(entry, 200, 5)  # the battery's sites at seed 5
+    return verify._cols(pts), verify._cols(dirs)
+
+
+@pytest.mark.parametrize("name,params", GALLERY_SPECS)
+def test_g_lowers_riemann_to_a_symmetric_matrix(name, params):
+    entry = gallery.make(name, **params)
+    assert self_adjoint_residual(entry.metric, entry.spray, *_battery_columns(entry)) <= SELF_ADJOINT_TOL
+
+
+def test_the_spray_of_another_metric_is_not_self_adjoint(rotation2d):
+    # the Levi-Civita spray of alpha is not the geodesic spray of F = alpha + beta
+    G = S.levi_civita_spray(rotation2d.randers.alpha)
+    assert self_adjoint_residual(rotation2d.metric, G, *_battery_columns(rotation2d)) > SELF_ADJOINT_TOL
 
 
 # -- the spray form against the four-term assembly ---------------------------------

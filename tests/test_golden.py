@@ -9,9 +9,13 @@ the root of the repository
     PYTHONPATH=src python -m finslerkit.cli verify SPEC --points 200 --seed 5 \
         --out tests/data/verify_seed5/FILE.json
 
-and declare every regenerated file, with the reason, in CHANGES.md.
+and declare every regenerated file, with the reason, in CHANGES.md.  A failing
+comparison first names the fields that moved (`check_id.key` paths), then
+falls back to the bytes.
 """
 
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -25,10 +29,31 @@ SPECS = [
 ]
 
 
+def changed_fields(old, new, path="") -> list:
+    """Paths at which two parsed reports differ; a check is named by its check_id."""
+    if isinstance(old, list) and isinstance(new, list) and all(
+        isinstance(c, dict) and "check_id" in c for c in old + new
+    ):
+        old, new = ({c["check_id"]: c for c in v} for v in (old, new))
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        old, new = dict(enumerate(old)), dict(enumerate(new))
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in sorted(set(old) | set(new), key=str):
+            where = f"{path}.{key}" if path else str(key)
+            out += changed_fields(old[key], new[key], where) if key in old and key in new else [where]
+        return out
+    same = old == new or (isinstance(old, float) and isinstance(new, float) and math.isnan(old) and math.isnan(new))
+    return [] if same else [path]
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_verify_report_matches_the_pinned_json(spec, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", spec, "--points", "200", "--seed", "5", "--out", str(out)]) == 0
     capsys.readouterr()
     pinned = DATA / (spec.replace(":", "_").replace(",", "_") + ".json")
-    assert out.read_bytes() == pinned.read_bytes()
+    got, want = out.read_bytes(), pinned.read_bytes()
+    moved = changed_fields(json.loads(want), json.loads(got))
+    assert not moved, f"fields that moved: {', '.join(moved)}"
+    assert got == want

@@ -1,6 +1,5 @@
 """Recorded float evaluation (diffcore.Replay) and its use by geodesics: replay
-on floats and over column arrays must reproduce direct evaluation bit for bit,
-or fall back to it."""
+on floats must reproduce direct evaluation bit for bit, or fall back to it."""
 
 import dataclasses
 import dis
@@ -38,20 +37,28 @@ def _site(dim, box):
     return st.tuples(st.tuples(*coords), st.tuples(*[signed] * dim))
 
 
+def _fields(entry):
+    yield "spray", entry.spray
+    yield "F", entry.metric
+    yield "generic", S.spray_from_metric(entry.metric)
+    if entry.randers is not None:
+        yield "randers", S.randers_spray(entry.randers)
+        yield "levi-civita", S.levi_civita_spray(entry.randers.alpha)
+
+
 @pytest.mark.parametrize("name,params", GALLERY_SPECS)
 def test_replay_equals_direct_evaluation(name, params):
     entry = gallery.make(name, **params)
-    G, F = entry.spray, entry.metric
     site = _site(entry.dim, entry.metric.domain.sample_box)
 
     @settings(max_examples=15, deadline=None)
     @given(first=site, later=site)
     def check(first, later):
-        for fn in (G, F):
+        for label, fn in _fields(entry):
             rec, notes = _replay(fn)
             for x, y in (first, later):
-                assert _bits(rec(list(x), list(y))) == _bits(fn(list(x), list(y)))
-            assert notes == [] and rec.out is not None
+                assert _bits(rec(list(x), list(y))) == _bits(fn(list(x), list(y))), label
+            assert notes == [] and rec.out is not None, label
 
     check()
 
@@ -109,7 +116,7 @@ def test_a_flipped_branch_falls_back_to_direct_evaluation(caplog):
 
 
 def _beta_tables_built(monkeypatch, entry, x0, y0):
-    """How many beta tables one 250-step Randers geodesic (or ensemble) builds."""
+    """How many beta tables one 250-step Randers geodesic builds."""
     calls = []
     real = S.beta_table
 
@@ -129,12 +136,6 @@ def test_a_single_randers_geodesic_builds_beta_table_once(monkeypatch, rotation2
     assert _beta_tables_built(monkeypatch, rotation2d, [0.1, 0.2], [0.3, -0.1]) == 1
 
 
-def test_a_randers_ensemble_builds_beta_table_once(monkeypatch, rotation2d):
-    x0 = np.array([[0.1, 0.2], [-0.3, 0.1], [0.2, 0.5]])
-    y0 = np.array([[0.3, -0.1], [1.0, 0.2], [-0.4, 0.6]])
-    assert _beta_tables_built(monkeypatch, rotation2d, x0, y0) == 1
-
-
 def test_a_single_shen_flat_geodesic_records_its_spray(caplog, entries):
     entry = entries["shen_flat"]
     with caplog.at_level(logging.DEBUG, logger="finslerkit"):
@@ -146,96 +147,22 @@ def test_a_single_shen_flat_geodesic_records_its_spray(caplog, entries):
     assert not [r for r in caplog.records if "not recorded" in r.getMessage()]
 
 
-# -- replay over column arrays of sites -------------------------------------------
-
-
-def _columns(entry, m, seed):
-    pts = entry.metric.domain.sample_points(m, seed)
-    dirs = np.random.default_rng([seed, 5]).normal(size=(m, entry.dim))
-    return list(pts.T), list(dirs.T)
-
-
-def _array_bits(values):
-    return dc.values_array(values).tobytes()
-
-
-def _fields(entry):
-    yield "F", entry.metric
-    yield "generic", S.spray_from_metric(entry.metric)
-    if entry.randers is not None:
-        yield "randers", S.randers_spray(entry.randers)
-        yield "levi-civita", S.levi_civita_spray(entry.randers.alpha)
-
-
-@pytest.mark.parametrize("name,params", GALLERY_SPECS)
-def test_replay_over_columns_equals_direct_batched_evaluation(name, params):
-    entry = gallery.make(name, **params)
-    for label, fn in _fields(entry):
-        rec, notes = _replay(fn)
-        for seed in (1, 2):
-            x, y = _columns(entry, 6, seed)
-            assert _array_bits(rec(x, y)) == _array_bits(fn(x, y)), label
-        assert notes == [] and rec.out is not None, label
-
-
-def test_a_guard_failing_on_one_row_evaluates_the_whole_call_directly():
-    G = _kinked_spray()
-    rec, notes = _replay(G)
-    x, y = [np.array([0.0, 0.01, 0.02]), np.zeros(3)], [np.array([1.0, 0.5, 0.2]), np.ones(3)]
-    assert _array_bits(rec(x, y)) == _array_bits(G(x, y)) and notes == []
-    x[0][2] = 0.07  # past the kink: the recorded comparison x^1 < 0.05 fails on row 2 only
-    assert _array_bits(rec(x, y)) == _array_bits(G(x, y))
-    assert notes == ["guard failed, stage evaluated directly"]
-
-
-def test_an_ensemble_logs_a_guard_that_fails_on_one_row(caplog):
-    x0, y0 = np.zeros((2, 2)), np.array([[1.0, 0.2], [0.1, 1.0]])
-    with caplog.at_level(logging.DEBUG, logger="finslerkit"):
-        fast = S.geodesic_integrate(_kinked_spray(), x0, y0, T=0.1, dt=1e-2)
-    slow = S.geodesic_integrate(_unrecordable(_kinked_spray()), x0, y0, T=0.1, dt=1e-2)
-    assert fast.x.tobytes() == slow.x.tobytes() and fast.v.tobytes() == slow.v.tobytes()
-    messages = [r.getMessage() for r in caplog.records]
-    assert messages and all(
-        m.startswith("geodesic ensemble of 2 rows at t=")
-        and m.endswith(": spray guard failed, stage evaluated directly")
-        for m in messages
-    )
-
-
-def test_an_ensemble_trajectory_equals_the_unrecorded_one(caplog):
-    entry = gallery.make("bao_shen_s3")
-    G, F = entry.spray, entry.metric
-    x0, y0 = _columns(entry, 4, 3)
-    x0, y0 = np.array(x0).T, 0.5 * np.array(y0).T
-    with caplog.at_level(logging.DEBUG, logger="finslerkit"):
-        fast = S.geodesic_integrate(G, x0, y0, T=0.1, dt=2e-3, speed_check=F, speed_rtol=0.5)
-    # the spray's 128th call compiles its record; the 51 speed checks do not
-    assert [r.getMessage() for r in caplog.records] == [
-        "geodesic ensemble of 4 rows at t=0.062: spray compiled 1558 records in 7 pieces"
-    ]
-    slow = S.geodesic_integrate(
-        _unrecordable(G), x0, y0, T=0.1, dt=2e-3, speed_check=_unrecordable(F), speed_rtol=0.5,
-    )
-    assert len(fast.t) == 51
-    for a, b in ((fast.x, slow.x), (fast.v, slow.v), (fast.speed, slow.speed)):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_an_unrecordable_field_over_columns_is_evaluated_directly():
-    fn = lambda x, y: [np.asarray(x[0]) * y[0], x[1] - y[1]]
-    rec, notes = _replay(fn)
-    x, y = [np.array([0.3, 0.7]), np.array([1.0, 2.0])], [np.array([1.5, -1.0]), np.array([0.5, 0.25])]
-    for _ in range(2):
-        assert _array_bits(rec(x, y)) == _array_bits(fn(x, y))
-    assert rec.out is None and len(notes) == 1 and notes[0].startswith("not recorded: ")
-
-
 def test_constants_keep_their_sign_and_type():
     f = lambda x, y: [x[0] * 0.0, x[0] * -0.0, x[0] * np.float64(2.0), y[0] - 1]
     rec, notes = _replay(f)
     rec([-1.0], [2.0])
     assert _bits(rec([-3.0], [5.0])) == _bits(f([-3.0], [5.0]))
     assert notes == []
+
+
+def test_a_comparison_with_a_numpy_scalar_is_a_guard_that_holds():
+    # a numpy constant makes the recorded comparison a numpy bool
+    f = lambda x, y: x[0] * y[0] if x[0] * np.float64(2.0) < 1.0 else y[0]
+    rec, notes = _replay(f)
+    rec([0.1], [2.0])
+    assert _bits(rec([0.2], [3.0])) == _bits(f([0.2], [3.0])) and notes == []
+    assert _bits(rec([0.7], [3.0])) == _bits(f([0.7], [3.0]))
+    assert notes == ["guard failed, stage evaluated directly"]
 
 
 def test_a_zero_seed_direction_is_a_guard():
@@ -312,25 +239,25 @@ def _compiled_note(rec):
     return f"compiled {len(rec.ops) // 4} records in {len(rec.runs)} piece{'s' * (len(rec.runs) != 1)}"
 
 
-def _rows(x, y, i):
-    return [float(c[i]) for c in x], [float(c[i]) for c in y]
+def _sites(entry, m, seed):
+    """m seeded sites of the entry as (x, y) pairs of lists of floats."""
+    pts = entry.metric.domain.sample_points(m, seed)
+    dirs = np.random.default_rng([seed, 5]).normal(size=(m, entry.dim))
+    return [(list(map(float, x)), list(map(float, y))) for x, y in zip(pts, dirs)]
 
 
 @pytest.mark.parametrize("name,params", GALLERY_SPECS)
 def test_a_compiled_replay_equals_direct_evaluation(name, params):
     entry = gallery.make(name, **params)
-    x, y = _columns(entry, 4, 6)
+    sites = _sites(entry, 4, 6)
     for label, fn in (("spray", entry.spray), ("F", entry.metric)):
-        rows, notes = _replay(fn)
-        cols, col_notes = _replay(fn)
+        rec, notes = _replay(fn)
         for _ in range(dc._COMPILE_AT - 1):
-            rows(*_rows(x, y, 0))
-            cols(x, y)
-        assert rows.runs is None and cols.runs is None and notes == col_notes == [], label
-        for i in range(4):
-            assert _bits(rows(*_rows(x, y, i))) == _bits(fn(*_rows(x, y, i))), label
-        assert _array_bits(cols(x, y)) == _array_bits(fn(x, y)), label
-        assert notes == [_compiled_note(rows)] and col_notes == [_compiled_note(cols)], label
+            rec(*sites[0])
+        assert rec.runs is None and notes == [], label
+        for x, y in sites:
+            assert _bits(rec(x, y)) == _bits(fn(x, y)), label
+        assert notes == [_compiled_note(rec)], label
 
 
 def test_a_guard_failing_after_compilation_falls_back_and_keeps_the_code():
@@ -347,14 +274,13 @@ def test_a_guard_failing_after_compilation_falls_back_and_keeps_the_code():
     assert rec.runs is runs and len(direct) == 2 and len(notes) == 2
 
 
-def test_short_ensembles_and_arcs_are_not_compiled(caplog, entries):
+def test_short_arcs_are_not_compiled(caplog, entries):
     entry = entries["bao_shen_s3"]
-    x0, y0 = _columns(entry, 3, 2)
-    x0, y0 = np.array(x0).T, 0.5 * np.array(y0).T
+    (x0, y0), (x1, y1) = _sites(entry, 2, 2)
     with caplog.at_level(logging.DEBUG, logger="finslerkit"):
-        ensemble = S.geodesic_integrate(entry.spray, x0, y0, T=0.016, dt=2e-3)  # 32 spray calls
-        arc = S.geodesic_integrate(entry.spray, x0[0], y0[0], T=0.04, dt=2e-3, speed_check=entry.metric)
-    assert len(ensemble.t) == 9 and len(arc.t) == 21  # 80 spray calls and 21 speed checks
+        short = S.geodesic_integrate(entry.spray, x0, [0.5 * c for c in y0], T=0.016, dt=2e-3)  # 32 spray calls
+        arc = S.geodesic_integrate(entry.spray, x1, [0.5 * c for c in y1], T=0.04, dt=2e-3, speed_check=entry.metric)
+    assert len(short.t) == 9 and len(arc.t) == 21  # 80 spray calls and 21 speed checks
     assert caplog.records == []
 
 

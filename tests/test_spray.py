@@ -361,16 +361,6 @@ def test_non_finite_state_stops_the_geodesic():
     assert 0.05 <= traj.x[-1][0] < 0.07
 
 
-def test_non_finite_state_stops_only_its_row_of_an_ensemble():
-    traj = S.geodesic_integrate(
-        _nan_past(0.05), np.zeros((2, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]]), T=0.2, dt=0.01
-    )
-    assert traj.boundary_exit.tolist() == [True, False]
-    assert np.all(np.isfinite(traj.x))
-    assert 0.05 <= traj.x[-1, 0, 0] < 0.07
-    assert traj.x[-1, 1, 0] == pytest.approx(-0.2)
-
-
 def test_non_finite_speed_raises():
     flat = S.SprayField(whole_space_domain(2), lambda x, y: [0.0 * y[0], 0.0 * y[1]])
     speed = FinslerField(
@@ -381,60 +371,18 @@ def test_non_finite_speed_raises():
         S.geodesic_integrate(flat, [0.0, 0.0], [1.0, 0.0], T=0.2, dt=0.01, speed_check=speed)
 
 
-def test_ensemble_matches_single_geodesics(rotation2d):
-    G = S.randers_spray(rotation2d.randers)
-    pts, dirs = sample_sites(rotation2d, 3, seed=9)
-    ens = S.geodesic_integrate(G, pts, 0.5 * dirs, T=0.1, dt=1e-2, speed_check=rotation2d.metric)
-    for i in range(3):
-        one = S.geodesic_integrate(
-            G, list(pts[i]), list(0.5 * dirs[i]), T=0.1, dt=1e-2, speed_check=rotation2d.metric
-        )
-        np.testing.assert_allclose(ens.x[:, i], one.x, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(ens.speed[:, i], one.speed, rtol=1e-13)
-
-
-def _bits(a) -> bytes:
-    return np.asarray(a, dtype=float).tobytes()
-
-
-@pytest.mark.parametrize("spec,T", [("rotation2d", 3.0), ("bao_shen_s3:eps=0.3", 3.0), ("funk:n=2", -3.0)])
-def test_each_ensemble_row_is_its_single_geodesic_bit_for_bit(spec, T):
-    # fast rows leave the chart (funk integrated back to the rim raises at a stage)
-    entry = gallery.parse_spec(spec)
-    G = S.randers_spray(entry.randers)
-    pts, dirs = sample_sites(entry, 5, seed=3)
-    vel = dirs * np.array([0.5, 1.0, 3.0, 0.2, 8.0])[:, None]
-    kw = dict(T=T, dt=1e-2, speed_check=entry.metric, speed_rtol=0.5)
-    ens = S.geodesic_integrate(G, pts, vel, **kw)
-    assert ens.boundary_exit.any() and not ens.boundary_exit.all()
-    for i in range(5):
-        one = S.geodesic_integrate(G, list(pts[i]), list(vel[i]), **kw)
-        k = len(one.t)
-        assert one.boundary_exit == ens.boundary_exit[i]
-        assert _bits(ens.t[:k]) == _bits(one.t)
-        for field in ("x", "v", "speed"):
-            rows, alone = getattr(ens, field)[:, i], getattr(one, field)
-            assert _bits(rows[:k]) == _bits(alone)
-            # a row that stopped keeps its last state in the later samples
-            assert _bits(rows[k:]) == _bits(np.repeat(alone[-1:], len(ens.t) - k, axis=0))
-
-
-def test_an_ensemble_drift_names_the_first_drifting_row(rotation2d):
+def test_a_speed_drift_names_the_speeds_and_the_time(rotation2d):
     bad = S.SprayField(
         rotation2d.metric.domain,
         lambda x, y: [v * 0.5 for v in rotation2d.reference.spray_alpha(x, y)],
     )
-    pts = np.array([[0.5, 0.0], [0.0, 0.3], [-0.2, 0.1]])
-    vel = np.array([[0.1, 0.1], [1.0, 1.0], [1.0, -0.5]])
     kw = dict(T=1.0, dt=1e-2, speed_check=rotation2d.metric)
-    drifts = []
-    for x, v in zip(pts, vel):
-        one = S.geodesic_integrate(bad, list(x), list(v), speed_rtol=math.inf, **kw)
-        k = np.flatnonzero(~(np.abs(one.speed - one.speed[0]) <= 0.01 * abs(one.speed[0])))[0]
-        drifts.append((k, f"from {one.speed[0]} to {one.speed[k]} at t={one.t[k]}"))
-    assert [k for k, _ in drifts] == [16, 6, 11]  # row 1 drifts first
-    with pytest.raises(IntegrationError, match=re.escape(f"geodesic speed drifted {drifts[1][1]}")):
-        S.geodesic_integrate(bad, pts, vel, speed_rtol=0.01, **kw)
+    free = S.geodesic_integrate(bad, [0.0, 0.3], [1.0, 1.0], speed_rtol=math.inf, **kw)
+    k = np.flatnonzero(~(np.abs(free.speed - free.speed[0]) <= 0.01 * abs(free.speed[0])))[0]
+    assert k == 6
+    drift = f"geodesic speed drifted from {free.speed[0]} to {free.speed[k]} at t={free.t[k]}"
+    with pytest.raises(IntegrationError, match=re.escape(drift)):
+        S.geodesic_integrate(bad, [0.0, 0.3], [1.0, 1.0], speed_rtol=0.01, **kw)
 
 
 @pytest.mark.parametrize("T,dt", [(math.inf, 1e-2), (-math.inf, 1e-2), (math.nan, 1e-2),
@@ -450,8 +398,6 @@ def test_zero_time_returns_the_start_sample_alone(rotation2d):
     one = S.geodesic_integrate(G, [0.1, 0.0], [1.0, 0.0], T=0.0, dt=0.5, speed_check=rotation2d.metric)
     assert one.t.tolist() == [0.0] and one.x.tolist() == [[0.1, 0.0]] and one.v.tolist() == [[1.0, 0.0]]
     assert one.speed.shape == (1,) and not one.boundary_exit
-    ens = S.geodesic_integrate(G, np.zeros((3, 2)), np.eye(3, 2) + 0.5, T=0.0, dt=0.5)
-    assert ens.x.shape == (1, 3, 2) and not ens.boundary_exit.any()
 
 
 @pytest.mark.parametrize("x0,y0", [([0.1, 0.0], [1.0, 0.0, 0.0]), ([0.1, 0.0, 0.0], [1.0, 0.0]),
@@ -459,8 +405,9 @@ def test_zero_time_returns_the_start_sample_alone(rotation2d):
                                    (np.zeros((2, 2)), np.ones((3, 2))), (np.zeros((2, 3)), np.ones((2, 3)))],
                          ids=["dir-3d", "from-3d", "both-3d", "rows-differ", "ensemble-3d"])
 def test_start_points_and_velocities_must_match_the_spray(rotation2d, x0, y0):
+    # one start point and velocity only: an (m, n) array of starts is rejected too
     G = S.randers_spray(rotation2d.randers)
-    with pytest.raises(ValueError, match="must share a shape ending in 2"):
+    with pytest.raises(ValueError, match=re.escape("must both have shape (2,)")):
         S.geodesic_integrate(G, x0, y0, T=0.1, dt=1e-2)
 
 
@@ -489,13 +436,10 @@ def test_row_stops_are_logged(caplog, funk2):
     # integrated backwards, a funk geodesic reaches the rim in finite time
     G = S.randers_spray(funk2.randers)
     with caplog.at_level(logging.DEBUG, logger="finslerkit"):
-        traj = S.geodesic_integrate(
-            G, np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.1]]),
-            T=-2.0, dt=1e-2,
-        )
-    assert traj.boundary_exit.tolist() == [True, False]
+        traj = S.geodesic_integrate(G, [0.0, 0.0], [1.0, 0.0], T=-2.0, dt=1e-2)
+    assert traj.boundary_exit
     compiled, record = caplog.records  # the spray's 128th call compiles its record
-    assert compiled.getMessage() == "geodesic ensemble of 2 rows at t=-0.31: spray compiled 380 records in 2 pieces"
+    assert compiled.getMessage() == "geodesic row 0 at t=-0.31: spray compiled 380 records in 2 pieces"
     assert record.name == "finslerkit" and record.levelno == logging.DEBUG
     assert record.getMessage().startswith("geodesic row 0 stopped after t=-0.")
     assert "MetricError" in record.getMessage()
@@ -503,12 +447,9 @@ def test_row_stops_are_logged(caplog, funk2):
 
 def test_row_stop_reasons_are_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="finslerkit"):
-        S.geodesic_integrate(
-            _nan_past(0.05), np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 1.0]]),
-            T=0.2, dt=0.01,
-        )
+        S.geodesic_integrate(_nan_past(0.05), [0.0, 0.0], [1.0, 0.0], T=0.2, dt=0.01)
     assert [r.getMessage() for r in caplog.records] == [
-        "geodesic ensemble of 2 rows at t=0: spray not recorded: "
+        "geodesic row 0 at t=0: spray not recorded: "
         "a recorded value was converted to a Python or numpy value",
         "geodesic row 0 stopped after t=0.05: non-finite state",
     ]
@@ -531,13 +472,11 @@ def test_a_zero_start_velocity_is_rejected(funk2):
     G = S.randers_spray(funk2.randers)
     with pytest.raises(MetricError):
         S.geodesic_integrate(G, [0.0, 0.0], [0.0, 0.0], T=0.01, dt=0.005)
-    with pytest.raises(MetricError):
-        S.geodesic_integrate(G, np.zeros((2, 2)), np.array([[0.5, 0.0], [0.0, 0.0]]), T=0.01, dt=0.005)
 
 
 def test_an_empty_ensemble_is_rejected(rotation2d):
     G = S.randers_spray(rotation2d.randers)
-    with pytest.raises(ValueError, match="at least one start point"):
+    with pytest.raises(ValueError, match=re.escape("must both have shape (2,)")):
         S.geodesic_integrate(G, np.zeros((0, 2)), np.zeros((0, 2)), T=0.01, dt=0.005)
 
 
