@@ -15,7 +15,6 @@ falls back to the bytes.
 """
 
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -29,22 +28,23 @@ SPECS = [
 ]
 
 
+def _keyed(obj):
+    """A list as a dict: checks by check_id, other entries by position."""
+    if not isinstance(obj, list):
+        return obj
+    return {c["check_id"] if isinstance(c, dict) and "check_id" in c else i: c for i, c in enumerate(obj)}
+
+
 def changed_fields(old, new, path="") -> list:
-    """Paths at which two parsed reports differ; a check is named by its check_id."""
-    if isinstance(old, list) and isinstance(new, list) and all(
-        isinstance(c, dict) and "check_id" in c for c in old + new
-    ):
-        old, new = ({c["check_id"]: c for c in v} for v in (old, new))
-    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        old, new = dict(enumerate(old)), dict(enumerate(new))
-    if isinstance(old, dict) and isinstance(new, dict):
-        out = []
-        for key in sorted(set(old) | set(new), key=str):
-            where = f"{path}.{key}" if path else str(key)
-            out += changed_fields(old[key], new[key], where) if key in old and key in new else [where]
-        return out
-    same = old == new or (isinstance(old, float) and isinstance(new, float) and math.isnan(old) and math.isnan(new))
-    return [] if same else [path]
+    """Paths at which two parsed reports differ."""
+    old, new = _keyed(old), _keyed(new)
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new or (old != old and new != new) else [path]  # NaN equals NaN here
+    out = []
+    for key in sorted(set(old) | set(new), key=str):
+        where = f"{path}.{key}" if path else str(key)
+        out += changed_fields(old[key], new[key], where) if key in old and key in new else [where]
+    return out
 
 
 @pytest.mark.parametrize("spec", SPECS)

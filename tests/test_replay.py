@@ -17,7 +17,7 @@ from finslerkit import spray as S
 from finslerkit.metrics import ball_domain, whole_space_domain
 from finslerkit.navigation import DriftField, zermelo_riemannian
 
-from conftest import GALLERY_SPECS
+from conftest import GALLERY_SPECS, sample_sites
 
 
 def _bits(values):
@@ -38,7 +38,7 @@ def _site(dim, box):
 
 
 def _fields(entry):
-    yield "spray", entry.spray
+    """F and every spray of the entry (entry.spray is the Randers or the generic one)."""
     yield "F", entry.metric
     yield "generic", S.spray_from_metric(entry.metric)
     if entry.randers is not None:
@@ -241,9 +241,7 @@ def _compiled_note(rec):
 
 def _sites(entry, m, seed):
     """m seeded sites of the entry as (x, y) pairs of lists of floats."""
-    pts = entry.metric.domain.sample_points(m, seed)
-    dirs = np.random.default_rng([seed, 5]).normal(size=(m, entry.dim))
-    return [(list(map(float, x)), list(map(float, y))) for x, y in zip(pts, dirs)]
+    return [(x.tolist(), y.tolist()) for x, y in zip(*sample_sites(entry, m, seed))]
 
 
 @pytest.mark.parametrize("name,params", GALLERY_SPECS)
