@@ -63,6 +63,21 @@ def test_replay_equals_direct_evaluation(name, params):
     check()
 
 
+@pytest.mark.parametrize("name,params", GALLERY_SPECS)
+def test_replay_over_columns_equals_direct_batched_evaluation(name, params):
+    # one record, replayed on the floats of each site of a batch, gives every
+    # column of the field evaluated once over column arrays of those sites
+    entry = gallery.make(name, **params)
+    for label, fn in _fields(entry):
+        rec, notes = _replay(fn)
+        for seed in (1, 2):
+            pts, dirs = sample_sites(entry, 6, seed)
+            rows = [np.atleast_1d(rec(x.tolist(), y.tolist())) for x, y in zip(pts, dirs)]
+            batched = dc.values_array(fn(list(pts.T), list(dirs.T)), sites=(6,))
+            assert np.array(rows, dtype=float).T.reshape(batched.shape).tobytes() == batched.tobytes(), label
+        assert notes == [] and rec.out is not None, label
+
+
 def _unrecordable(field):
     """A spray or metric changed so it cannot be recorded: it converts a
     coordinate with np.asarray()."""
