@@ -411,7 +411,10 @@ class Replay:
     notes "compiled N records in K pieces".  The compiled code runs the same
     operations in the same order, so it too is bit-identical to fn; a
     comparison that comes out otherwise there falls back to fn as above, and
-    later calls keep the compiled code.
+    later calls keep the compiled code.  A field keeps one Replay for its
+    lifetime (`SprayField.replay`, `FinslerField.replay`), so the replay count
+    and the compiled code carry over from one geodesic to the next; each
+    geodesic re-binds `note`.
     """
 
     def __init__(self, fn: Callable, note: Callable[[str], None]):

@@ -10,6 +10,7 @@ volume density and its verification-tolerance overrides.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import logging
 from dataclasses import dataclass, field
@@ -149,7 +150,7 @@ def funk(n: int = 2) -> GalleryEntry:
     alpha = euclidean_alpha(n, dom)
     drift = radial_drift(dom)
     rd = zermelo_riemannian(alpha, drift)
-    rd = RandersData(rd.alpha, rd.beta, name=f"funk{n}")
+    rd = dataclasses.replace(rd, name=f"funk{n}")
     F = rd.finsler()
     ref = Reference(
         flag_curvature=-0.25,
@@ -214,22 +215,21 @@ def _rotation_randers(n: int, dom: ChartDomain) -> tuple[RandersData, DriftField
     alpha = euclidean_alpha(n, dom)
     drift = rotation_drift(dom)
 
-    def matrix(x):
+    def site(x):
+        """(a, b) at x from one evaluation of delta and the drift."""
         delta = 1.0 - (x[0] * x[0] + x[1] * x[1])
         w = drift(x)
-        return [
+        a = [
             [(w[i] * w[j] + (delta if i == j else 0.0)) / (delta * delta) for j in range(n)]
             for i in range(n)
         ]
-
-    def covector(x):
-        delta = 1.0 - (x[0] * x[0] + x[1] * x[1])
-        return [x[1] / delta, -x[0] / delta] + [0.0] * (n - 2)
+        return a, [x[1] / delta, -x[0] / delta] + [0.0] * (n - 2)
 
     rd = RandersData(
-        alpha=RiemannianField(dom, matrix, name=f"rotation-alpha{n}"),
-        beta=OneFormField(dom, covector, name=f"rotation-beta{n}"),
+        alpha=RiemannianField(dom, lambda x: site(x)[0], name=f"rotation-alpha{n}"),
+        beta=OneFormField(dom, lambda x: site(x)[1], name=f"rotation-beta{n}"),
         name=f"rotation{n}",
+        site=site,
     )
     return rd, drift, alpha
 
@@ -357,7 +357,7 @@ def bao_shen_s3(eps: float = 0.3) -> GalleryEntry:
     alpha = _s3_alpha(dom)
     drift = DriftField(dom, lambda x: [eps * w for w in _s3_unit_field(x)], name="hopf")
     rd = zermelo_riemannian(alpha, drift)
-    rd = RandersData(rd.alpha, rd.beta, name=f"bao-shen-s3({eps})")
+    rd = dataclasses.replace(rd, name=f"bao-shen-s3({eps})")
     ref = Reference(flag_curvature=1.0, s_curvature=0.0, projectively_flat=False)
     return GalleryEntry(
         "bao_shen_s3", {"eps": eps}, rd.finsler(), randers=rd, drift=drift, source_alpha=alpha, reference=ref,

@@ -87,8 +87,7 @@ def randers_density(randers: RandersData, x) -> float:
 
 def _randers_sigma(randers: RandersData, x):
     n = randers.dim
-    a = randers.alpha.matrix(x)
-    b = randers.beta.covector(x)
+    a, b = randers.ab(x)
     a_inv, det = _linalg.spd_factor(a)
     beta2 = _linalg.quad_form(a_inv, b, b)
     return sqrt(1.0 - beta2) ** (n + 1) * sqrt(det)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _linalg
-from .diffcore import derivative_blocks, directional_derivatives, sqrt, value, values_array
+from .diffcore import Replay, derivative_blocks, directional_derivatives, sqrt, value, values_array
 from .errors import DomainError, MetricError
 
 # points of a sites x samples torsion grid evaluated in one array pass
@@ -95,17 +95,31 @@ class FinslerField:
 
     The callable must be written with generic arithmetic (diffcore.sqrt and
     friends) so it also evaluates on jets and on arrays of batched points.
-    A geodesic records it once and replays it (diffcore.Replay):
-    a value branch must compare the generic scalar rather than float() it,
-    or the field is evaluated with jets at every stage.
+    It keeps one float record (`replay`, a diffcore.Replay) that every
+    geodesic checking its speed with it shares: a value branch must compare
+    the generic scalar rather than float() it, or the field is evaluated
+    with jets at every stage.
+
+    `site`, when given, maps x to y -> func(x, y) with the work that depends
+    on x alone done once; y-derivatives of F at a fixed x go through `at`.
     """
 
     domain: ChartDomain
     func: Callable
     name: str = "finsler"
+    site: Optional[Callable] = None
 
     def __call__(self, x, y):
         return self.func(x, y)
+
+    def at(self, x) -> Callable:
+        """y -> F(x, y) at the site x, for loops over y at a fixed x."""
+        return self.site(x) if self.site is not None else lambda ys: self.func(x, ys)
+
+    @cached_property
+    def replay(self) -> Replay:
+        """F's one float record (diffcore.Replay), kept as long as the field."""
+        return Replay(self.func, lambda why: None)
 
     @property
     def dim(self) -> int:
@@ -114,6 +128,17 @@ class FinslerField:
     def squared(self, x, y):
         f = self.func(x, y)
         return f * f
+
+    def squared_at(self, x) -> Callable:
+        """(xs, ys) -> F(x, ys)^2 through `at`, for derivatives in y at the
+        fixed site x; xs is ignored."""
+        at = self.at(x)
+
+        def f2(_, ys):
+            f = at(ys)
+            return f * f
+
+        return f2
 
 
 @dataclass(frozen=True)
@@ -162,11 +187,17 @@ def zero_one_form(domain: ChartDomain) -> OneFormField:
 
 @dataclass(frozen=True)
 class RandersData:
-    """Randers structure F = alpha + beta with ||beta||_alpha < 1."""
+    """Randers structure F = alpha + beta with ||beta||_alpha < 1.
+
+    `site`, when given, maps x to (a_ij(x), b_i(x)) computed together, so the
+    x-work they share is done once; it must agree with alpha.matrix and
+    beta.covector.  F and the beta tables take a and b from `ab`.
+    """
 
     alpha: RiemannianField
     beta: OneFormField
     name: str = "randers"
+    site: Optional[Callable] = None
 
     @property
     def domain(self) -> ChartDomain:
@@ -176,12 +207,21 @@ class RandersData:
     def dim(self) -> int:
         return self.alpha.dim
 
+    def ab(self, x) -> tuple:
+        """(a_ij(x), b_i(x)) as nested lists (jet-safe)."""
+        return self.site(x) if self.site is not None else (self.alpha.matrix(x), self.beta.covector(x))
+
+    def at(self, x) -> Callable:
+        """y -> F(x, y) = sqrt(a(y, y)) + b(y) with a and b evaluated once."""
+        a, b = self.ab(x)
+        return lambda y: sqrt(_linalg.quad_form(a, y, y)) + _linalg.sum_prod(b, y)
+
     def __call__(self, x, y):
-        return self.alpha.norm(x, y) + self.beta.pairing(x, y)
+        return self.at(x)(y)
 
     @cached_property
     def field(self) -> FinslerField:
-        return FinslerField(self.domain, self.__call__, name=self.name)
+        return FinslerField(self.domain, self.__call__, name=self.name, site=self.at)
 
     def finsler(self) -> FinslerField:
         return self.field
@@ -192,9 +232,9 @@ def beta_norm(randers: RandersData, x):
 
     A float at one chart point; an array when x holds column arrays of sites.
     """
-    a = [[value(e) for e in row] for row in randers.alpha.matrix(x)]
-    b = [value(e) for e in randers.beta.covector(x)]
-    a_inv, _ = _linalg.spd_factor(a)
+    a, b = randers.ab(x)
+    a_inv, _ = _linalg.spd_factor([[value(e) for e in row] for row in a])
+    b = [value(e) for e in b]
     return sqrt(np.maximum(_linalg.quad_form(a_inv, b, b), 0.0))
 
 
@@ -215,13 +255,16 @@ class FundamentalTensor:
 
 def metric_entries(F: FinslerField, x, y) -> list:
     """Entries of g as a nested list of generic scalars (jet-safe)."""
-    _, hess = derivative_blocks(F.squared, x, y, "y", order=2)
+    _, hess = derivative_blocks(F.squared_at(x), x, y, "y", order=2)
     return [[e * 0.5 for e in row] for row in hess]
 
 
 def require_nonzero(y) -> None:
     """Raise MetricError if y (or y at some site of column arrays) is zero."""
-    if np.any(np.all([np.asarray(value(v)) == 0.0 for v in y], axis=0)):
+    zero = True
+    for v in y:
+        zero = zero & (value(v) == 0.0)  # a bool on floats, a bool array on column arrays
+    if zero if isinstance(zero, bool) else np.any(zero):
         raise MetricError("tangent vector must be nonzero (slit tangent bundle)")
 
 
@@ -238,13 +281,13 @@ def fundamental_tensor(F: FinslerField, x, y) -> FundamentalTensor:
 
 def cartan_first(F: FinslerField, x, y, u, v, w):
     """First Cartan torsion C_y(u, v, w): quarter of the third y-derivative of F^2."""
-    res = directional_derivatives(F.squared, x, y, y_dirs=[(u, 1), (v, 1), (w, 1)])
+    res = directional_derivatives(F.squared_at(x), x, y, y_dirs=[(u, 1), (v, 1), (w, 1)])
     return res.partial([1, 1, 1]) * 0.25
 
 
 def cartan_second(F: FinslerField, x, y, u, v, w, z):
     """Second Cartan torsion C~_y(u, v, w, z): quarter of the fourth y-derivative."""
-    res = directional_derivatives(F.squared, x, y, y_dirs=[(u, 1), (v, 1), (w, 1), (z, 1)])
+    res = directional_derivatives(F.squared_at(x), x, y, y_dirs=[(u, 1), (v, 1), (w, 1), (z, 1)])
     return res.partial([1, 1, 1, 1]) * 0.25
 
 
@@ -271,12 +314,13 @@ def _flag_ratio(F, x, y, u0, second):
     coefficient c = g_y(y, u0) / g_y(y, y) = d_u0 F^2 / (2 F^2); one jet of
     F^2 along u then has value F^2, half its second derivative is g_y(u, u)
     and a quarter of its third (fourth) is the torsion."""
-    res = directional_derivatives(F.squared, x, y, y_dirs=[(u0, 1)])
+    sq = F.squared_at(x)
+    res = directional_derivatives(sq, x, y, y_dirs=[(u0, 1)])
     coef = res.partial([1]) / (2.0 * res.value)
     u = [a - coef * b for a, b in zip(u0, y)]
     del res, coef  # not held through the order-3 (4) jet
     order = 4 if second else 3
-    res = directional_derivatives(F.squared, x, y, y_dirs=[(u, order)])
+    res = directional_derivatives(sq, x, y, y_dirs=[(u, order)])
     f2, guu = res.value, res.partial([2]) * 0.5
     val = np.abs(res.partial([order]) * 0.25)
     if second:

@@ -74,21 +74,21 @@ def zermelo_riemannian(alpha: RiemannianField, v: DriftField) -> RandersData:
         if float(value(scalars(list(x))[2])) <= 0.0:
             raise DriftError(f"alpha(v) >= 1 at {tuple(float(c) for c in x)}")
 
-    def matrix(x):
-        a, w, lam = scalars(x)
-        return [
-            [(w[i] * w[j] + lam * a[i][j]) / (lam * lam) for j in range(n)]
-            for i in range(n)
-        ]
+    def matrix(a, w, lam):
+        return [[(w[i] * w[j] + lam * a[i][j]) / (lam * lam) for j in range(n)] for i in range(n)]
 
-    def covector(x):
-        _, w, lam = scalars(x)
+    def covector(a, w, lam):
         return [-w[i] / lam for i in range(n)]
 
+    def site(x):  # (a~, b~) from one evaluation of the scalars
+        s = scalars(x)
+        return matrix(*s), covector(*s)
+
     return RandersData(
-        alpha=RiemannianField(alpha.domain, matrix, name=f"nav({alpha.name},{v.name})"),
-        beta=OneFormField(alpha.domain, covector, name=f"nav-form({v.name})"),
+        alpha=RiemannianField(alpha.domain, lambda x: matrix(*scalars(x)), name=f"nav({alpha.name},{v.name})"),
+        beta=OneFormField(alpha.domain, lambda x: covector(*scalars(x)), name=f"nav-form({v.name})"),
         name=f"navigation({alpha.name},{v.name})",
+        site=site,
     )
 
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _linalg
-from .diffcore import Replay, basis, derivative_blocks, directional_derivatives, sqrt, values_array
+from .diffcore import Replay, derivative_blocks, directional_derivatives, sqrt, values_array
 from .errors import DomainError, IntegrationError, MetricError
 from .metrics import (
     ChartDomain,
@@ -49,6 +50,11 @@ class SprayField:
         """y -> G(x, y) at the site x, for loops over y at a fixed x."""
         return self.site(x) if self.site is not None else lambda ys: self.func(x, ys)
 
+    @cached_property
+    def replay(self) -> Replay:
+        """G's one float record (diffcore.Replay), kept as long as the field."""
+        return Replay(self.func, lambda why: None)
+
     @property
     def dim(self) -> int:
         return self.domain.dim
@@ -66,16 +72,16 @@ def spray_from_metric(F: FinslerField) -> SprayField:
     """
     n = F.dim
 
+    def y_gradient(xs, ys):
+        return derivative_blocks(F.squared_at(xs), xs, ys, "y")[0]
+
     def G(x, y):
         g = metric_entries(F, x, y)
         g_inv, _ = _linalg.spd_factor(g)
         grad, _ = derivative_blocks(F.squared, x, y, "x")
-        rhs = [
-            directional_derivatives(
-                F.squared, x, y, x_dirs=[(y, 1)], y_dirs=[(basis(n, l), 1)]
-            ).partial([1, 1]) - grad[l]
-            for l in range(n)
-        ]
+        # one x-jet along y, shared by the n y-jets, whose tags come after it
+        mixed = directional_derivatives(y_gradient, x, y, x_dirs=[(y, 1)]).partial([1])
+        rhs = [mixed[l] - grad[l] for l in range(n)]
         return [0.25 * _linalg.sum_prod(g_inv[i], rhs) for i in range(n)]
 
     return SprayField(F.domain, G)
@@ -258,9 +264,11 @@ def beta_table(randers: RandersData, x, order: int = 2) -> BetaTable:
 def _first_order_table(randers: RandersData, x) -> BetaTable:
     """The table of beta_table(order=1) (jet-safe in x)."""
     n = randers.dim
-    b = randers.beta.covector(x)
-    a0, a_inv, gamma = _levi_civita(randers.alpha, x)
-    db, _ = derivative_blocks(lambda xs, ys: randers.beta.covector(xs), x, [], "x")
+    a0, b = randers.ab(x)
+    d, _ = derivative_blocks(lambda xs, ys: randers.ab(xs), x, [], "x")  # d[k] = [d_k a, d_k b]
+    a_inv, _ = _linalg.spd_factor(a0)
+    gamma = _christoffel(a_inv, [dk[0] for dk in d])
+    db = [dk[1] for dk in d]
     b_cov = [
         [
             db[j][i] - _sum(b[l] * gamma[l][i][j] for l in range(n))
@@ -366,11 +374,13 @@ def geodesic_integrate(
 
     The state is a list of Python floats.  G and `speed_check` are recorded
     at their first evaluation and replayed at later ones (diffcore.Replay),
-    bit-identically; the 128th replay compiles the record to straight-line
-    Python in pieces of at most 256 records.  A stage where a recorded
-    comparison changes is evaluated directly.  The log says when a field
-    cannot be recorded, when a comparison changes and when a record is
-    compiled.
+    bit-identically.  Each field keeps its one record (`replay`) for its
+    lifetime, so a later geodesic of the same field records nothing new, and
+    the record's 128th replay, counted over all those geodesics, compiles it
+    to straight-line Python in pieces of at most 256 records.  A stage where
+    a recorded comparison changes is evaluated directly.  The log says when
+    a field cannot be recorded, when a comparison changes and when a record
+    is compiled.
     """
     if not (0 < dt < math.inf and math.isfinite(T / dt)):
         raise ValueError(f"T must be finite and dt finite and positive, got T={T} and dt={dt}")
@@ -387,7 +397,8 @@ def geodesic_integrate(
     def replayed(field, what):
         if field is None:
             return None
-        return Replay(field, lambda why: log.debug("geodesic row 0 at t=%g: %s %s", ts[-1], what, why))
+        field.replay.note = lambda why: log.debug("geodesic row 0 at t=%g: %s %s", ts[-1], what, why)
+        return field.replay
 
     spray, speed_field = replayed(G, "spray"), replayed(speed_check, "speed check")
 

@@ -287,13 +287,16 @@ def test_a_guard_failing_after_compilation_falls_back_and_keeps_the_code():
     assert rec.runs is runs and len(direct) == 2 and len(notes) == 2
 
 
-def test_short_arcs_are_not_compiled(caplog, entries):
-    entry = entries["bao_shen_s3"]
+def test_short_arcs_are_not_compiled(caplog):
+    # fresh fields; the two arcs share one spray record: 112 replays in all, below 128
+    entry = gallery.make("bao_shen_s3")
+    G = entry.spray
     (x0, y0), (x1, y1) = _sites(entry, 2, 2)
     with caplog.at_level(logging.DEBUG, logger="finslerkit"):
-        short = S.geodesic_integrate(entry.spray, x0, [0.5 * c for c in y0], T=0.016, dt=2e-3)  # 32 spray calls
-        arc = S.geodesic_integrate(entry.spray, x1, [0.5 * c for c in y1], T=0.04, dt=2e-3, speed_check=entry.metric)
+        short = S.geodesic_integrate(G, x0, [0.5 * c for c in y0], T=0.016, dt=2e-3)  # 32 spray calls
+        arc = S.geodesic_integrate(G, x1, [0.5 * c for c in y1], T=0.04, dt=2e-3, speed_check=entry.metric)
     assert len(short.t) == 9 and len(arc.t) == 21  # 80 spray calls and 21 speed checks
+    assert G.replay.replays == 112 and G.replay.runs is None and entry.metric.replay.replays == 21
     assert caplog.records == []
 
 
@@ -332,3 +335,36 @@ def test_a_stirred_six_ball_record_compiles_bit_identically():
         assert _bits(rec(x, y)) == _bits(G(x, y))
     assert len(rec.ops) // 4 > 8000 and len(rec.runs) == math.ceil(len(rec.ops) / 4 / dc._PIECE)
     assert notes == [_compiled_note(rec)]
+
+
+# -- one record per field --------------------------------------------------------------
+
+
+def test_a_second_geodesic_of_a_field_records_nothing_new():
+    entry = gallery.make("rotation2d")
+    G, F = entry.spray, entry.metric
+    kw = dict(T=0.04, dt=2e-3, speed_check=F)
+    first = S.geodesic_integrate(G, [0.1, 0.2], [0.3, -0.1], **kw)
+    records = [(f.replay, f.replay.ops, f.replay.out) for f in (G, F)]
+    again = S.geodesic_integrate(G, [0.1, 0.2], [0.3, -0.1], **kw)
+    assert [(f.replay, f.replay.ops, f.replay.out) for f in (G, F)] == records
+    for a, b in ((first.x, again.x), (first.v, again.v), (first.speed, again.speed)):
+        assert a.tobytes() == b.tobytes()
+    assert G.replay.replays == 160 and F.replay.replays == 42
+
+
+def test_a_record_compiles_once_per_field_at_its_128th_replay(caplog):
+    entry = gallery.make("rotation2d")
+    (x0, y0), (x1, y1) = _sites(entry, 2, 8)
+    G = entry.spray
+    with caplog.at_level(logging.DEBUG, logger="finslerkit"):
+        for x, y in ((x0, y0), (x1, y1), (x0, y0)):  # 80 spray calls each
+            S.geodesic_integrate(G, x, [0.5 * c for c in y], T=0.04, dt=2e-3)
+        fresh = entry.spray  # a new field records and compiles again
+        for _ in range(2):
+            S.geodesic_integrate(fresh, x1, [0.5 * c for c in y1], T=0.04, dt=2e-3)
+    # the 128th call is the 48th of the second arc: stage 4 of step 12, after t = 11 dt
+    assert [r.getMessage() for r in caplog.records] == [
+        "geodesic row 0 at t=0.022: spray compiled 289 records in 2 pieces"
+    ] * 2
+    assert fresh.replay is not G.replay and G.replay.replays == 240 and fresh.replay.replays == 160

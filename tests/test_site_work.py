@@ -1,0 +1,183 @@
+"""Work that depends on x alone is done once per site: F.at, RandersData.ab
+and the beta tables give the same bits as the direct route, which evaluates
+alpha.matrix and beta.covector in separate passes and F^2 at every jet."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from finslerkit import _linalg
+from finslerkit import diffcore as dc
+from finslerkit import gallery
+from finslerkit import metrics as M
+from finslerkit import spray as S
+from finslerkit.errors import MetricError
+
+from conftest import GALLERY_SPECS, sample_sites
+
+
+def _bits(obj):
+    """Nested jets, lists, arrays and floats as comparable structure with
+    exact bit patterns; jet tags are left out, as each call draws new ones."""
+    if isinstance(obj, dc.Jet):
+        return ("jet", [_bits(c) for c in obj.coeffs])
+    if isinstance(obj, (list, tuple)):
+        return [_bits(e) for e in obj]
+    if isinstance(obj, np.ndarray):
+        return ("array", obj.dtype.str, obj.shape, obj.tobytes())
+    return (type(obj).__name__, float(obj).hex())
+
+
+# -- the direct route ------------------------------------------------------------
+
+
+def _direct_metric(entry) -> M.FinslerField:
+    """F without a site: a Randers F from alpha.norm + beta.pairing."""
+    rd = entry.randers
+    if rd is None:
+        return M.FinslerField(entry.metric.domain, entry.metric.func)
+    return M.FinslerField(rd.domain, lambda x, y: rd.alpha.norm(x, y) + rd.beta.pairing(x, y))
+
+
+def _direct_metric_entries(F, x, y):
+    _, hess = dc.derivative_blocks(F.squared, x, y, "y", order=2)
+    return [[e * 0.5 for e in row] for row in hess]
+
+
+def _direct_spray(F, x, y):
+    """spray_from_metric with one mixed x/y jet pair per y-direction."""
+    n = F.dim
+    g_inv, _ = _linalg.spd_factor(_direct_metric_entries(F, x, y))
+    grad, _ = dc.derivative_blocks(F.squared, x, y, "x")
+    rhs = [
+        dc.directional_derivatives(F.squared, x, y, x_dirs=[(y, 1)], y_dirs=[(dc.basis(n, l), 1)]).partial([1, 1])
+        - grad[l]
+        for l in range(n)
+    ]
+    return [0.25 * _linalg.sum_prod(g_inv[i], rhs) for i in range(n)]
+
+
+def _direct_first_order_table(randers, x):
+    """_first_order_table from alpha.matrix and beta.covector in separate passes."""
+    n = randers.dim
+    b = randers.beta.covector(x)
+    a0, a_inv, gamma = S._levi_civita(randers.alpha, x)
+    db, _ = dc.derivative_blocks(lambda xs, ys: randers.beta.covector(xs), x, [], "x")
+    b_cov = [[db[j][i] - S._sum(b[l] * gamma[l][i][j] for l in range(n)) for j in range(n)] for i in range(n)]
+    r = [[(b_cov[i][j] + b_cov[j][i]) * 0.5 for j in range(n)] for i in range(n)]
+    s = [[(b_cov[i][j] - b_cov[j][i]) * 0.5 for j in range(n)] for i in range(n)]
+    s_up = [[S._sum(a_inv[i][p] * s[p][j] for p in range(n)) for j in range(n)] for i in range(n)]
+    s_form = [S._sum(b[i] * s_up[i][j] for i in range(n)) for j in range(n)]
+    return S.BetaTable(x=tuple(x), a=a0, a_inv=a_inv, b=b, gamma=gamma, b_cov=b_cov, r=r, s=s, s_up=s_up, s_form=s_form)
+
+
+def _table_bits(t):
+    return _bits([t.a, t.a_inv, t.b, t.gamma, t.b_cov, t.r, t.s, t.s_up, t.s_form, t.s_form_cov, t.s_up_cov])
+
+
+# -- inputs ------------------------------------------------------------------------
+
+
+def _inputs(entry):
+    """(label, x, y, wrap): one float site, column arrays of 4 sites, and the
+    float site under an outer jet tag that moves x and y (wrap evaluates a
+    route on the seeded point and returns the jet root)."""
+    pts, dirs = sample_sites(entry, 4, 13)
+    x, y = pts[0].tolist(), dirs[0].tolist()
+    u, w = (np.linspace(0.3, -0.4, entry.dim) + 0.1).tolist(), dirs[1].tolist()
+
+    def plain(route):
+        return route
+
+    def jet(route):
+        return lambda xs, ys: dc.directional_derivatives(route, xs, ys, x_dirs=[(u, 2)], y_dirs=[(w, 1)]).root
+
+    yield "float", x, y, plain
+    yield "columns", list(pts.T), list(dirs.T), plain
+    yield "outer-jet", x, y, jet
+
+
+@pytest.mark.parametrize("name,params", GALLERY_SPECS)
+def test_metric_and_spray_equal_the_direct_route(name, params):
+    entry = gallery.make(name, **params)
+    F, direct = entry.metric, _direct_metric(entry)
+    G = S.spray_from_metric(F)
+    for label, x, y, wrap in _inputs(entry):
+        got = wrap(lambda xs, ys: M.metric_entries(F, xs, ys))(x, y)
+        assert _bits(got) == _bits(wrap(lambda xs, ys: _direct_metric_entries(direct, xs, ys))(x, y)), label
+        got = wrap(G)(x, y)
+        assert _bits(got) == _bits(wrap(lambda xs, ys: _direct_spray(direct, xs, ys))(x, y)), label
+
+
+@pytest.mark.parametrize("name,params", [s for s in GALLERY_SPECS if s[0] not in ("minkowski", "shen_flat")])
+def test_beta_tables_equal_the_direct_route(monkeypatch, name, params):
+    entry = gallery.make(name, **params)
+    rd = entry.randers
+    got = {}
+    for label, x, _, wrap in _inputs(entry):
+        got[label] = _table_bits(wrap(lambda xs, ys: S.beta_table(rd, xs, order=2))(x, []))
+    monkeypatch.setattr(S, "_first_order_table", _direct_first_order_table)
+    for label, x, _, wrap in _inputs(entry):
+        assert got[label] == _table_bits(wrap(lambda xs, ys: S.beta_table(rd, xs, order=2))(x, [])), label
+
+
+# -- the hoist stays in place ---------------------------------------------------------
+
+
+def _counted(fn, calls):
+    def wrapped(*args):
+        calls.append(1)
+        return fn(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("name,params", [s for s in GALLERY_SPECS if s[0] not in ("minkowski", "shen_flat")])
+def test_metric_entries_evaluate_the_randers_data_once(name, params):
+    entry = gallery.make(name, **params)
+    rd, (pts, dirs) = entry.randers, sample_sites(entry, 1, 4)
+    x, y = pts[0].tolist(), dirs[0].tolist()
+    # without a site: alpha.matrix once, not once per entry of the Hessian (n (n + 1) / 2)
+    matrix_calls = []
+    alpha = dataclasses.replace(rd.alpha, matrix=_counted(rd.alpha.matrix, matrix_calls))
+    M.metric_entries(M.RandersData(alpha, rd.beta).field, x, y)
+    assert len(matrix_calls) == 1
+    # with the entry's site, if any: the site once
+    if rd.site is not None:
+        site_calls = []
+        M.metric_entries(dataclasses.replace(rd, site=_counted(rd.site, site_calls)).field, x, y)
+        assert len(site_calls) == 1
+
+
+@pytest.mark.parametrize("name,params", [("funk", {"n": 2}), ("bao_shen_s3", {"eps": 0.3})])
+def test_first_order_tables_do_the_navigation_x_work_once_per_pass(monkeypatch, name, params):
+    # counts zermelo_riemannian's x-work (one source alpha.matrix per evaluation
+    # of its scalars) through the gallery's own constructor, so a constructor
+    # that drops the site doubles the count
+    calls = []
+    real = gallery.zermelo_riemannian
+
+    def counting(alpha, v):
+        return real(dataclasses.replace(alpha, matrix=_counted(alpha.matrix, calls)), v)
+
+    monkeypatch.setattr(gallery, "zermelo_riemannian", counting)
+    entry = gallery.make(name, **params)
+    x = entry.metric.domain.sample_points(1, seed=4)[0].tolist()
+    calls.clear()  # the constructor's drift check
+    S.beta_table(entry.randers, x, order=1)
+    assert len(calls) == entry.dim + 1  # a and b at x, then one x-jet per coordinate
+
+
+# -- require_nonzero ----------------------------------------------------------------
+
+
+def test_a_zero_direction_raises_on_floats_jets_and_columns():
+    zero = [0.0, -0.0, 0]
+    jet = dc.directional_derivatives(lambda xs, ys: ys, [0.0], [0.0, 0.0, 0.0], y_dirs=[([1.0, 2.0, 3.0], 1)]).root
+    cols = [np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.array([2.0, 0.0])]
+    for y in (zero, np.zeros(3), jet, cols, [np.float64(0.0)] * 2, [np.array([0.0, 1.0]), 0.0]):
+        with pytest.raises(MetricError, match="tangent vector must be nonzero"):
+            M.require_nonzero(y)
+    for y in ([0.0, 1e-300], [np.float64(0.0), 2.0], jet[:2] + [1.0], [c[:1] for c in cols], [np.array([0.0, 1.0]), 1.0]):
+        M.require_nonzero(y)

@@ -455,10 +455,12 @@ def test_row_stop_reasons_are_logged(caplog):
     ]
 
 
-def test_compiled_records_are_logged(caplog, rotation2d):
+def test_compiled_records_are_logged(caplog):
+    # fresh fields: a field keeps its record, so a shared fixture's may be compiled already
+    entry = gallery.rotation2d()
     with caplog.at_level(logging.DEBUG, logger="finslerkit"):
         traj = S.geodesic_integrate(
-            rotation2d.spray, [0.1, 0.2], [0.3, -0.1], T=0.5, dt=2e-3, speed_check=rotation2d.metric,
+            entry.spray, [0.1, 0.2], [0.3, -0.1], T=0.5, dt=2e-3, speed_check=entry.metric,
         )
     assert len(traj.t) == 251
     # the 128th of 1000 spray calls and of 251 speed checks compiles each record once
