@@ -44,20 +44,15 @@ class RiemannOperator:
 
 
 def _along_spray(G: SprayField, x, y, G_at, y_part):
-    """y_part(G.at(x), x, y) and its derivative D along the vector (-y, 2G)
+    """y_part(G.at(x), y) and its derivative D along the vector (-y, 2G)
     on TM, from one jet tag that moves x by -y and y by 2G(x, y) together.
 
-    y_part(G_xs, xs, ys) takes y-derivatives of zs -> G_xs(zs) at ys.
+    y_part(G_xs, ys) takes y-derivatives of G_xs, the site function of G, at ys.
     """
     return joint_derivative(
-        lambda xs, ys: y_part(G.at(xs), xs, ys),
+        lambda xs, ys: y_part(G.at(xs), ys),
         x, y, [-c for c in y], [2.0 * g for g in G_at(list(y))],
     )
-
-
-def _y_gradient(G_xs, xs, ys):
-    """dG^i/dy^k as [k][i]."""
-    return derivative_blocks(lambda _, zs: G_xs(zs), xs, ys, "y")[0]
 
 
 def _spray_form_blocks(H: SprayField, x, y, G_at):
@@ -65,8 +60,8 @@ def _spray_form_blocks(H: SprayField, x, y, G_at):
     derivative along (-y, 2G) and G_at the site function of G at x:
     2n + 1 evaluations of H and one of G_at.  H = G gives the blocks of the
     spray form of R."""
-    dHdx, _ = derivative_blocks(H, x, y, "x")
-    return (dHdx, *_along_spray(H, x, y, G_at, _y_gradient))
+    dHdx, _ = derivative_blocks(lambda xs: H(xs, list(y)), x)
+    return (dHdx, *_along_spray(H, x, y, G_at, lambda H_xs, ys: derivative_blocks(H_xs, ys)[0]))
 
 
 def riemann_entries(G: SprayField, x, y) -> list:
@@ -168,13 +163,13 @@ def _riemann_times(G: SprayField, x, y, u) -> list:
     d_{x,u} and d_{y,u} the derivatives along u in x and in y: four spray
     evaluations in any dimension, without the matrix R."""
 
-    def along(G_xs, xs, ys, w):
-        return directional_derivatives(lambda _, zs: G_xs(zs), xs, ys, y_dirs=[(w, 1)]).partial([1])
+    def along(G_xs, ys, w):
+        return directional_derivatives(G_xs, ys, [(w, 1)]).partial([1])
 
     G_at = G.at(list(x))
-    dxu = directional_derivatives(G, x, y, x_dirs=[(u, 1)]).partial([1])
-    v, Dv = _along_spray(G, x, y, G_at, lambda G_xs, xs, ys: along(G_xs, xs, ys, u))
-    return [2.0 * a + b - c for a, b, c in zip(dxu, Dv, along(G_at, x, y, v))]
+    dxu = directional_derivatives(lambda xs: G(xs, list(y)), x, [(u, 1)]).partial([1])
+    v, Dv = _along_spray(G, x, y, G_at, lambda G_xs, ys: along(G_xs, ys, u))
+    return [2.0 * a + b - c for a, b, c in zip(dxu, Dv, along(G_at, y, v))]
 
 
 # -- curvature via a reference spray ------------------------------------------
@@ -200,7 +195,7 @@ def riemann_via_difference(G: SprayField, G_ref: SprayField, x, y) -> RiemannOpe
     dHdx, dHdy, DdHdy = _spray_form_blocks(H, x, y, G.at(list(x)))
     # N and its y-derivative along 2H, from one jet moving y by 2H
     N, HdN = joint_derivative(
-        lambda xs, ys: _y_gradient(G_ref.at(xs), xs, ys),
+        lambda xs, ys: derivative_blocks(G_ref.at(xs), ys)[0],
         x, y, [0.0] * n, [2.0 * h for h in H_at(list(x))(list(y))],
     )
     R = [[None] * n for _ in range(n)]

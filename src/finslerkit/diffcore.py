@@ -8,12 +8,14 @@ be written with ordinary arithmetic plus the generic `sqrt`/`log`/`exp`/
 on numpy arrays (batched points), on jets and on the recorded floats that
 `Replay` replays.
 
-`directional_derivatives` seeds jets along given directions and returns a
-`TaylorResult` whose `partial` reads any mixed partial up to the seeded
-orders; `derivative_blocks` (gradient and Hessian blocks in x or y) and
-`joint_derivative` (one derivative along a joint (dx, dy) direction) are built
-on it.  The finite-difference oracle that cross-checks the jets lives with
-the tests (`tests/fd_oracle.py`).
+Every jet pass differentiates a function of one point list:
+`directional_derivatives(f, z, dirs)` seeds jets along the given directions
+at z and returns a `TaylorResult` whose `partial` reads any mixed partial up
+to the seeded orders.  `derivative_blocks(f, z)` (gradient and Hessian
+blocks) and `joint_derivative` (one derivative of f(x, y) along a joint
+(dx, dy) direction, seeded on the concatenated point) are built on it.  The
+finite-difference oracle that cross-checks the jets lives with the tests
+(`tests/fd_oracle.py`).
 """
 
 from __future__ import annotations
@@ -412,9 +414,9 @@ class Replay:
     operations in the same order, so it too is bit-identical to fn; a
     comparison that comes out otherwise there falls back to fn as above, and
     later calls keep the compiled code.  A field keeps one Replay for its
-    lifetime (`SprayField.replay`, `FinslerField.replay`), so the replay count
-    and the compiled code carry over from one geodesic to the next; each
-    geodesic re-binds `note`.
+    lifetime (`metrics.Field.replay`), so the replay count and the compiled
+    code carry over from one geodesic to the next; each geodesic re-binds
+    `note`.
     """
 
     def __init__(self, fn: Callable, note: Callable[[str], None]):
@@ -563,6 +565,8 @@ class TaylorResult:
         self._desc = sorted(range(len(tags)), key=lambda i: -tags[i])
 
     def partial(self, multi: Sequence[int]):
+        if len(multi) != len(self.tags):
+            raise ValueError(f"a multi-index of length {len(multi)} for {len(self.tags)} seeded directions")
         for i, d in enumerate(multi):
             if d > self.orders[i]:
                 raise OrderCapError(f"order {d} exceeds seeded order {self.orders[i]}")
@@ -590,78 +594,64 @@ def _component(obj, tag: int, d: int):
     return obj if d == 0 else 0.0
 
 
-def _seed_linear(base, dirs):
-    """Point components base[i] + sum_a t_a * dirs[a][0][i], jets in each t_a."""
-    tags, orders = [], []
-    pts = list(base)
+def directional_derivatives(f: Callable, z: Sequence, dirs: Sequence[tuple[Sequence, int]]) -> TaylorResult:
+    """Mixed Taylor data of t -> f(z + sum_a t_a p_a) at t = 0, for the
+    directions (p_a, order_a) of `dirs`, each seeded to its order (>= 1).
+
+    f takes one point list and returns a generic scalar or a nested list of
+    them.  The result's tags follow `dirs`, and each tag is newer than every
+    tag of an enclosing pass, so passes nested inside f stay well ordered.
+    A zero component of p_a (a float or int) leaves that coordinate alone.
+    """
+    pts, tags, orders = list(z), [], []
     for vec, order in dirs:
-        if order <= 0:
-            continue
+        if order < 1:
+            raise ValueError(f"a seeded direction needs order >= 1, got {order}")
         t = next(_TAGS)
         tags.append(t)
         orders.append(order)
         gen = Jet(t, [0.0, 1.0] + [0.0] * (order - 1))
         pts = [p + gen * v if _nonzero(v) else p for p, v in zip(pts, vec)]
-    return pts, tags, orders
+    return TaylorResult(f(pts), tags, orders)
 
 
 def _nonzero(v):
     return not isinstance(v, (float, int, Recorded)) or v != 0
 
 
-def directional_derivatives(
-    f: Callable,
-    x: Sequence,
-    y: Sequence,
-    x_dirs: Sequence[tuple[Sequence, int]] = (),
-    y_dirs: Sequence[tuple[Sequence, int]] = (),
-) -> TaylorResult:
-    """Mixed Taylor data of t -> f(x + sum t_a p_a, y + sum t_b q_b) at t=0.
-
-    Variables are ordered x_dirs then y_dirs in the returned result.
-    """
-    xs, tx, ox = _seed_linear(x, x_dirs)
-    ys, ty, oy = _seed_linear(y, y_dirs)
-    root = f(xs, ys)
-    return TaylorResult(root, tx + ty, ox + oy)
-
-
 def joint_derivative(f: Callable, x: Sequence, y: Sequence, dx: Sequence, dy: Sequence):
-    """f at (x, y) and its first derivative along the joint direction (dx, dy):
-    one tag moves x by t dx and y by t dy together.  Returns (value,
-    derivative), each nested like the value of f."""
+    """f(x, y) and its first derivative along the joint direction (dx, dy):
+    one tag moves x by t dx and y by t dy together, seeded on the
+    concatenated point (x, y).  Returns (value, derivative), each nested like
+    the value of f."""
     n = len(x)
-    res = directional_derivatives(lambda z, _: f(z[:n], z[n:]), [*x, *y], (), [([*dx, *dy], 1)])
+    res = directional_derivatives(lambda z: f(z[:n], z[n:]), [*x, *y], [([*dx, *dy], 1)])
     return res.value, res.partial([1])
 
 
-def derivative_blocks(f: Callable, x: Sequence, y: Sequence, wrt: str, order: int = 1):
-    """First and (with order=2) second partials of f in the `wrt` ("x" or
-    "y") coordinates, at (x, y).
+def derivative_blocks(f: Callable, z: Sequence, order: int = 1):
+    """First and (with order=2) second partials of f in the coordinates of
+    its one point, at z.
 
-    f(xs, ys) returns a generic scalar or a nested list of them.  Returns
+    f(zs) returns a generic scalar or a nested list of them.  Returns
     (d1, d2) with d1[k] = df/dz^k and d2[k][l] = d2f/dz^k dz^l, each nested
     like the value of f; d2 is None at order 1.  One directional_derivatives
     call per coordinate (seeded to `order`) and, at order 2, one per
-    coordinate pair k < l.
+    coordinate pair k < l.  A derivative in x at a fixed y takes
+    f = lambda xs: H(xs, y), one in y at a fixed x f = lambda ys: H(x, ys).
     """
-    n = len(x) if wrt == "x" else len(y)
-
-    def taylor(dirs):
-        if wrt == "x":
-            return directional_derivatives(f, x, y, x_dirs=dirs)
-        return directional_derivatives(f, x, y, y_dirs=dirs)
-
+    n = len(z)
     d1 = [None] * n
     d2 = [[None] * n for _ in range(n)] if order >= 2 else None
     for k in range(n):
-        res = taylor([(basis(n, k), order)])
+        res = directional_derivatives(f, z, [(basis(n, k), order)])
         d1[k] = res.partial([1])
         if d2 is None:
             continue
         d2[k][k] = res.partial([2])
         for l in range(k + 1, n):
-            d2[k][l] = d2[l][k] = taylor([(basis(n, k), 1), (basis(n, l), 1)]).partial([1, 1])
+            pair = [(basis(n, k), 1), (basis(n, l), 1)]
+            d2[k][l] = d2[l][k] = directional_derivatives(f, z, pair).partial([1, 1])
     return d1, d2
 
 

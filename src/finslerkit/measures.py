@@ -247,12 +247,11 @@ def s_curvature(G: SprayField, sigma: VolumeDensity, x, y) -> float:
     if not sigma.differentiable:
         raise MetricError(f"density method {sigma.method!r} is not differentiable")
     require_nonzero(y)
-    G_at = G.at(list(x))
-    dGdy, _ = derivative_blocks(lambda _, ys: G_at(ys), x, y, "y")
+    dGdy, _ = derivative_blocks(G.at(list(x)), y)
     div = 0.0
     for i in range(len(y)):
         div = div + value(dGdy[i][i])
-    res = directional_derivatives(lambda xs, ys: log(sigma(xs)), x, y, x_dirs=[(list(y), 1)])
+    res = directional_derivatives(lambda xs: log(sigma(xs)), x, [(list(y), 1)])
     return div - value(res.partial([1]))
 
 

@@ -90,51 +90,52 @@ def cylinder_domain(n: int) -> ChartDomain:
 
 
 @dataclass(frozen=True)
-class FinslerField:
-    """A Finsler metric as an evaluable scalar F(x, y), y != 0.
-
-    The callable must be written with generic arithmetic (diffcore.sqrt and
-    friends) so it also evaluates on jets and on arrays of batched points.
-    It keeps one float record (`replay`, a diffcore.Replay) that every
-    geodesic checking its speed with it shares: a value branch must compare
-    the generic scalar rather than float() it, or the field is evaluated
-    with jets at every stage.
+class Field:
+    """A field H(x, y) on one chart, evaluable on floats, on jets, on arrays
+    of batched points and on recorded floats: the core of FinslerField and
+    spray.SprayField.
 
     `site`, when given, maps x to y -> func(x, y) with the work that depends
-    on x alone done once; y-derivatives of F at a fixed x go through `at`.
+    on x alone done once; y-derivatives of H at a fixed x go through `at`.
+    The field keeps one float record (`replay`, a diffcore.Replay) that
+    every geodesic evaluating it shares: a value branch must compare the
+    generic scalar rather than float() it, or the field is evaluated with
+    jets at every stage.
     """
 
     domain: ChartDomain
     func: Callable
-    name: str = "finsler"
     site: Optional[Callable] = None
 
     def __call__(self, x, y):
         return self.func(x, y)
 
     def at(self, x) -> Callable:
-        """y -> F(x, y) at the site x, for loops over y at a fixed x."""
+        """y -> H(x, y) at the site x, for loops over y at a fixed x."""
         return self.site(x) if self.site is not None else lambda ys: self.func(x, ys)
 
     @cached_property
     def replay(self) -> Replay:
-        """F's one float record (diffcore.Replay), kept as long as the field."""
+        """H's one float record (diffcore.Replay), kept as long as the field."""
         return Replay(self.func, lambda why: None)
 
     @property
     def dim(self) -> int:
         return self.domain.dim
 
-    def squared(self, x, y):
-        f = self.func(x, y)
-        return f * f
+
+@dataclass(frozen=True)
+class FinslerField(Field):
+    """A Finsler metric as an evaluable scalar F(x, y), y != 0, written with
+    generic arithmetic (diffcore.sqrt and friends); see Field."""
+
+    name: str = "finsler"
 
     def squared_at(self, x) -> Callable:
-        """(xs, ys) -> F(x, ys)^2 through `at`, for derivatives in y at the
-        fixed site x; xs is ignored."""
+        """ys -> F(x, ys)^2 through `at`, for derivatives in y at the fixed site x."""
         at = self.at(x)
 
-        def f2(_, ys):
+        def f2(ys):
             f = at(ys)
             return f * f
 
@@ -157,11 +158,15 @@ class RiemannianField:
         return np.array(self.matrix(x), dtype=float)
 
     def norm(self, x, y):
+        return self.norm_at(x)(y)
+
+    def norm_at(self, x) -> Callable:
+        """y -> sqrt(a(y, y)) with a_ij(x) evaluated once."""
         a = self.matrix(x)
-        return sqrt(_linalg.quad_form(a, y, y))
+        return lambda y: sqrt(_linalg.quad_form(a, y, y))
 
     def finsler(self) -> FinslerField:
-        return FinslerField(self.domain, lambda x, y: self.norm(x, y), name=self.name)
+        return FinslerField(self.domain, self.norm, name=self.name, site=self.norm_at)
 
 
 @dataclass(frozen=True)
@@ -255,7 +260,7 @@ class FundamentalTensor:
 
 def metric_entries(F: FinslerField, x, y) -> list:
     """Entries of g as a nested list of generic scalars (jet-safe)."""
-    _, hess = derivative_blocks(F.squared_at(x), x, y, "y", order=2)
+    _, hess = derivative_blocks(F.squared_at(x), y, order=2)
     return [[e * 0.5 for e in row] for row in hess]
 
 
@@ -281,13 +286,13 @@ def fundamental_tensor(F: FinslerField, x, y) -> FundamentalTensor:
 
 def cartan_first(F: FinslerField, x, y, u, v, w):
     """First Cartan torsion C_y(u, v, w): quarter of the third y-derivative of F^2."""
-    res = directional_derivatives(F.squared_at(x), x, y, y_dirs=[(u, 1), (v, 1), (w, 1)])
+    res = directional_derivatives(F.squared_at(x), y, [(u, 1), (v, 1), (w, 1)])
     return res.partial([1, 1, 1]) * 0.25
 
 
 def cartan_second(F: FinslerField, x, y, u, v, w, z):
     """Second Cartan torsion C~_y(u, v, w, z): quarter of the fourth y-derivative."""
-    res = directional_derivatives(F.squared_at(x), x, y, y_dirs=[(u, 1), (v, 1), (w, 1), (z, 1)])
+    res = directional_derivatives(F.squared_at(x), y, [(u, 1), (v, 1), (w, 1), (z, 1)])
     return res.partial([1, 1, 1, 1]) * 0.25
 
 
@@ -315,12 +320,12 @@ def _flag_ratio(F, x, y, u0, second):
     F^2 along u then has value F^2, half its second derivative is g_y(u, u)
     and a quarter of its third (fourth) is the torsion."""
     sq = F.squared_at(x)
-    res = directional_derivatives(sq, x, y, y_dirs=[(u0, 1)])
+    res = directional_derivatives(sq, y, [(u0, 1)])
     coef = res.partial([1]) / (2.0 * res.value)
     u = [a - coef * b for a, b in zip(u0, y)]
     del res, coef  # not held through the order-3 (4) jet
     order = 4 if second else 3
-    res = directional_derivatives(sq, x, y, y_dirs=[(u, order)])
+    res = directional_derivatives(sq, y, [(u, order)])
     f2, guu = res.value, res.partial([2]) * 0.5
     val = np.abs(res.partial([order]) * 0.25)
     if second:
@@ -441,7 +446,7 @@ def check_metric(F: FinslerField, n_points: int = 100, seed: int = 7) -> dict:
     f1 = np.asarray(F(x, y), dtype=float)
     scale = np.maximum(np.abs(f1), 1e-30)
     hom = [np.abs(F(x, [lam * v for v in y]) - lam * f1) / scale for lam in (0.5, 2.0, 7.0)]
-    euler = np.abs(directional_derivatives(F.func, x, y, y_dirs=[(y, 1)]).partial([1]) - f1) / scale
+    euler = np.abs(directional_derivatives(lambda ys: F(x, ys), y, [(y, 1)]).partial([1]) - f1) / scale
     g = metric_entries(F, x, y)
     _linalg.cholesky(g)  # raises MetricError where g is not positive definite
     recover = np.abs(_linalg.quad_form(g, y, y) - f1 * f1) / np.maximum(f1 * f1, 1e-30)

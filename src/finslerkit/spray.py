@@ -11,16 +11,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _linalg
-from .diffcore import Replay, derivative_blocks, directional_derivatives, sqrt, values_array
+from .diffcore import derivative_blocks, directional_derivatives, sqrt, values_array
 from .errors import DomainError, IntegrationError, MetricError
 from .metrics import (
-    ChartDomain,
+    Field,
     FinslerField,
     RandersData,
     RiemannianField,
@@ -31,33 +30,9 @@ from .metrics import (
 log = logging.getLogger("finslerkit")
 
 
-@dataclass(frozen=True)
-class SprayField:
-    """Geodesic coefficients G^i(x, y) as an evaluable vector field.
-
-    `site`, when given, maps x to y -> func(x, y) with the work that depends
-    on x alone done once.
-    """
-
-    domain: ChartDomain
-    func: Callable
-    site: Optional[Callable] = None
-
-    def __call__(self, x, y):
-        return self.func(x, y)
-
-    def at(self, x) -> Callable:
-        """y -> G(x, y) at the site x, for loops over y at a fixed x."""
-        return self.site(x) if self.site is not None else lambda ys: self.func(x, ys)
-
-    @cached_property
-    def replay(self) -> Replay:
-        """G's one float record (diffcore.Replay), kept as long as the field."""
-        return Replay(self.func, lambda why: None)
-
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
+class SprayField(Field):
+    """Geodesic coefficients G^i(x, y) as an evaluable vector field; see
+    metrics.Field for the site and the float record."""
 
 
 # -- generic spray from the metric itself ------------------------------------
@@ -72,15 +47,20 @@ def spray_from_metric(F: FinslerField) -> SprayField:
     """
     n = F.dim
 
-    def y_gradient(xs, ys):
-        return derivative_blocks(F.squared_at(xs), xs, ys, "y")[0]
-
     def G(x, y):
         g = metric_entries(F, x, y)
         g_inv, _ = _linalg.spd_factor(g)
-        grad, _ = derivative_blocks(F.squared, x, y, "x")
+
+        def squared(xs):
+            f = F(xs, list(y))
+            return f * f
+
+        def y_gradient(xs):  # the y-gradient of F(xs, .)^2 at y
+            return derivative_blocks(F.squared_at(xs), y)[0]
+
+        grad, _ = derivative_blocks(squared, x)
         # one x-jet along y, shared by the n y-jets, whose tags come after it
-        mixed = directional_derivatives(y_gradient, x, y, x_dirs=[(y, 1)]).partial([1])
+        mixed = directional_derivatives(y_gradient, x, [(y, 1)]).partial([1])
         rhs = [mixed[l] - grad[l] for l in range(n)]
         return [0.25 * _linalg.sum_prod(g_inv[i], rhs) for i in range(n)]
 
@@ -109,7 +89,7 @@ def _christoffel(a_inv, da):
 def _levi_civita(alpha: RiemannianField, x):
     """(a_ij, a^{ij}, Gamma^i_{jk}) at x as nested lists (jet-safe)."""
     a = alpha.matrix(x)
-    da, _ = derivative_blocks(lambda xs, ys: alpha.matrix(xs), x, [], "x")
+    da, _ = derivative_blocks(alpha.matrix, x)
     a_inv, _ = _linalg.spd_factor(a)
     return a, a_inv, _christoffel(a_inv, da)
 
@@ -237,11 +217,11 @@ def beta_table(randers: RandersData, x, order: int = 2) -> BetaTable:
     n = randers.dim
     gamma, s_up, s_form = table.gamma, table.s_up, table.s_form
 
-    def first_order_s(xs, ys):
+    def first_order_s(xs):
         t = _first_order_table(randers, xs)
         return [t.s_form, t.s_up]
 
-    d, _ = derivative_blocks(first_order_s, x, [], "x")  # d[k] = [d_k s_j, d_k s^i_j]
+    d, _ = derivative_blocks(first_order_s, x)  # d[k] = [d_k s_j, d_k s^i_j]
     table.s_form_cov = [
         [d[k][0][j] - _sum(s_form[l] * gamma[l][j][k] for l in range(n)) for k in range(n)]
         for j in range(n)
@@ -265,7 +245,7 @@ def _first_order_table(randers: RandersData, x) -> BetaTable:
     """The table of beta_table(order=1) (jet-safe in x)."""
     n = randers.dim
     a0, b = randers.ab(x)
-    d, _ = derivative_blocks(lambda xs, ys: randers.ab(xs), x, [], "x")  # d[k] = [d_k a, d_k b]
+    d, _ = derivative_blocks(randers.ab, x)  # d[k] = [d_k a, d_k b]
     a_inv, _ = _linalg.spd_factor(a0)
     gamma = _christoffel(a_inv, [dk[0] for dk in d])
     db = [dk[1] for dk in d]

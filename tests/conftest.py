@@ -56,13 +56,32 @@ def sample_sites(entry, n, seed):
     return pts, dirs
 
 
+def xy_derivatives(f, x, y, x_dirs=(), y_dirs=()):
+    """directional_derivatives of f(x, y) along x_dirs in x and y_dirs in y
+    together: one pass over the concatenated point (x, y), each direction
+    padded with zeros, tags in the order x_dirs then y_dirs."""
+    n, m = len(x), len(y)
+    dirs = [([*p, *[0.0] * m], k) for p, k in x_dirs] + [([*[0.0] * n, *q], k) for q, k in y_dirs]
+    return directional_derivatives(lambda z: f(z[:n], z[n:]), [*x, *y], dirs)
+
+
+def squared(F):
+    """(x, y) -> F(x, y)^2 as one product."""
+
+    def f2(x, y):
+        f = F(x, y)
+        return f * f
+
+    return f2
+
+
 def jet_partials(f, x, y, orders_x, orders_y) -> dict:
     """Every mixed partial of f at (x, y) componentwise at most (orders_x,
     orders_y), keyed like `fd_oracle.fd_partials`, from one
     directional_derivatives call with a jet per coordinate of nonzero order."""
     xi = [i for i, k in enumerate(orders_x) if k > 0]
     yi = [i for i, k in enumerate(orders_y) if k > 0]
-    res = directional_derivatives(
+    res = xy_derivatives(
         f, [float(v) for v in x], [float(v) for v in y],
         [(basis(len(x), i), orders_x[i]) for i in xi],
         [(basis(len(y), i), orders_y[i]) for i in yi],

@@ -25,7 +25,7 @@ from finslerkit.verify import (
     run_verification,
 )
 
-from conftest import disk_sites, jet_partials
+from conftest import disk_sites, jet_partials, squared
 from fd_oracle import fd_partials
 
 SEED = 42
@@ -290,7 +290,7 @@ def test_criterion_11_cross_oracles(entries):
                       ((0,) * n, (4,) + (0,) * (n - 1)),
                       ((1,) + (0,) * (n - 1), (1,) + (0,) * (n - 1)),
                       ((2,) + (0,) * (n - 1), (0,) * n)]
-        F2 = entry.metric.squared
+        F2 = squared(entry.metric)
         for x, y in zip(pts, dirs):
             for ox, oy in order_sets:
                 jv = jet_partials(F2, x, y, ox, oy)

@@ -154,14 +154,10 @@ def reference_riemann(G, x, y):
     n, sites = len(y), np.shape(y[0])
     G_at = G.at(list(x))
     Gval = G_at(list(y))
-    dGdx, _ = diffcore.derivative_blocks(G, x, y, "x")
-
-    def y_blocks(xs, ys):
-        G_xs = G.at(xs)
-        return diffcore.derivative_blocks(lambda _, zs: G_xs(zs), xs, ys, "y")[0]
-
-    mixed = diffcore.directional_derivatives(y_blocks, x, y, x_dirs=[(list(y), 1)]).partial([1])
-    dGdy, hess = diffcore.derivative_blocks(lambda _, ys: G_at(ys), x, y, "y", order=2)
+    dGdx, _ = diffcore.derivative_blocks(lambda xs: G(xs, list(y)), x)
+    y_blocks = lambda xs: diffcore.derivative_blocks(G.at(xs), list(y))[0]
+    mixed = diffcore.directional_derivatives(y_blocks, x, [(list(y), 1)]).partial([1])
+    dGdy, hess = diffcore.derivative_blocks(G_at, y, order=2)
     R = [[None] * n for _ in range(n)]
     T = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -263,8 +259,10 @@ def test_rotation_spray_identities(rotation2d, rot_spray):
     for k, (kind, e) in enumerate(
         [("x", [1.0, 0.0]), ("x", [0.0, 1.0]), ("y", [1.0, 0.0]), ("y", [0.0, 1.0])]
     ):
-        dirs = {"x_dirs": [(e, 1)]} if kind == "x" else {"y_dirs": [(e, 1)]}
-        res = directional_derivatives(lambda xs, ys: rot_spray(xs, ys), x, y, **dirs)
+        if kind == "x":
+            res = directional_derivatives(lambda xs: rot_spray(xs, y), x, [(e, 1)])
+        else:
+            res = directional_derivatives(lambda ys: rot_spray(x, ys), y, [(e, 1)])
         parts[k] = [TaylorResult(res.root[i], res.tags, res.orders).partial([1]) for i in range(2)]
     div = parts[2][0] + parts[3][1]
     assert abs(div) <= 1e-8

@@ -12,20 +12,20 @@ from finslerkit import diffcore as dc
 from finslerkit import gallery
 from finslerkit.errors import OrderCapError
 
-from conftest import GALLERY_SPECS, jet_partials, sample_sites
+from conftest import GALLERY_SPECS, jet_partials, sample_sites, squared, xy_derivatives
 from fd_oracle import fd_partials
 
 
 def test_quadratic_form_second_derivative():
-    f = lambda x, y: y[0] * y[0] + y[1] * y[1]
-    res = dc.directional_derivatives(f, [0.0, 0.0], [0.3, -0.2], y_dirs=[([1.0, 0.0], 2)])
+    f = lambda y: y[0] * y[0] + y[1] * y[1]
+    res = dc.directional_derivatives(f, [0.3, -0.2], [([1.0, 0.0], 2)])
     assert res.partial([2]) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_polynomial_mixed_partial():
     f = lambda x, y: x[0] * y[0] * y[0]
     e0 = [1.0, 0.0]
-    res = dc.directional_derivatives(f, [1.0, 0.0], [3.0, 0.0], x_dirs=[(e0, 1)], y_dirs=[(e0, 1)])
+    res = xy_derivatives(f, [1.0, 0.0], [3.0, 0.0], x_dirs=[(e0, 1)], y_dirs=[(e0, 1)])
     assert res.partial([1, 1]) == pytest.approx(6.0, abs=1e-14)
 
 
@@ -46,7 +46,7 @@ def test_fd_quadratic_with_explicit_step():
 
 
 def test_fd_slab_fourth_order_partials():
-    F2 = gallery.slab_kappa(0.5).metric.squared
+    F2 = squared(gallery.slab_kappa(0.5).metric)
     th = math.pi / 3.0
     y = (math.cos(th), math.sin(th))
     for oy in [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]:
@@ -67,8 +67,8 @@ def test_schwarz_symmetry_exact_for_jets():
     F = gallery.funk(2).metric
     x, y = [0.2, 0.1], [0.6, -0.9]
     e0, e1 = [1.0, 0.0], [0.0, 1.0]
-    a = dc.directional_derivatives(F.func, x, y, y_dirs=[(e0, 1), (e1, 1)]).partial([1, 1])
-    b = dc.directional_derivatives(F.func, x, y, y_dirs=[(e1, 1), (e0, 1)]).partial([1, 1])
+    a = dc.directional_derivatives(lambda ys: F(x, ys), y, [(e0, 1), (e1, 1)]).partial([1, 1])
+    b = dc.directional_derivatives(lambda ys: F(x, ys), y, [(e1, 1), (e0, 1)]).partial([1, 1])
     assert a == b
 
 
@@ -80,16 +80,20 @@ def _nested_field(x, y):
     ]
 
 
-@pytest.mark.parametrize("wrt", ["x", "y"])
+@pytest.mark.parametrize("point", ["x", "y"])
 @pytest.mark.parametrize("order", [1, 2])
-def test_derivative_blocks_match_jet_eval_and_fd(wrt, order):
+def test_derivative_blocks_match_jet_eval_and_fd(point, order):
+    # blocks of the one-point function x -> field(x, y) or y -> field(x, y)
     x, y = (0.3, -0.4), (0.7, 1.1)
-    d1, d2 = dc.derivative_blocks(_nested_field, list(x), list(y), wrt, order)
+    if point == "x":
+        d1, d2 = dc.derivative_blocks(lambda xs: _nested_field(xs, list(y)), list(x), order)
+    else:
+        d1, d2 = dc.derivative_blocks(lambda ys: _nested_field(list(x), ys), list(y), order)
     assert (d2 is None) == (order == 1)
 
     def check(block, coords):
         orders = tuple(sum(1 for c in coords if c == k) for k in range(2))
-        ox, oy = (orders, (0, 0)) if wrt == "x" else ((0, 0), orders)
+        ox, oy = (orders, (0, 0)) if point == "x" else ((0, 0), orders)
         for i in range(2):
             for j in range(2):
                 comp = lambda xs, ys, i=i, j=j: _nested_field(xs, ys)[i][j]
@@ -106,9 +110,7 @@ def test_derivative_blocks_match_jet_eval_and_fd(wrt, order):
 
 
 def test_partial_maps_over_nested_root():
-    res = dc.directional_derivatives(
-        _nested_field, [0.3, -0.4], [0.7, 1.1], x_dirs=[([1.0, 0.5], 1)], y_dirs=[([0.0, 1.0], 2)]
-    )
+    res = xy_derivatives(_nested_field, [0.3, -0.4], [0.7, 1.1], x_dirs=[([1.0, 0.5], 1)], y_dirs=[([0.0, 1.0], 2)])
     for multi in ([0, 0], [1, 0], [0, 1], [0, 2], [1, 2]):
         whole = res.partial(multi)
         for i in range(2):
@@ -119,8 +121,24 @@ def test_partial_maps_over_nested_root():
         res.partial([2, 0])
 
 
+def test_a_direction_of_order_below_one_is_refused():
+    # it used to be dropped from the tags, shifting every later index of partial
+    f = lambda y: y[0] * y[1]
+    for order in (0, -1):
+        with pytest.raises(ValueError, match=f"order >= 1, got {order}"):
+            dc.directional_derivatives(f, [0.5, 2.0], [([1.0, 0.0], order), ([0.0, 1.0], 1)])
+
+
+def test_a_multi_index_of_the_wrong_length_is_refused():
+    res = dc.directional_derivatives(lambda y: y[0] * y[1], [0.5, 2.0], [([1.0, 0.0], 1), ([0.0, 1.0], 1)])
+    assert res.partial([1, 1]) == 1.0
+    for multi in ([1], [1, 1, 0]):
+        with pytest.raises(ValueError, match=f"length {len(multi)} for 2 seeded directions"):
+            res.partial(multi)
+
+
 def test_partials_of_order_10_and_more():
-    res = dc.directional_derivatives(lambda x, y: dc.exp(y[0]), [0.0], [0.0], y_dirs=[([1.0], 12)])
+    res = dc.directional_derivatives(lambda y: dc.exp(y[0]), [0.0], [([1.0], 12)])
     assert res.partial([10]) == 1.0
     assert res.partial([12]) == 1.0
 
@@ -130,8 +148,8 @@ def test_joint_derivative_is_the_sum_of_the_x_and_y_derivatives():
     # nested like the value of f
     x, y, dx, dy = [0.3, -0.4], [0.7, 1.1], [-0.7, -1.1], [0.2, -0.9]
     val, d = dc.joint_derivative(_nested_field, x, y, dx, dy)
-    along_x = dc.directional_derivatives(_nested_field, x, y, x_dirs=[(dx, 1)]).partial([1])
-    along_y = dc.directional_derivatives(_nested_field, x, y, y_dirs=[(dy, 1)]).partial([1])
+    along_x = dc.directional_derivatives(lambda xs: _nested_field(xs, y), x, [(dx, 1)]).partial([1])
+    along_y = dc.directional_derivatives(lambda ys: _nested_field(x, ys), y, [(dy, 1)]).partial([1])
     want = _nested_field(x, y)
     for i in range(2):
         for j in range(2):
@@ -145,7 +163,7 @@ def test_euler_homogeneity_on_gallery(name, params):
     pts, dirs = sample_sites(entry, 100, seed=5)
     for x, y in zip(pts, dirs):
         fv = float(entry.metric(list(x), list(y)))
-        res = dc.directional_derivatives(entry.metric.func, list(x), list(y), y_dirs=[(list(y), 1)])
+        res = dc.directional_derivatives(lambda ys: entry.metric(list(x), ys), list(y), [(list(y), 1)])
         assert float(res.partial([1])) == pytest.approx(fv, rel=1e-12)
 
 
@@ -163,7 +181,7 @@ def test_jet_matches_fd_on_downstream_orders(name, params):
                   ((1,) + (0,) * (n - 1), (1,) + (0,) * (n - 1)),
                   ((2,) + (0,) * (n - 1), (0,) * n),
                   ((1,) + (0,) * (n - 1), (0, 2) + (0,) * (n - 2))]
-    F2 = entry.metric.squared
+    F2 = squared(entry.metric)
     for x, y in zip(pts, dirs):
         for ox, oy in order_sets:
             jv = jet_partials(F2, x, y, ox, oy)
@@ -213,9 +231,7 @@ def test_partials_dict_covers_sub_multi_indices():
     # at most one in each: the product of the coordinates not differentiated
     f = lambda x, y: x[0] * x[1] * y[0] * y[1]
     e0, e1 = [1.0, 0.0], [0.0, 1.0]
-    res = dc.directional_derivatives(
-        f, [1.0, 2.0], [3.0, 4.0], x_dirs=[(e0, 1), (e1, 1)], y_dirs=[(e0, 1), (e1, 1)]
-    )
+    res = xy_derivatives(f, [1.0, 2.0], [3.0, 4.0], x_dirs=[(e0, 1), (e1, 1)], y_dirs=[(e0, 1), (e1, 1)])
     for multi in itertools.product((0, 1), repeat=4):
         want = math.prod(v for v, d in zip((1.0, 2.0, 3.0, 4.0), multi) if d == 0)
         assert res.partial(list(multi)) == pytest.approx(want, abs=1e-14)
@@ -224,10 +240,9 @@ def test_partials_dict_covers_sub_multi_indices():
 
 
 def test_batched_array_coordinates():
-    f = lambda x, y: dc.sqrt(y[0] * y[0] + y[1] * y[1])
+    f = lambda y: dc.sqrt(y[0] * y[0] + y[1] * y[1])
     ys = [np.linspace(1.0, 2.0, 7), np.full(7, 0.5)]
-    xs = [np.zeros(7), np.zeros(7)]
-    res = dc.directional_derivatives(f, xs, ys, y_dirs=[([1.0, 0.0], 2)])
+    res = dc.directional_derivatives(f, ys, [([1.0, 0.0], 2)])
     d2 = res.partial([2])
     expect = 0.25 / (ys[0] ** 2 + 0.25) ** 1.5
     np.testing.assert_allclose(d2, expect, atol=1e-12)

@@ -184,7 +184,7 @@ def test_a_zero_seed_direction_is_a_guard():
     # seeding x + t y skips a zero y component; seeding it anyway would turn
     # x = -0.0 into 0.0 + -0.0 = 0.0
     def f(x, y):
-        return dc.directional_derivatives(lambda xs, ys: xs[0], x, y, x_dirs=[(y, 1)]).partial([0])
+        return dc.directional_derivatives(lambda xs: xs[0], x, [(y, 1)]).partial([0])
 
     for first, later in ((([0.5], [1.0]), ([-0.0], [0.0])), (([-0.0], [0.0]), ([0.5], [1.0]))):
         rec, notes = _replay(f)

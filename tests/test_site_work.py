@@ -3,18 +3,20 @@ and the beta tables give the same bits as the direct route, which evaluates
 alpha.matrix and beta.covector in separate passes and F^2 at every jet."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 from finslerkit import _linalg
+from finslerkit import curvature as C
 from finslerkit import diffcore as dc
 from finslerkit import gallery
 from finslerkit import metrics as M
 from finslerkit import spray as S
 from finslerkit.errors import MetricError
 
-from conftest import GALLERY_SPECS, sample_sites
+from conftest import GALLERY_SPECS, sample_sites, squared, xy_derivatives
 
 
 def _bits(obj):
@@ -41,7 +43,8 @@ def _direct_metric(entry) -> M.FinslerField:
 
 
 def _direct_metric_entries(F, x, y):
-    _, hess = dc.derivative_blocks(F.squared, x, y, "y", order=2)
+    F2 = squared(F)
+    _, hess = dc.derivative_blocks(lambda ys: F2(x, ys), y, order=2)
     return [[e * 0.5 for e in row] for row in hess]
 
 
@@ -49,9 +52,10 @@ def _direct_spray(F, x, y):
     """spray_from_metric with one mixed x/y jet pair per y-direction."""
     n = F.dim
     g_inv, _ = _linalg.spd_factor(_direct_metric_entries(F, x, y))
-    grad, _ = dc.derivative_blocks(F.squared, x, y, "x")
+    F2 = squared(F)
+    grad, _ = dc.derivative_blocks(lambda xs: F2(xs, y), x)
     rhs = [
-        dc.directional_derivatives(F.squared, x, y, x_dirs=[(y, 1)], y_dirs=[(dc.basis(n, l), 1)]).partial([1, 1])
+        xy_derivatives(F2, x, y, x_dirs=[(y, 1)], y_dirs=[(dc.basis(n, l), 1)]).partial([1, 1])
         - grad[l]
         for l in range(n)
     ]
@@ -63,7 +67,7 @@ def _direct_first_order_table(randers, x):
     n = randers.dim
     b = randers.beta.covector(x)
     a0, a_inv, gamma = S._levi_civita(randers.alpha, x)
-    db, _ = dc.derivative_blocks(lambda xs, ys: randers.beta.covector(xs), x, [], "x")
+    db, _ = dc.derivative_blocks(randers.beta.covector, x)
     b_cov = [[db[j][i] - S._sum(b[l] * gamma[l][i][j] for l in range(n)) for j in range(n)] for i in range(n)]
     r = [[(b_cov[i][j] + b_cov[j][i]) * 0.5 for j in range(n)] for i in range(n)]
     s = [[(b_cov[i][j] - b_cov[j][i]) * 0.5 for j in range(n)] for i in range(n)]
@@ -91,7 +95,7 @@ def _inputs(entry):
         return route
 
     def jet(route):
-        return lambda xs, ys: dc.directional_derivatives(route, xs, ys, x_dirs=[(u, 2)], y_dirs=[(w, 1)]).root
+        return lambda xs, ys: xy_derivatives(route, xs, ys, x_dirs=[(u, 2)], y_dirs=[(w, 1)]).root
 
     yield "float", x, y, plain
     yield "columns", list(pts.T), list(dirs.T), plain
@@ -143,6 +147,10 @@ def test_metric_entries_evaluate_the_randers_data_once(name, params):
     alpha = dataclasses.replace(rd.alpha, matrix=_counted(rd.alpha.matrix, matrix_calls))
     M.metric_entries(M.RandersData(alpha, rd.beta).field, x, y)
     assert len(matrix_calls) == 1
+    # a Riemannian F goes through its site: alpha.matrix once as well
+    matrix_calls.clear()
+    M.metric_entries(alpha.finsler(), x, y)
+    assert len(matrix_calls) == 1
     # with the entry's site, if any: the site once
     if rd.site is not None:
         site_calls = []
@@ -169,12 +177,59 @@ def test_first_order_tables_do_the_navigation_x_work_once_per_pass(monkeypatch, 
     assert len(calls) == entry.dim + 1  # a and b at x, then one x-jet per coordinate
 
 
+# jet passes (directional_derivatives calls) per call of metric_entries,
+# spray_from_metric(F)(x, y), beta_table(order=2), riemann_entries and
+# flag_curvatures under the entry's spray; None where there is no Randers data
+JET_PASSES = {
+    "euclidean": (3, 8, 8, 13, 13),
+    "minkowski": (3, 8, None, 45, 39),
+    "funk": (3, 8, 8, 13, 13),
+    "shen_flat": (3, 8, None, 45, 39),
+    "rotation2d": (3, 8, 8, 13, 13),
+    "cylinder": (6, 13, 15, 22, 19),
+    "bao_shen_s3": (6, 13, 15, 22, 19),
+    "slab": (3, 8, 8, 13, 13),
+}
+
+
+@pytest.mark.parametrize("name,params", GALLERY_SPECS)
+def test_jet_passes_per_layer_call(monkeypatch, name, params):
+    entry = gallery.make(name, **params)
+    pts, dirs = sample_sites(entry, 2, 3)
+    x, y, u = pts[0].tolist(), dirs[0].tolist(), dirs[1].tolist()
+    F, G, rd = entry.metric, entry.spray, entry.randers
+    calls, real = [], dc.directional_derivatives
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    # every module attribute bound to it, as `from .diffcore import` copies the name
+    for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "finslerkit"]:
+        for attr in [a for a, v in vars(mod).items() if v is real]:
+            monkeypatch.setattr(mod, attr, counting)
+    layers = (
+        lambda: M.metric_entries(F, x, y),
+        lambda: S.spray_from_metric(F)(x, y),
+        None if rd is None else lambda: S.beta_table(rd, x, order=2),
+        lambda: C.riemann_entries(G, x, y),
+        lambda: C.flag_curvatures(F, G, x, y, u),
+    )
+    got = []
+    for layer in layers:
+        calls.clear()
+        if layer is not None:
+            layer()
+        got.append(None if layer is None else len(calls))
+    assert tuple(got) == JET_PASSES[name]
+
+
 # -- require_nonzero ----------------------------------------------------------------
 
 
 def test_a_zero_direction_raises_on_floats_jets_and_columns():
     zero = [0.0, -0.0, 0]
-    jet = dc.directional_derivatives(lambda xs, ys: ys, [0.0], [0.0, 0.0, 0.0], y_dirs=[([1.0, 2.0, 3.0], 1)]).root
+    jet = dc.directional_derivatives(lambda ys: ys, [0.0, 0.0, 0.0], [([1.0, 2.0, 3.0], 1)]).root
     cols = [np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.array([2.0, 0.0])]
     for y in (zero, np.zeros(3), jet, cols, [np.float64(0.0)] * 2, [np.array([0.0, 1.0]), 0.0]):
         with pytest.raises(MetricError, match="tangent vector must be nonzero"):

@@ -156,8 +156,8 @@ def reference_second_order_table(randers, x):
     n = randers.dim
     tbl = S.beta_table(randers, x, order=1)
     b, a_inv, gamma, s, s_up, s_form = tbl.b, tbl.a_inv, tbl.gamma, tbl.s, tbl.s_up, tbl.s_form
-    da, _ = dc.derivative_blocks(lambda xs, ys: randers.alpha.matrix(xs), x, [], "x")
-    db, d2b = dc.derivative_blocks(lambda xs, ys: randers.beta.covector(xs), x, [], "x", 2)
+    da, _ = dc.derivative_blocks(randers.alpha.matrix, x)
+    db, d2b = dc.derivative_blocks(randers.beta.covector, x, 2)
     R = range(n)
 
     def total(terms):
@@ -271,7 +271,7 @@ def test_q_term_is_divergence_free(rotation2d):
     for i in range(2):
         e = [0.0, 0.0]
         e[i] = 1.0
-        res = dc.directional_derivatives(lambda xs, ys, i=i: Q(xs, ys)[i], x, y, y_dirs=[(e, 1)])
+        res = dc.directional_derivatives(lambda ys, i=i: Q(x, ys)[i], y, [(e, 1)])
         div += float(res.partial([1]))
     assert abs(div) <= 1e-10
 
