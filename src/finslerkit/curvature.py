@@ -57,9 +57,9 @@ def _along_spray(G: SprayField, x, y, G_at, y_part):
 
 def _spray_form_blocks(H: SprayField, x, y, G_at):
     """dH^i/dx^k, dH^i/dy^k and D(dH^i/dy^k), each as [k][i], with D the
-    derivative along (-y, 2G) and G_at the site function of G at x:
-    2n + 1 evaluations of H and one of G_at.  H = G gives the blocks of the
-    spray form of R."""
+    derivative along (-y, 2G) and G_at the site function of G at x: two
+    evaluations of H (the x-gradient and the y-gradient on the jet along the
+    spray) and one of G_at.  H = G gives the blocks of the spray form of R."""
     dHdx, _ = derivative_blocks(lambda xs: H(xs, list(y)), x)
     return (dHdx, *_along_spray(H, x, y, G_at, lambda H_xs, ys: derivative_blocks(H_xs, ys)[0]))
 
@@ -67,8 +67,8 @@ def _spray_form_blocks(H: SprayField, x, y, G_at):
 def riemann_entries(G: SprayField, x, y) -> list:
     """R^i_k as a nested list of generic scalars (jet-safe inputs allowed).
 
-    2n + 1 spray evaluations: the value, n x-derivatives and the n
-    y-derivatives taken on the jet along the spray.  Raises MetricError at
+    3 spray evaluations in any dimension: the value, the x-gradient and the
+    y-gradient taken on the jet along the spray.  Raises MetricError at
     y = 0.
     """
     require_nonzero(y)
@@ -182,7 +182,8 @@ def riemann_via_difference(G: SprayField, G_ref: SprayField, x, y) -> RiemannOpe
         R^i_k = R~^i_k + 2 dH^i/dx^k + D(dH^i/dy^k) + 2 H^j dN^i_k/dy^j
                 - N^i_j dH^j/dy^k - dH^i/dy^j N^j_k - dH^i/dy^j dH^j/dy^k
 
-    2n + 2 evaluations of G and 5n + 2 of G~; raises MetricError at y = 0.
+    4 evaluations of G and 7 of G~ in any dimension; raises MetricError at
+    y = 0.
     """
     base = riemann_entries(G_ref, x, y)  # raises MetricError at y = 0
     n = len(y)

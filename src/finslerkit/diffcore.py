@@ -11,9 +11,11 @@ on numpy arrays (batched points), on jets and on the recorded floats that
 Every jet pass differentiates a function of one point list:
 `directional_derivatives(f, z, dirs)` seeds jets along the given directions
 at z and returns a `TaylorResult` whose `partial` reads any mixed partial up
-to the seeded orders.  `derivative_blocks(f, z)` (gradient and Hessian
-blocks) and `joint_derivative` (one derivative of f(x, y) along a joint
-(dx, dy) direction, seeded on the concatenated point) are built on it.  The
+to the seeded orders.  `joint_derivative` (one derivative of f(x, y) along a
+joint (dx, dy) direction, seeded on the concatenated point) and the Hessian
+blocks of `derivative_blocks(f, z, order=2)` are built on it.  A gradient,
+`derivative_blocks(f, z)`, takes one pass on `Grad` jets, which carry the
+value and all n first partials under one tag (vector forward mode).  The
 finite-difference oracle that cross-checks the jets lives with the tests
 (`tests/fd_oracle.py`).
 """
@@ -129,7 +131,7 @@ class Jet:
                     return Jet(self.tag, [q, (a[1] - q * b[1]) / b0])
                 return Jet(self.tag, _deconvolve(a, b))
             if other.tag > self.tag:
-                return Jet(other.tag, [self] + [0.0] * (len(other.coeffs) - 1)) / other
+                return other.__rtruediv__(self)
         return Jet(self.tag, [c / other for c in self.coeffs])
 
     def __rtruediv__(self, other):
@@ -141,7 +143,7 @@ class Jet:
         if isinstance(p, numbers.Integral) or (isinstance(p, float) and p.is_integer()):
             p = int(p)
             if p == 0:
-                return Jet(self.tag, [1.0] + [0.0] * (len(self.coeffs) - 1))
+                return type(self)(self.tag, [1.0] + [0.0] * (len(self.coeffs) - 1))
             if p < 0:
                 return 1.0 / self.__pow__(-p)
             out = self
@@ -193,7 +195,98 @@ class Jet:
         return _sincos(self)[1]
 
     def __repr__(self):
-        return f"Jet(tag={self.tag}, coeffs={self.coeffs!r})"
+        return f"{type(self).__name__}(tag={self.tag}, coeffs={self.coeffs!r})"
+
+
+class Grad(Jet):
+    """First-order jet in n directions at once (vector forward mode): ``coeffs``
+    is [value, d_1, ..., d_n] under one tag.  Each d_k takes the float
+    operations, in the same order, of an order-1 Jet seeded along direction k,
+    so a gradient equals the n univariate passes bit for bit up to the sign of
+    a zero and a NaN from an infinite intermediate.  Other tags act as for Jet.
+    """
+
+    __slots__ = ()
+
+    def _scalar_add(self, s):
+        return Grad(self.tag, [self.coeffs[0] + s, *self.coeffs[1:]])
+
+    def _scalar_mul(self, s):
+        return Grad(self.tag, [c * s for c in self.coeffs])
+
+    def __neg__(self):
+        return Grad(self.tag, [-c for c in self.coeffs])
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            if other.tag == self.tag:
+                return Grad(self.tag, list(map(operator.add, self.coeffs, other.coeffs)))
+            if other.tag > self.tag:
+                return other._scalar_add(self)
+        return self._scalar_add(other)
+
+    def __sub__(self, other):
+        if isinstance(other, Jet):
+            if other.tag == self.tag:
+                return Grad(self.tag, list(map(operator.sub, self.coeffs, other.coeffs)))
+            return self + (-other)
+        return self._scalar_add(-other)
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            if other.tag == self.tag:
+                a, b = self.coeffs, other.coeffs
+                a0, b0 = a[0], b[0]
+                out = [a0 * b0]
+                for k in range(1, len(a)):
+                    out.append(a0 * b[k] + a[k] * b0)
+                return Grad(self.tag, out)
+            if other.tag > self.tag:
+                return other._scalar_mul(self)
+        return self._scalar_mul(other)
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            if other.tag == self.tag:
+                a, b = self.coeffs, other.coeffs
+                b0 = b[0]
+                q = a[0] / b0
+                out = [q]
+                for k in range(1, len(a)):
+                    out.append((a[k] - q * b[k]) / b0)
+                return Grad(self.tag, out)
+            if other.tag > self.tag:
+                return other.__rtruediv__(self)
+        return Grad(self.tag, [c / other for c in self.coeffs])
+
+    def __rtruediv__(self, other):
+        # Python tries this first for Jet / Grad; a newer-tag Jet is the outer operand
+        if isinstance(other, Jet) and other.tag > self.tag:
+            return Jet.__truediv__(other, self)
+        b0 = self.coeffs[0]
+        q = other / b0
+        return Grad(self.tag, [q, *[(0.0 - q * bk) / b0 for bk in self.coeffs[1:]]])
+
+    def sqrt(self):
+        s0 = sqrt(self.coeffs[0])
+        d = 2.0 * s0
+        return Grad(self.tag, [s0, *[ak / d for ak in self.coeffs[1:]]])
+
+    def log(self):
+        a0 = self.coeffs[0]
+        return Grad(self.tag, [log(a0), *[ak / a0 for ak in self.coeffs[1:]]])
+
+    def exp(self):
+        e0 = exp(self.coeffs[0])
+        return Grad(self.tag, [e0, *[ak * e0 for ak in self.coeffs[1:]]])
+
+    def sin(self):
+        c0 = cos(self.coeffs[0])
+        return Grad(self.tag, [sin(self.coeffs[0]), *[ak * c0 for ak in self.coeffs[1:]]])
+
+    def cos(self):
+        s0 = sin(self.coeffs[0])
+        return Grad(self.tag, [cos(self.coeffs[0]), *[-1.0 * (ak * s0) for ak in self.coeffs[1:]]])
 
 
 def _add(a: list, b: list) -> list:
@@ -635,19 +728,22 @@ def derivative_blocks(f: Callable, z: Sequence, order: int = 1):
 
     f(zs) returns a generic scalar or a nested list of them.  Returns
     (d1, d2) with d1[k] = df/dz^k and d2[k][l] = d2f/dz^k dz^l, each nested
-    like the value of f; d2 is None at order 1.  One directional_derivatives
-    call per coordinate (seeded to `order`) and, at order 2, one per
-    coordinate pair k < l.  A derivative in x at a fixed y takes
+    like the value of f; d2 is None at order 1.  At order 1, one evaluation
+    of f on Grad jets that carry all n tangents; at order 2, one
+    directional_derivatives call per coordinate (seeded to order 2) and one
+    per coordinate pair k < l.  A derivative in x at a fixed y takes
     f = lambda xs: H(xs, y), one in y at a fixed x f = lambda ys: H(x, ys).
     """
     n = len(z)
+    if order < 2:
+        t = next(_TAGS)
+        root = f([Grad(t, [p, *basis(n, k)]) for k, p in enumerate(z)])
+        return [_nest(lambda u: _component(u, t, k + 1), root) for k in range(n)], None
     d1 = [None] * n
-    d2 = [[None] * n for _ in range(n)] if order >= 2 else None
+    d2 = [[None] * n for _ in range(n)]
     for k in range(n):
         res = directional_derivatives(f, z, [(basis(n, k), order)])
         d1[k] = res.partial([1])
-        if d2 is None:
-            continue
         d2[k][k] = res.partial([2])
         for l in range(k + 1, n):
             pair = [(basis(n, k), 1), (basis(n, l), 1)]

@@ -142,7 +142,7 @@ def bh_density(F: FinslerField, x) -> QuadDensity:
     """Busemann-Hausdorff density sigma_F(x) = Vol(B^n) / Vol{F(x, .) < 1}
     by radial quadrature: Vol{F(x, .) < 1} = (1/n) int_{S^{n-1}} F(x, u)^{-n} du.
 
-    F is evaluated once, on column arrays of the nodes of the rule and of
+    F.at(x) is evaluated once, on column arrays of the nodes of the rule and of
     its half-order companion; `error` is the gap between the two.  Raises
     MetricError where F is not positive and finite at a node.
     """
@@ -152,7 +152,7 @@ def bh_density(F: FinslerField, x) -> QuadDensity:
         k -= 2
     (dirs, w), (dirs_half, w_half) = _sphere_rule(n, k), _sphere_rule(n, k // 2)
     m = w.size + w_half.size
-    fv = np.asarray(F([np.full(m, float(c)) for c in x], list(np.hstack([dirs, dirs_half]))), dtype=float)
+    fv = np.asarray(F.at([float(c) for c in x])(list(np.hstack([dirs, dirs_half]))), dtype=float)
     if not np.all(np.isfinite(fv) & (fv > 0.0)):
         raise MetricError("F is not positive and finite on every ray: no bounded indicatrix")
     r = fv ** -n
@@ -174,9 +174,7 @@ def _indicatrix_box(F: FinslerField, x):
     rng = np.random.default_rng([11, n_dirs])
     dirs = rng.normal(size=(n_dirs, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    ys = [dirs[:, i] for i in range(n)]
-    xs = [np.full(n_dirs, float(v)) for v in x]
-    fvals = np.asarray(F(xs, ys), dtype=float)
+    fvals = np.asarray(F.at([float(v) for v in x])(list(dirs.T)), dtype=float)
     if not np.all(np.isfinite(fvals)):
         raise MetricError("F is not finite on a sampled ray")
     if np.any(fvals <= 1e-14):
@@ -201,12 +199,13 @@ def bh_density_mc(F: FinslerField, x, n_samples: int = 1_000_000, seed: int = 0)
     lo, hi = _indicatrix_box(F, x)
     box_vol = float(np.prod(hi - lo))
     rng = np.random.default_rng([seed, 0xB11])
+    at = F.at([float(v) for v in x])
     hits = 0
     done = 0
     while done < n_samples:
         m = min(MC_CHUNK, n_samples - done)
         pts = rng.uniform(lo, hi, size=(m, n))
-        fv = np.asarray(F([np.full(m, float(v)) for v in x], list(pts.T)), dtype=float)
+        fv = np.asarray(at(list(pts.T)), dtype=float)
         if not np.all(np.isfinite(fv)):
             raise MetricError("F is not finite at a Monte Carlo sample")
         hits += int(np.count_nonzero(fv < 1.0))

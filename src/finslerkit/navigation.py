@@ -70,9 +70,11 @@ def zermelo_riemannian(alpha: RiemannianField, v: DriftField) -> RandersData:
         vx = v(x)
         return a, _linalg.matvec(a, vx), 1.0 - _linalg.quad_form(a, vx, vx)
 
-    for x in alpha.domain.sample_points(16, seed=3):
-        if float(value(scalars(list(x))[2])) <= 0.0:
-            raise DriftError(f"alpha(v) >= 1 at {tuple(float(c) for c in x)}")
+    pts = alpha.domain.sample_points(16, seed=3)
+    lam = np.broadcast_to(np.asarray(value(scalars(list(pts.T))[2]), dtype=float), len(pts))
+    bad = np.flatnonzero(~(lam > 0.0))
+    if bad.size:
+        raise DriftError(f"alpha(v) >= 1 at {tuple(float(c) for c in pts[bad[0]])}")
 
     def matrix(a, w, lam):
         return [[(w[i] * w[j] + lam * a[i][j]) / (lam * lam) for j in range(n)] for i in range(n)]
@@ -110,10 +112,10 @@ def _scales(F: FinslerField, v: DriftField, x, y) -> np.ndarray:
     shape = np.broadcast_shapes(*(np.shape(c) for c in (*x, *y)))
     xs = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in x]
     ys = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in y]
-    vs = v(xs)
+    vs, at = v(xs), F.at(xs)
 
     def psi(t):
-        return np.asarray(F(xs, [t * a - b for a, b in zip(ys, vs)]), dtype=float)
+        return np.asarray(at([t * a - b for a, b in zip(ys, vs)]), dtype=float)
 
     p0 = psi(np.zeros(len(ys[0])))
     bad = np.flatnonzero(~(p0 < 1.0))
@@ -177,11 +179,11 @@ def indicatrix_shift_check(
     rng = np.random.default_rng([seed, 0x51])
     dirs = rng.normal(size=(n_dirs, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    xs = [np.full(n_dirs, float(c)) for c in x]
+    x = [float(c) for c in x]
     ys = list(dirs.T)
-    ft = navigation_metric(F, v)(xs, ys)
-    shifted = [d / ft - c for d, c in zip(ys, v(xs))]
-    return float(np.max(np.abs(np.asarray(F(xs, shifted), dtype=float) - 1.0)))
+    ft = navigation_metric(F, v)(x, ys)
+    shifted = [d / ft - c for d, c in zip(ys, v(x))]
+    return float(np.max(np.abs(np.asarray(F.at(x)(shifted), dtype=float) - 1.0)))
 
 
 @dataclass

@@ -207,12 +207,12 @@ def counting_spray(n):
     return S.SprayField(ball_domain(n), G), calls
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_riemann_takes_2n_plus_1_spray_evaluations(n):
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_riemann_takes_3_spray_evaluations(n):
     G, calls = counting_spray(n)
-    C.riemann_entries(G, [0.1, 0.2, -0.1][:n], [0.7, -0.3, 0.4][:n])
-    # the value, n x-derivatives, n y-derivatives on the jet along the spray
-    assert len(calls) == 2 * n + 1
+    C.riemann_entries(G, [0.1, 0.2, -0.1, 0.05][:n], [0.7, -0.3, 0.4, 0.2][:n])
+    # the value, the x-gradient and the y-gradient on the jet along the spray
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -224,6 +224,16 @@ def test_riemann_via_difference_takes_2n_plus_2_and_5n_plus_2_evaluations(n):
     # G alone: the direction 2G; G_ref alone: R~ (2n + 1) and N on the jet along 2H
     assert len(calls) <= 2 * n + 2
     assert len(ref_calls) <= 5 * n + 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_riemann_via_difference_takes_4_and_7_evaluations(n):
+    G, calls = counting_spray(n)
+    G_ref, ref_calls = counting_spray(n)
+    C.riemann_via_difference(G, G_ref, [0.1, 0.2, -0.1, 0.05][:n], [0.7, -0.3, 0.4, 0.2][:n])
+    # through H: the x-gradient, the y-gradient along (-y, 2G) and the value 2H;
+    # G alone: the direction 2G; G_ref alone: R~ (3) and N on the jet along 2H
+    assert (len(calls), len(ref_calls)) == (4, 7)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -285,18 +295,23 @@ def test_ricci_2d_takes_only_the_blocks_it_reads(monkeypatch):
         lambda x, y: [x[1] * y[0] * y[1] + y[0] * y[0], x[0] * y[1] * y[1]],
     )
     calls = []
-    real = diffcore.directional_derivatives
+    real, real_blocks = diffcore.directional_derivatives, diffcore.derivative_blocks
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append("directional")
         return real(*args, **kwargs)
+
+    def counting_blocks(f, z, order=1):
+        calls.append(f"blocks order {order}")
+        return real_blocks(f, z, order)
 
     monkeypatch.setattr(diffcore, "directional_derivatives", counting)
     monkeypatch.setattr(C, "directional_derivatives", counting)
+    monkeypatch.setattr(C, "derivative_blocks", counting_blocks)
     C.ricci_2d(G, [0.1, 0.2], [0.7, -0.3])
-    # dG/dx: 2; one jet along the spray around dG/dy: 1 + 2, giving S at
-    # order 0 and D(S) at order 1
-    assert len(calls) == 5
+    # dG/dx: one gradient pass; one jet along the spray around the dG/dy
+    # gradient pass, giving S at order 0 and D(S) at order 1; no Hessian
+    assert calls == ["blocks order 1", "directional", "blocks order 1"]
 
 
 # -- flag curvature ------------------------------------------------------------------

@@ -328,3 +328,144 @@ def test_numpy_integer_exponents_take_the_integer_power(p):
         assert [exact(c) for c in (dc.Jet(1, base) ** p).coeffs] == [
             exact(c) for c in (dc.Jet(1, base) ** int(p)).coeffs
         ]
+
+
+# -- gradient jets: all first-order tangents in one pass ------------------------
+
+
+def _univariate(fn, z):
+    """The n order-1 passes that derivative_blocks(order=1) replaces."""
+    n = len(z)
+    return [dc.directional_derivatives(fn, z, [(dc.basis(n, k), 1)]).partial([1]) for k in range(n)]
+
+
+def same_value(u, v):
+    """u == v leaf by leaf (so 0.0 == -0.0): floats, arrays (broadcast) and
+    jets, a jet equal to a non-jet when its higher coefficients are zero."""
+    if isinstance(u, (list, tuple)):
+        return len(u) == len(v) and all(map(same_value, u, v))
+    tags = [w.tag for w in (u, v) if isinstance(w, dc.Jet)]
+    if tags:
+        a, b = ([w] if not isinstance(w, dc.Jet) or w.tag != max(tags) else w.coeffs for w in (u, v))
+        m = max(len(a), len(b))
+        return all(map(same_value, a + [0.0] * (m - len(a)), b + [0.0] * (m - len(b))))
+    return bool(np.all(np.asarray(u) == np.asarray(v)))
+
+
+_GALLERY = {}
+
+
+def _entry(name):
+    if name not in _GALLERY:
+        _GALLERY[name] = gallery.make(name, **dict(GALLERY_SPECS)[name])
+    return _GALLERY[name]
+
+
+def _one_point_functions(name, x, y):
+    """(function, point) pairs of the entry: F^2 and G in y at x, G in x at y
+    and, for Randers data, (a, b) in x."""
+    entry = _entry(name)
+    G = entry.spray
+    pairs = [(entry.metric.squared_at(x), y), (G.at(x), y), (lambda xs: G(xs, y), x)]
+    return pairs + ([(entry.randers.ab, x)] if entry.randers is not None else [])
+
+
+def _both_routes(name, x, y):
+    return [[dc.derivative_blocks(fn, z)[0], _univariate(fn, z)] for fn, z in _one_point_functions(name, x, y)]
+
+
+@given(name=st.sampled_from([name for name, _ in GALLERY_SPECS]), seed=st.integers(0, 2**16),
+       mode=st.sampled_from(["floats", "columns", "outer jet", "replay"]))
+@settings(max_examples=40, deadline=None)
+def test_gradient_blocks_equal_the_univariate_passes(name, seed, mode):
+    pts, dirs = sample_sites(_entry(name), 3, seed)
+    x, y = pts[0].tolist(), dirs[0].tolist()
+    if mode == "floats":
+        pairs = _both_routes(name, x, y)
+    elif mode == "columns":
+        pairs = _both_routes(name, list(pts.T), list(dirs.T))
+    elif mode == "outer jet":  # both routes inside one pass along (x, y) -> (pts[1], dirs[1])
+        n = len(x)
+        pairs = dc.directional_derivatives(
+            lambda z: _both_routes(name, z[:n], z[n:]), x + y, [((pts[1] - pts[0]).tolist() + dirs[1].tolist(), 1)],
+        ).root
+    else:  # recorded at one site, replayed at another
+        notes = []
+        rec = dc.Replay(lambda xs, ys: _both_routes(name, xs, ys), notes.append)
+        rec(x, y)
+        x, y = pts[1].tolist(), dirs[1].tolist()
+        pairs = rec(x, y)
+        assert notes == [] and rec.replays == 2
+        assert same_value(pairs, _both_routes(name, x, y))
+    for gradient, univariate in pairs:
+        assert same_value(gradient, univariate)
+
+
+@given(pair=same_tag_pair())
+@settings(max_examples=200, deadline=None)
+def test_gradient_kernels_equal_the_order_1_kernels_per_direction(pair):
+    # each tangent of a Grad takes the bits of the order-1 Jet seeded along it
+    a, b = pair
+    A, B = dc.Grad(2, a), dc.Grad(2, b)
+    for grad, per_jet in (
+        (A + B, lambda u, v: u + v),
+        (A - B, lambda u, v: u - v),
+        (A * B, lambda u, v: u * v),
+        (A / B, lambda u, v: u / v),
+        (0.5 / B, lambda u, v: 0.5 / v),
+        (A * 0.5 + 1.0, lambda u, v: u * 0.5 + 1.0),
+        (1.0 - A, lambda u, v: 1.0 - u),
+    ):
+        assert type(grad) is dc.Grad and grad.tag == 2
+        for k in range(1, len(a)):
+            jet = per_jet(dc.Jet(2, [a[0], a[k]]), dc.Jet(2, [b[0], b[k]]))
+            assert [exact(grad.coeffs[0]), exact(grad.coeffs[k])] == [exact(c) for c in jet.coeffs]
+
+
+def _per_direction(grad, op):
+    """op on the order-1 Jets of a Grad's tangents, coefficient lists stacked as the Grad's."""
+    jets = [op(dc.Jet(grad.tag, [grad.coeffs[0], d])) for d in grad.coeffs[1:]]
+    return jets[0].tag, [jets[0].coeffs[0]] + [j.coeffs[1] for j in jets]
+
+
+def _bits(u):
+    return u.tag, [exact(c) for c in u.coeffs]
+
+
+def test_division_across_tags():
+    older = dc.Jet(1, [0.7, -0.3])
+    grad = dc.Grad(next(dc._TAGS), [1.3, 0.4, -2.1, 0.0])
+    newer = dc.Jet(next(dc._TAGS), [0.9, 0.25])
+    # a Jet over a newer Grad: the Jet is a constant of the Grad's pass
+    for quotient in (older / grad, dc.Jet.__truediv__(older, grad)):
+        assert type(quotient) is dc.Grad
+        assert _bits(quotient) == (grad.tag, [exact(c) for c in _per_direction(grad, lambda j: older / j)[1]])
+    # a float over a Grad
+    assert _bits(2.0 / grad) == (grad.tag, [exact(c) for c in _per_direction(grad, lambda j: 2.0 / j)[1]])
+    # a Grad over an older Jet: each coefficient over the Jet
+    q = grad / older
+    assert type(q) is dc.Grad and _bits(q) == (grad.tag, [exact(c / older) for c in grad.coeffs])
+    # a Grad under a newer Jet: the Grad is a constant of the Jet's pass
+    for quotient in (grad / newer, newer / grad):
+        assert type(quotient) is dc.Jet and quotient.tag == newer.tag
+    assert _bits(newer / grad) == (newer.tag, [exact(c / grad) for c in newer.coeffs])
+
+
+def test_integer_powers_and_the_five_functions():
+    grad = dc.Grad(next(dc._TAGS), [0.8, 0.4, -2.1, 0.0])
+    zero = grad**0
+    assert type(zero) is dc.Grad and _bits(zero) == (grad.tag, [exact(c) for c in (1.0, 0.0, 0.0, 0.0)])
+    for op in (lambda u: u**-2, lambda u: u**3, dc.sqrt, dc.log, dc.exp, dc.sin, dc.cos):
+        got = op(grad)
+        assert type(got) is dc.Grad
+        tag, want = _per_direction(grad, op)
+        assert _bits(got) == (tag, [exact(c) for c in want])
+
+
+def test_derivative_blocks_take_one_evaluation_at_order_1():
+    for n in (1, 2, 3, 5):
+        calls = []
+        z = [0.1 * (k + 1) for k in range(n)]
+        d1, d2 = dc.derivative_blocks(lambda zs: calls.append(1) or dc.sin(zs[0]) * zs[-1], z)
+        assert len(calls) == 1 and d2 is None
+        assert d1[0] == math.cos(z[0]) * z[-1] + (math.sin(z[0]) if n == 1 else 0.0)

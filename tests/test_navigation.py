@@ -1,5 +1,6 @@
 """Shortest-time transform: closed form, root solve, shift and volume checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -255,6 +256,21 @@ def test_drift_too_strong_rejected(euclid_ball):
         N.zermelo_general(euclid_ball.finsler(), strong, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(DriftError):
         N.zermelo_riemannian(euclid_ball, strong)
+
+
+def test_the_drift_check_takes_one_array_pass_and_names_the_first_failing_point(euclid_ball):
+    # alpha(v) = 2 |x1| >= 1 at some of the 16 sample points only
+    half = N.DriftField(euclid_ball.domain, lambda x: [2.0 * x[0], 0.0], name="half")
+    first = next(p for p in euclid_ball.domain.sample_points(16, seed=3) if abs(2.0 * p[0]) >= 1.0)
+    calls = []
+    alpha = dataclasses.replace(euclid_ball, matrix=lambda x: calls.append(1) or euclid_ball.matrix(x))
+    with pytest.raises(DriftError) as err:
+        N.zermelo_riemannian(alpha, half)
+    assert str(err.value) == f"alpha(v) >= 1 at {tuple(float(c) for c in first)}"
+    assert len(calls) == 1
+    calls.clear()
+    N.zermelo_riemannian(alpha, N.DriftField(euclid_ball.domain, lambda x: [0.4 * x[0], 0.0]))
+    assert len(calls) == 1
 
 
 def test_every_navigation_path_rejects_a_too_strong_drift(euclid_ball):

@@ -12,7 +12,9 @@ from finslerkit import _linalg
 from finslerkit import curvature as C
 from finslerkit import diffcore as dc
 from finslerkit import gallery
+from finslerkit import measures as Ms
 from finslerkit import metrics as M
+from finslerkit import navigation as N
 from finslerkit import spray as S
 from finslerkit.errors import MetricError
 
@@ -174,21 +176,66 @@ def test_first_order_tables_do_the_navigation_x_work_once_per_pass(monkeypatch, 
     x = entry.metric.domain.sample_points(1, seed=4)[0].tolist()
     calls.clear()  # the constructor's drift check
     S.beta_table(entry.randers, x, order=1)
-    assert len(calls) == entry.dim + 1  # a and b at x, then one x-jet per coordinate
+    assert len(calls) == 2  # a and b at x, then one x-gradient jet for all coordinates
 
 
-# jet passes (directional_derivatives calls) per call of metric_entries,
-# spray_from_metric(F)(x, y), beta_table(order=2), riemann_entries and
-# flag_curvatures under the entry's spray; None where there is no Randers data
+def test_a_navigation_solve_evaluates_the_source_site_once():
+    source = gallery.euclidean_alpha(2, M.ball_domain(2))
+    calls = []
+    alpha = dataclasses.replace(source, matrix=_counted(source.matrix, calls))
+    drift = N.rotation_drift(alpha.domain)
+    nav = N.zermelo_general(alpha.finsler(), drift, [0.1, -0.2], [0.6, 0.3])
+    # once per solve, not at each of the ~57 bracket and bisection steps
+    assert len(calls) == 1
+    closed = N.zermelo_riemannian(source, drift).finsler()([0.1, -0.2], [0.6, 0.3])
+    assert nav == pytest.approx(float(closed), rel=1e-12)
+
+
+def _broadcast_site(F):
+    """F with a site that broadcasts x over the samples' columns and evaluates
+    F(xs, ys) on them: the route the one-site samplers took before F.at."""
+
+    def site(x):
+        return lambda ys: F([np.broadcast_to(np.asarray(c, dtype=float), np.shape(ys[0])) for c in x], ys)
+
+    return dataclasses.replace(F, site=site)
+
+
+@pytest.mark.parametrize("name,params", [s for s in GALLERY_SPECS if s[0] not in ("minkowski", "shen_flat")])
+def test_one_site_samplers_equal_the_broadcast_route(name, params):
+    entry = gallery.make(name, **params)
+    F, x = entry.metric, sample_sites(entry, 1, 8)[0][0].tolist()
+    drift = N.DriftField(F.domain, lambda xs: [-0.05 * xs[1], 0.05 * xs[0]] + [0.0] * (entry.dim - 2))
+    routes = [
+        (
+            Ms.bh_density(G, x),
+            Ms.bh_density_mc(G, x, n_samples=10_000, seed=2),
+            Ms._indicatrix_box(G, x),
+            N.indicatrix_shift_check(G, drift, x, n_dirs=16, seed=2),
+        )
+        for G in (F, _broadcast_site(F))
+    ]
+    (quad, mc, box, shift), (quad_b, mc_b, box_b, shift_b) = routes
+    assert _bits([quad.value, quad.error, mc.value, mc.stderr, shift]) == _bits(
+        [quad_b.value, quad_b.error, mc_b.value, mc_b.stderr, shift_b]
+    )
+    assert _bits(list(box)) == _bits(list(box_b))
+
+
+# jet passes per call of metric_entries, spray_from_metric(F)(x, y),
+# beta_table(order=2), riemann_entries and flag_curvatures under the entry's
+# spray; None where there is no Randers data.  A pass is one evaluation on
+# seeded jets: a directional_derivatives call or an order-1 derivative_blocks
+# call, which takes the whole gradient in one pass
 JET_PASSES = {
-    "euclidean": (3, 8, 8, 13, 13),
-    "minkowski": (3, 8, None, 45, 39),
-    "funk": (3, 8, 8, 13, 13),
-    "shen_flat": (3, 8, None, 45, 39),
-    "rotation2d": (3, 8, 8, 13, 13),
-    "cylinder": (6, 13, 15, 22, 19),
-    "bao_shen_s3": (6, 13, 15, 22, 19),
-    "slab": (3, 8, 8, 13, 13),
+    "euclidean": (3, 6, 3, 6, 10),
+    "minkowski": (3, 6, None, 21, 31),
+    "funk": (3, 6, 3, 6, 10),
+    "shen_flat": (3, 6, None, 21, 31),
+    "rotation2d": (3, 6, 3, 6, 10),
+    "cylinder": (6, 9, 3, 6, 13),
+    "bao_shen_s3": (6, 9, 3, 6, 13),
+    "slab": (3, 6, 3, 6, 10),
 }
 
 
@@ -198,16 +245,22 @@ def test_jet_passes_per_layer_call(monkeypatch, name, params):
     pts, dirs = sample_sites(entry, 2, 3)
     x, y, u = pts[0].tolist(), dirs[0].tolist(), dirs[1].tolist()
     F, G, rd = entry.metric, entry.spray, entry.randers
-    calls, real = [], dc.directional_derivatives
+    calls, real, real_blocks = [], dc.directional_derivatives, dc.derivative_blocks
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    # every module attribute bound to it, as `from .diffcore import` copies the name
+    def counting_blocks(f, z, order=1):
+        if order < 2:  # at order 2 its directional passes count
+            calls.append(1)
+        return real_blocks(f, z, order)
+
+    # every module attribute bound to them, as `from .diffcore import` copies the names
     for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "finslerkit"]:
-        for attr in [a for a, v in vars(mod).items() if v is real]:
-            monkeypatch.setattr(mod, attr, counting)
+        for attr, v in list(vars(mod).items()):
+            if v is real or v is real_blocks:
+                monkeypatch.setattr(mod, attr, counting if v is real else counting_blocks)
     layers = (
         lambda: M.metric_entries(F, x, y),
         lambda: S.spray_from_metric(F)(x, y),

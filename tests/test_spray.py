@@ -439,7 +439,7 @@ def test_row_stops_are_logged(caplog, funk2):
         traj = S.geodesic_integrate(G, [0.0, 0.0], [1.0, 0.0], T=-2.0, dt=1e-2)
     assert traj.boundary_exit
     compiled, record = caplog.records  # the spray's 128th call compiles its record
-    assert compiled.getMessage() == "geodesic row 0 at t=-0.31: spray compiled 380 records in 2 pieces"
+    assert compiled.getMessage() == "geodesic row 0 at t=-0.31: spray compiled 352 records in 2 pieces"
     assert record.name == "finslerkit" and record.levelno == logging.DEBUG
     assert record.getMessage().startswith("geodesic row 0 stopped after t=-0.")
     assert "MetricError" in record.getMessage()
@@ -465,7 +465,7 @@ def test_compiled_records_are_logged(caplog):
     assert len(traj.t) == 251
     # the 128th of 1000 spray calls and of 251 speed checks compiles each record once
     assert [r.getMessage() for r in caplog.records] == [
-        "geodesic row 0 at t=0.062: spray compiled 289 records in 2 pieces",
+        "geodesic row 0 at t=0.062: spray compiled 296 records in 2 pieces",
         "geodesic row 0 at t=0.254: speed check compiled 36 records in 1 piece",
     ]
 
