@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import _linalg
-from .diffcore import derivative_blocks, directional_derivatives, joint_derivative
+from .diffcore import directional_derivatives, gradient, joint_derivative
 from .diffcore import value, values_array
 from .errors import DegenerateFlagError
 from .metrics import (
@@ -43,37 +43,39 @@ class RiemannOperator:
     ricci: float
 
 
-def _along_spray(G: SprayField, x, y, G_at, y_part):
-    """y_part(G.at(x), y) and its derivative D along the vector (-y, 2G)
-    on TM, from one jet tag that moves x by -y and y by 2G(x, y) together.
+def _y_gradient(H_xs, ys):
+    """The y-gradient of H_xs, the site function of a field, at ys."""
+    return gradient(H_xs, ys)[1]
 
-    y_part(G_xs, ys) takes y-derivatives of G_xs, the site function of G, at ys.
-    """
+
+def _along_spray(H: SprayField, x, y, G_xy, y_part):
+    """y_part(H.at(x), y) and its derivative D along (-y, 2G) on TM, from one
+    jet tag that moves x by -y and y by 2 G_xy, G_xy = G(x, y), together;
+    y_part(H_xs, ys) takes y-derivatives of H_xs, the site function of H."""
     return joint_derivative(
-        lambda xs, ys: y_part(G.at(xs), ys),
-        x, y, [-c for c in y], [2.0 * g for g in G_at(list(y))],
+        lambda xs, ys: y_part(H.at(xs), ys), x, y, [-c for c in y], [2.0 * g for g in G_xy],
     )
 
 
-def _spray_form_blocks(H: SprayField, x, y, G_at):
-    """dH^i/dx^k, dH^i/dy^k and D(dH^i/dy^k), each as [k][i], with D the
-    derivative along (-y, 2G) and G_at the site function of G at x: two
-    evaluations of H (the x-gradient and the y-gradient on the jet along the
-    spray) and one of G_at.  H = G gives the blocks of the spray form of R."""
-    dHdx, _ = derivative_blocks(lambda xs: H(xs, list(y)), x)
-    return (dHdx, *_along_spray(H, x, y, G_at, lambda H_xs, ys: derivative_blocks(H_xs, ys)[0]))
+def _spray_form_blocks(G: SprayField, x, y):
+    """dG^i/dx^k, dG^i/dy^k and D(dG^i/dy^k), each as [k][i], with D the
+    derivative along (-y, 2G): two evaluations of G, the x-gradient, whose
+    value G(x, y) gives the direction of D, and the y-gradient on the jet
+    along the spray."""
+    G_xy, dGdx = gradient(lambda xs: G(xs, list(y)), x)
+    return (dGdx, *_along_spray(G, x, y, G_xy, _y_gradient))
 
 
 def riemann_entries(G: SprayField, x, y) -> list:
     """R^i_k as a nested list of generic scalars (jet-safe inputs allowed).
 
-    3 spray evaluations in any dimension: the value, the x-gradient and the
-    y-gradient taken on the jet along the spray.  Raises MetricError at
-    y = 0.
+    2 spray evaluations in any dimension: the x-gradient, which carries the
+    value, and the y-gradient taken on the jet along the spray.  Raises
+    MetricError at y = 0.
     """
     require_nonzero(y)
     n = len(y)
-    dGdx, dGdy, DdGdy = _spray_form_blocks(G, x, y, G.at(list(x)))
+    dGdx, dGdy, DdGdy = _spray_form_blocks(G, x, y)
     R = [[None] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
@@ -114,7 +116,7 @@ def ricci_2d(G: SprayField, x, y):
     if G.dim != 2:
         raise ValueError("ricci_2d requires a two-dimensional spray")
     require_nonzero(y)
-    dGdx, dGdy, DdGdy = _spray_form_blocks(G, x, y, G.at(list(x)))
+    dGdx, dGdy, DdGdy = _spray_form_blocks(G, x, y)
     S = dGdy[0][0] + dGdy[1][1]
     val = (
         2.0 * (dGdx[0][0] + dGdx[1][1] + dGdy[0][0] * dGdy[1][1] - dGdy[1][0] * dGdy[0][1])
@@ -160,16 +162,16 @@ def flag_curvatures(F: FinslerField, G: SprayField, x, y, u):
 
 def _riemann_times(G: SprayField, x, y, u) -> list:
     """R^i_k u^k = 2 d_{x,u}G^i + D(d_{y,u}G^i) - d_{y,v}G^i with v = d_{y,u}G,
-    d_{x,u} and d_{y,u} the derivatives along u in x and in y: four spray
-    evaluations in any dimension, without the matrix R."""
+    d_{x,u} and d_{y,u} the derivatives along u in x and in y: three spray
+    evaluations in any dimension, G(x, y) coming with d_{x,u}G, without the
+    matrix R."""
 
     def along(G_xs, ys, w):
         return directional_derivatives(G_xs, ys, [(w, 1)]).partial([1])
 
-    G_at = G.at(list(x))
-    dxu = directional_derivatives(lambda xs: G(xs, list(y)), x, [(u, 1)]).partial([1])
-    v, Dv = _along_spray(G, x, y, G_at, lambda G_xs, ys: along(G_xs, ys, u))
-    return [2.0 * a + b - c for a, b, c in zip(dxu, Dv, along(G_at, y, v))]
+    res = directional_derivatives(lambda xs: G(xs, list(y)), x, [(u, 1)])
+    v, Dv = _along_spray(G, x, y, res.value, lambda G_xs, ys: along(G_xs, ys, u))
+    return [2.0 * a + b - c for a, b, c in zip(res.partial([1]), Dv, along(G.at(list(x)), y, v))]
 
 
 # -- curvature via a reference spray ------------------------------------------
@@ -182,8 +184,8 @@ def riemann_via_difference(G: SprayField, G_ref: SprayField, x, y) -> RiemannOpe
         R^i_k = R~^i_k + 2 dH^i/dx^k + D(dH^i/dy^k) + 2 H^j dN^i_k/dy^j
                 - N^i_j dH^j/dy^k - dH^i/dy^j N^j_k - dH^i/dy^j dH^j/dy^k
 
-    4 evaluations of G and 7 of G~ in any dimension; raises MetricError at
-    y = 0.
+    3 evaluations of G and 5 of G~ in any dimension, H(x, y) coming with
+    H's x-gradient; raises MetricError at y = 0.
     """
     base = riemann_entries(G_ref, x, y)  # raises MetricError at y = 0
     n = len(y)
@@ -193,11 +195,11 @@ def riemann_via_difference(G: SprayField, G_ref: SprayField, x, y) -> RiemannOpe
         return lambda ys: [a - b for a, b in zip(G_xs(ys), ref_xs(ys))]
 
     H = SprayField(G.domain, lambda xs, ys: H_at(xs)(ys), site=H_at)
-    dHdx, dHdy, DdHdy = _spray_form_blocks(H, x, y, G.at(list(x)))
+    H_xy, dHdx = gradient(lambda xs: H(xs, list(y)), x)
+    dHdy, DdHdy = _along_spray(H, x, y, G.at(list(x))(list(y)), _y_gradient)
     # N and its y-derivative along 2H, from one jet moving y by 2H
     N, HdN = joint_derivative(
-        lambda xs, ys: derivative_blocks(G_ref.at(xs), ys)[0],
-        x, y, [0.0] * n, [2.0 * h for h in H_at(list(x))(list(y))],
+        lambda xs, ys: _y_gradient(G_ref.at(xs), ys), x, y, [0.0] * n, [2.0 * h for h in H_xy],
     )
     R = [[None] * n for _ in range(n)]
     for i in range(n):

@@ -12,10 +12,10 @@ Every jet pass differentiates a function of one point list:
 `directional_derivatives(f, z, dirs)` seeds jets along the given directions
 at z and returns a `TaylorResult` whose `partial` reads any mixed partial up
 to the seeded orders.  `joint_derivative` (one derivative of f(x, y) along a
-joint (dx, dy) direction, seeded on the concatenated point) and the Hessian
-blocks of `derivative_blocks(f, z, order=2)` are built on it.  A gradient,
-`derivative_blocks(f, z)`, takes one pass on `Grad` jets, which carry the
-value and all n first partials under one tag (vector forward mode).  The
+joint (dx, dy) direction, seeded on the concatenated point) and
+`hessian(f, z)` are built on it.  `gradient(f, z)` takes one pass on `Grad`
+jets, which carry the value and all n first partials under one tag (vector
+forward mode), and returns the value with the partials.  The
 finite-difference oracle that cross-checks the jets lives with the tests
 (`tests/fd_oracle.py`).
 """
@@ -695,11 +695,14 @@ def directional_derivatives(f: Callable, z: Sequence, dirs: Sequence[tuple[Seque
     them.  The result's tags follow `dirs`, and each tag is newer than every
     tag of an enclosing pass, so passes nested inside f stay well ordered.
     A zero component of p_a (a float or int) leaves that coordinate alone.
+    A direction whose length is not that of z raises ValueError.
     """
     pts, tags, orders = list(z), [], []
     for vec, order in dirs:
         if order < 1:
             raise ValueError(f"a seeded direction needs order >= 1, got {order}")
+        if len(vec) != len(pts):
+            raise ValueError(f"a direction of length {len(vec)} at a point of length {len(pts)}")
         t = next(_TAGS)
         tags.append(t)
         orders.append(order)
@@ -716,39 +719,42 @@ def joint_derivative(f: Callable, x: Sequence, y: Sequence, dx: Sequence, dy: Se
     """f(x, y) and its first derivative along the joint direction (dx, dy):
     one tag moves x by t dx and y by t dy together, seeded on the
     concatenated point (x, y).  Returns (value, derivative), each nested like
-    the value of f."""
+    the value of f.  dx and dy must have the lengths of x and y (ValueError)."""
     n = len(x)
+    if len(dx) != n or len(dy) != len(y):
+        raise ValueError(f"a direction of lengths ({len(dx)}, {len(dy)}) at a point of lengths ({n}, {len(y)})")
     res = directional_derivatives(lambda z: f(z[:n], z[n:]), [*x, *y], [([*dx, *dy], 1)])
     return res.value, res.partial([1])
 
 
-def derivative_blocks(f: Callable, z: Sequence, order: int = 1):
-    """First and (with order=2) second partials of f in the coordinates of
-    its one point, at z.
+def gradient(f: Callable, z: Sequence):
+    """(f(z), d1) with d1[k] = df/dz^k, each nested like the value of f (a
+    generic scalar or a nested list of them), from one evaluation of f on
+    Grad jets that carry all n tangents.
 
-    f(zs) returns a generic scalar or a nested list of them.  Returns
-    (d1, d2) with d1[k] = df/dz^k and d2[k][l] = d2f/dz^k dz^l, each nested
-    like the value of f; d2 is None at order 1.  At order 1, one evaluation
-    of f on Grad jets that carry all n tangents; at order 2, one
-    directional_derivatives call per coordinate (seeded to order 2) and one
-    per coordinate pair k < l.  A derivative in x at a fixed y takes
-    f = lambda xs: H(xs, y), one in y at a fixed x f = lambda ys: H(x, ys).
+    The value is coefficient 0 of the pass, which takes the float operations
+    of f(z), so it equals f(z) bit for bit unless f raises to an integer
+    power (a Grad multiplies, a float calls pow).  A derivative in x at a
+    fixed y takes f = lambda xs: H(xs, y), one in y f = lambda ys: H(x, ys).
     """
+    n, t = len(z), next(_TAGS)
+    root = f([Grad(t, [p, *basis(n, k)]) for k, p in enumerate(z)])
+    f0, *d1 = (_nest(lambda u: _component(u, t, k), root) for k in range(n + 1))
+    return f0, d1
+
+
+def hessian(f: Callable, z: Sequence) -> list:
+    """Second partials d2[k][l] = d2f/dz^k dz^l of f at z, each nested like
+    the value of f: one directional_derivatives call per coordinate (seeded
+    to order 2) and one per coordinate pair k < l."""
     n = len(z)
-    if order < 2:
-        t = next(_TAGS)
-        root = f([Grad(t, [p, *basis(n, k)]) for k, p in enumerate(z)])
-        return [_nest(lambda u: _component(u, t, k + 1), root) for k in range(n)], None
-    d1 = [None] * n
     d2 = [[None] * n for _ in range(n)]
     for k in range(n):
-        res = directional_derivatives(f, z, [(basis(n, k), order)])
-        d1[k] = res.partial([1])
-        d2[k][k] = res.partial([2])
+        d2[k][k] = directional_derivatives(f, z, [(basis(n, k), 2)]).partial([2])
         for l in range(k + 1, n):
             pair = [(basis(n, k), 1), (basis(n, l), 1)]
             d2[k][l] = d2[l][k] = directional_derivatives(f, z, pair).partial([1, 1])
-    return d1, d2
+    return d2
 
 
 def basis(n: int, i: int) -> list:

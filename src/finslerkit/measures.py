@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _linalg
-from .diffcore import derivative_blocks, directional_derivatives, joint_derivative
+from .diffcore import directional_derivatives, gradient, joint_derivative
 from .diffcore import log, sqrt, value, values_array
 from .errors import MetricError
 from .metrics import FinslerField, RandersData, RiemannianField, metric_entries, require_nonzero
@@ -246,7 +246,7 @@ def s_curvature(G: SprayField, sigma: VolumeDensity, x, y) -> float:
     if not sigma.differentiable:
         raise MetricError(f"density method {sigma.method!r} is not differentiable")
     require_nonzero(y)
-    dGdy, _ = derivative_blocks(G.at(list(x)), y)
+    _, dGdy = gradient(G.at(list(x)), y)
     div = 0.0
     for i in range(len(y)):
         div = div + value(dGdy[i][i])

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _linalg
-from .diffcore import Replay, derivative_blocks, directional_derivatives, sqrt, value, values_array
+from .diffcore import Replay, directional_derivatives, hessian, sqrt, value, values_array
 from .errors import DomainError, MetricError
 
 # points of a sites x samples torsion grid evaluated in one array pass
@@ -260,8 +260,7 @@ class FundamentalTensor:
 
 def metric_entries(F: FinslerField, x, y) -> list:
     """Entries of g as a nested list of generic scalars (jet-safe)."""
-    _, hess = derivative_blocks(F.squared_at(x), y, order=2)
-    return [[e * 0.5 for e in row] for row in hess]
+    return [[e * 0.5 for e in row] for row in hessian(F.squared_at(x), y)]
 
 
 def require_nonzero(y) -> None:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _linalg
-from .diffcore import derivative_blocks, directional_derivatives, sqrt, values_array
+from .diffcore import directional_derivatives, gradient, sqrt, values_array
 from .errors import DomainError, IntegrationError, MetricError
 from .metrics import (
     Field,
@@ -56,9 +56,9 @@ def spray_from_metric(F: FinslerField) -> SprayField:
             return f * f
 
         def y_gradient(xs):  # the y-gradient of F(xs, .)^2 at y
-            return derivative_blocks(F.squared_at(xs), y)[0]
+            return gradient(F.squared_at(xs), y)[1]
 
-        grad, _ = derivative_blocks(squared, x)
+        _, grad = gradient(squared, x)
         # one x-jet along y, shared by the n y-jets, whose tags come after it
         mixed = directional_derivatives(y_gradient, x, [(y, 1)]).partial([1])
         rhs = [mixed[l] - grad[l] for l in range(n)]
@@ -88,8 +88,7 @@ def _christoffel(a_inv, da):
 
 def _levi_civita(alpha: RiemannianField, x):
     """(a_ij, a^{ij}, Gamma^i_{jk}) at x as nested lists (jet-safe)."""
-    a = alpha.matrix(x)
-    da, _ = derivative_blocks(alpha.matrix, x)
+    a, da = gradient(alpha.matrix, x)
     a_inv, _ = _linalg.spd_factor(a)
     return a, a_inv, _christoffel(a_inv, da)
 
@@ -205,31 +204,28 @@ def beta_table(randers: RandersData, x, order: int = 2) -> BetaTable:
     """Covariant derivative tables of beta with respect to alpha at x.
 
     The second covariant derivatives differentiate the first-order table in
-    x with jets and add the Christoffel corrections,
+    x in one gradient pass, whose value gives the table's first-order
+    fields, and add the Christoffel corrections,
     s_{j|k} = d_k s_j - s_l Gamma^l_{jk} and
     s^i_{j|k} = d_k s^i_j + Gamma^i_{lk} s^l_j - Gamma^l_{jk} s^i_l,
     so the same pipeline serves any Randers data, not just metrics with
     closed-form tables.
     """
-    table = _first_order_table(randers, x)
     if order < 2:
-        return table
+        return BetaTable(tuple(x), *_first_order_table(randers, x))
     n = randers.dim
+    fields, d = gradient(lambda xs: _first_order_table(randers, xs), x)
+    table = BetaTable(tuple(x), *fields)
     gamma, s_up, s_form = table.gamma, table.s_up, table.s_form
-
-    def first_order_s(xs):
-        t = _first_order_table(randers, xs)
-        return [t.s_form, t.s_up]
-
-    d, _ = derivative_blocks(first_order_s, x)  # d[k] = [d_k s_j, d_k s^i_j]
+    # d[k][-1] = d_k s_j, d[k][-2] = d_k s^i_j
     table.s_form_cov = [
-        [d[k][0][j] - _sum(s_form[l] * gamma[l][j][k] for l in range(n)) for k in range(n)]
+        [d[k][-1][j] - _sum(s_form[l] * gamma[l][j][k] for l in range(n)) for k in range(n)]
         for j in range(n)
     ]
     table.s_up_cov = [
         [
             [
-                d[k][1][i][j]
+                d[k][-2][i][j]
                 + _sum(gamma[i][l][k] * s_up[l][j] for l in range(n))
                 - _sum(gamma[l][j][k] * s_up[i][l] for l in range(n))
                 for k in range(n)
@@ -241,12 +237,12 @@ def beta_table(randers: RandersData, x, order: int = 2) -> BetaTable:
     return table
 
 
-def _first_order_table(randers: RandersData, x) -> BetaTable:
-    """The table of beta_table(order=1) (jet-safe in x)."""
+def _first_order_table(randers: RandersData, x) -> list:
+    """The fields of beta_table(order=1) after x, in BetaTable's order
+    (jet-safe in x)."""
     n = randers.dim
-    a0, b = randers.ab(x)
-    d, _ = derivative_blocks(randers.ab, x)  # d[k] = [d_k a, d_k b]
-    a_inv, _ = _linalg.spd_factor(a0)
+    (a, b), d = gradient(randers.ab, x)  # d[k] = [d_k a, d_k b]
+    a_inv, _ = _linalg.spd_factor(a)
     gamma = _christoffel(a_inv, [dk[0] for dk in d])
     db = [dk[1] for dk in d]
     b_cov = [
@@ -260,10 +256,7 @@ def _first_order_table(randers: RandersData, x) -> BetaTable:
     s = [[(b_cov[i][j] - b_cov[j][i]) * 0.5 for j in range(n)] for i in range(n)]
     s_up = [[_sum(a_inv[i][p] * s[p][j] for p in range(n)) for j in range(n)] for i in range(n)]
     s_form = [_sum(b[i] * s_up[i][j] for i in range(n)) for j in range(n)]
-    return BetaTable(
-        x=tuple(x), a=a0, a_inv=a_inv, b=b, gamma=gamma,
-        b_cov=b_cov, r=r, s=s, s_up=s_up, s_form=s_form,
-    )
+    return [a, a_inv, b, gamma, b_cov, r, s, s_up, s_form]
 
 
 def _sum(it):

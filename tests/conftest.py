@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from finslerkit import gallery
+from finslerkit import diffcore, gallery
 from finslerkit.diffcore import basis, directional_derivatives
 
 from fd_oracle import sub_multi_indices
@@ -63,6 +65,30 @@ def xy_derivatives(f, x, y, x_dirs=(), y_dirs=()):
     n, m = len(x), len(y)
     dirs = [([*p, *[0.0] * m], k) for p, k in x_dirs] + [([*[0.0] * n, *q], k) for q, k in y_dirs]
     return directional_derivatives(lambda z: f(z[:n], z[n:]), [*x, *y], dirs)
+
+
+def count_jet_passes(monkeypatch) -> list:
+    """Count jet passes: wrap every finslerkit module attribute bound to
+    diffcore's directional_derivatives or gradient (`from .diffcore import`
+    copies the names) so that each call appends "directional" or "gradient"
+    to the returned list.  A hessian counts as its directional passes."""
+    calls = []
+
+    def counted(fn, name):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    real = ((diffcore.directional_derivatives, "directional"), (diffcore.gradient, "gradient"))
+    wrappers = [(fn, counted(fn, name)) for fn, name in real]
+    for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "finslerkit"]:
+        for attr, v in list(vars(mod).items()):
+            for fn, wrapped in wrappers:
+                if v is fn:
+                    monkeypatch.setattr(mod, attr, wrapped)
+    return calls
 
 
 def squared(F):

@@ -4,9 +4,9 @@ Flag curvature and S-curvature are invariants: pulling a metric back by a
 diffeomorphism phi, F'(x, y) = F(phi(x), Dphi(x) y), and its volume form,
 sigma'(x) = sigma(phi(x)) det Dphi(x), gives at (x, y) the values of F at
 (phi(x), Dphi(x) y), the flag span{y, u} mapping to span{Dphi y, Dphi u}.
-phi is affine plus a small quadratic term; Dphi comes from
-`derivative_blocks(phi, x)`, so inside F' it nests under the outer jets of
-the generic spray.  The control F(phi(x), y), which drops Dphi, misses both.
+phi is affine plus a small quadratic term; Dphi comes from `gradient(phi, x)`,
+so inside F' it nests under the outer jets of the generic spray.  The
+control F(phi(x), y), which drops Dphi, misses both.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ def chart_change(c, A, Q):
 
 def jacobian(phi, x):
     """Dphi[i][k] = d phi^i / d x^k (jet-safe)."""
-    d1, _ = dc.derivative_blocks(phi, x)
+    _, d1 = dc.gradient(phi, x)
     return [[d1[k][i] for k in range(len(x))] for i in range(len(x))]
 
 

@@ -13,7 +13,7 @@ from finslerkit import spray as S
 from finslerkit import verify
 from finslerkit.errors import DegenerateFlagError, MetricError
 from finslerkit.metrics import ball_domain
-from conftest import GALLERY_SPECS, sample_sites
+from conftest import GALLERY_SPECS, count_jet_passes, sample_sites
 
 
 @pytest.fixture(scope="module")
@@ -154,10 +154,11 @@ def reference_riemann(G, x, y):
     n, sites = len(y), np.shape(y[0])
     G_at = G.at(list(x))
     Gval = G_at(list(y))
-    dGdx, _ = diffcore.derivative_blocks(lambda xs: G(xs, list(y)), x)
-    y_blocks = lambda xs: diffcore.derivative_blocks(G.at(xs), list(y))[0]
+    _, dGdx = diffcore.gradient(lambda xs: G(xs, list(y)), x)
+    y_blocks = lambda xs: diffcore.gradient(G.at(xs), list(y))[1]
     mixed = diffcore.directional_derivatives(y_blocks, x, [(list(y), 1)]).partial([1])
-    dGdy, hess = diffcore.derivative_blocks(G_at, y, order=2)
+    _, dGdy = diffcore.gradient(G_at, y)
+    hess = diffcore.hessian(G_at, y)
     R = [[None] * n for _ in range(n)]
     T = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -211,8 +212,9 @@ def counting_spray(n):
 def test_riemann_takes_3_spray_evaluations(n):
     G, calls = counting_spray(n)
     C.riemann_entries(G, [0.1, 0.2, -0.1, 0.05][:n], [0.7, -0.3, 0.4, 0.2][:n])
-    # the value, the x-gradient and the y-gradient on the jet along the spray
-    assert len(calls) == 3
+    # the x-gradient, which carries the value, and the y-gradient on the jet
+    # along the spray
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -231,9 +233,10 @@ def test_riemann_via_difference_takes_4_and_7_evaluations(n):
     G, calls = counting_spray(n)
     G_ref, ref_calls = counting_spray(n)
     C.riemann_via_difference(G, G_ref, [0.1, 0.2, -0.1, 0.05][:n], [0.7, -0.3, 0.4, 0.2][:n])
-    # through H: the x-gradient, the y-gradient along (-y, 2G) and the value 2H;
-    # G alone: the direction 2G; G_ref alone: R~ (3) and N on the jet along 2H
-    assert (len(calls), len(ref_calls)) == (4, 7)
+    # through H: the x-gradient, which carries the value 2H, and the y-gradient
+    # along (-y, 2G); G alone: the direction 2G; G_ref alone: R~ (2) and N on
+    # the jet along 2H
+    assert (len(calls), len(ref_calls)) == (3, 5)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -241,8 +244,9 @@ def test_flag_curvature_takes_4_spray_evaluations(n):
     G, calls = counting_spray(n)
     F = gallery.euclidean_alpha(n, ball_domain(n)).finsler()
     C.flag_curvature(F, [0.1, 0.2, -0.1][:n], [0.7, -0.3, 0.4][:n], [0.2, 0.9, 0.1][:n], G=G)
-    # the value, d_{x,u}G, d_{y,u}G on the jet along the spray, d_{y,v}G
-    assert len(calls) == 4
+    # d_{x,u}G, which carries the value, d_{y,u}G on the jet along the spray,
+    # d_{y,v}G
+    assert len(calls) == 3
 
 
 # -- Ricci -------------------------------------------------------------------------
@@ -294,24 +298,11 @@ def test_ricci_2d_takes_only_the_blocks_it_reads(monkeypatch):
         ball_domain(2),
         lambda x, y: [x[1] * y[0] * y[1] + y[0] * y[0], x[0] * y[1] * y[1]],
     )
-    calls = []
-    real, real_blocks = diffcore.directional_derivatives, diffcore.derivative_blocks
-
-    def counting(*args, **kwargs):
-        calls.append("directional")
-        return real(*args, **kwargs)
-
-    def counting_blocks(f, z, order=1):
-        calls.append(f"blocks order {order}")
-        return real_blocks(f, z, order)
-
-    monkeypatch.setattr(diffcore, "directional_derivatives", counting)
-    monkeypatch.setattr(C, "directional_derivatives", counting)
-    monkeypatch.setattr(C, "derivative_blocks", counting_blocks)
+    calls = count_jet_passes(monkeypatch)
     C.ricci_2d(G, [0.1, 0.2], [0.7, -0.3])
-    # dG/dx: one gradient pass; one jet along the spray around the dG/dy
+    # dG/dx and G: one gradient pass; one jet along the spray around the dG/dy
     # gradient pass, giving S at order 0 and D(S) at order 1; no Hessian
-    assert calls == ["blocks order 1", "directional", "blocks order 1"]
+    assert calls == ["gradient", "directional", "gradient"]
 
 
 # -- flag curvature ------------------------------------------------------------------

@@ -83,13 +83,18 @@ def _nested_field(x, y):
 @pytest.mark.parametrize("point", ["x", "y"])
 @pytest.mark.parametrize("order", [1, 2])
 def test_derivative_blocks_match_jet_eval_and_fd(point, order):
-    # blocks of the one-point function x -> field(x, y) or y -> field(x, y)
+    # gradient (order 1) or hessian (order 2) of the one-point function
+    # x -> field(x, y) or y -> field(x, y)
     x, y = (0.3, -0.4), (0.7, 1.1)
     if point == "x":
-        d1, d2 = dc.derivative_blocks(lambda xs: _nested_field(xs, list(y)), list(x), order)
+        f, z = lambda xs: _nested_field(xs, list(y)), list(x)
     else:
-        d1, d2 = dc.derivative_blocks(lambda ys: _nested_field(list(x), ys), list(y), order)
-    assert (d2 is None) == (order == 1)
+        f, z = lambda ys: _nested_field(list(x), ys), list(y)
+    if order == 1:
+        f0, d1 = dc.gradient(f, z)
+        assert f0 == _nested_field(list(x), list(y))
+    else:
+        d2 = dc.hessian(f, z)
 
     def check(block, coords):
         orders = tuple(sum(1 for c in coords if c == k) for k in range(2))
@@ -103,8 +108,9 @@ def test_derivative_blocks_match_jet_eval_and_fd(point, order):
                 assert got == pytest.approx(fd_partials(comp, x, y, ox, oy)[(ox, oy)], abs=1e-6)
 
     for k in range(2):
-        check(d1[k], (k,))
-        if order == 2:
+        if order == 1:
+            check(d1[k], (k,))
+        else:
             for l in range(2):
                 check(d2[k][l], (k, l))
 
@@ -135,6 +141,26 @@ def test_a_multi_index_of_the_wrong_length_is_refused():
     for multi in ([1], [1, 1, 0]):
         with pytest.raises(ValueError, match=f"length {len(multi)} for 2 seeded directions"):
             res.partial(multi)
+
+
+def test_a_direction_of_the_wrong_length_is_refused():
+    # a short direction used to hand f a shorter point, a long one to be cut
+    seen = []
+    f = lambda z: seen.append(len(z)) or z[0] * z[-1]
+    for vec in ([1.0, 0.0], [1.0, 0.0, 0.0, 2.0]):
+        with pytest.raises(ValueError, match=f"direction of length {len(vec)} at a point of length 3"):
+            dc.directional_derivatives(f, [1.0, 2.0, 3.0], [([0.0, 0.0, 1.0], 1), (vec, 1)])
+    assert seen == []
+    assert dc.directional_derivatives(f, [1.0, 2.0, 3.0], [([1.0, 0.0, 0.0], 1)]).partial([1]) == 3.0
+
+
+def test_a_joint_direction_of_the_wrong_lengths_is_refused():
+    # (dx, dy) of lengths (3, 1) at a point of lengths (2, 2) has the total length 4
+    f = lambda xs, ys: xs[0] * ys[1]
+    for dx, dy in (([1.0, 0.0, 0.0], [1.0]), ([1.0], [1.0, 0.0, 2.0]), ([1.0, 0.0], [1.0])):
+        with pytest.raises(ValueError, match=rf"lengths \({len(dx)}, {len(dy)}\) at a point of lengths \(2, 2\)"):
+            dc.joint_derivative(f, [1.0, 2.0], [3.0, 4.0], dx, dy)
+    assert dc.joint_derivative(f, [1.0, 2.0], [3.0, 4.0], [1.0, 0.0], [0.0, 1.0]) == (4.0, 5.0)
 
 
 def test_partials_of_order_10_and_more():
@@ -334,7 +360,7 @@ def test_numpy_integer_exponents_take_the_integer_power(p):
 
 
 def _univariate(fn, z):
-    """The n order-1 passes that derivative_blocks(order=1) replaces."""
+    """The n order-1 passes that one gradient pass replaces."""
     n = len(z)
     return [dc.directional_derivatives(fn, z, [(dc.basis(n, k), 1)]).partial([1]) for k in range(n)]
 
@@ -371,7 +397,12 @@ def _one_point_functions(name, x, y):
 
 
 def _both_routes(name, x, y):
-    return [[dc.derivative_blocks(fn, z)[0], _univariate(fn, z)] for fn, z in _one_point_functions(name, x, y)]
+    """[gradient, univariate passes] and [gradient's value, fn(z)] per function."""
+    pairs = []
+    for fn, z in _one_point_functions(name, x, y):
+        f0, d1 = dc.gradient(fn, z)
+        pairs += [[d1, _univariate(fn, z)], [f0, fn(z)]]
+    return pairs
 
 
 @given(name=st.sampled_from([name for name, _ in GALLERY_SPECS]), seed=st.integers(0, 2**16),
@@ -397,8 +428,8 @@ def test_gradient_blocks_equal_the_univariate_passes(name, seed, mode):
         pairs = rec(x, y)
         assert notes == [] and rec.replays == 2
         assert same_value(pairs, _both_routes(name, x, y))
-    for gradient, univariate in pairs:
-        assert same_value(gradient, univariate)
+    for gradient, direct in pairs:
+        assert same_value(gradient, direct)
 
 
 @given(pair=same_tag_pair())
@@ -466,6 +497,7 @@ def test_derivative_blocks_take_one_evaluation_at_order_1():
     for n in (1, 2, 3, 5):
         calls = []
         z = [0.1 * (k + 1) for k in range(n)]
-        d1, d2 = dc.derivative_blocks(lambda zs: calls.append(1) or dc.sin(zs[0]) * zs[-1], z)
-        assert len(calls) == 1 and d2 is None
+        f0, d1 = dc.gradient(lambda zs: calls.append(1) or dc.sin(zs[0]) * zs[-1], z)
+        assert len(calls) == 1 and len(d1) == n
+        assert f0 == math.sin(z[0]) * z[-1]
         assert d1[0] == math.cos(z[0]) * z[-1] + (math.sin(z[0]) if n == 1 else 0.0)

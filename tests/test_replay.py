@@ -312,8 +312,8 @@ def test_a_long_record_compiles_in_bounded_pieces(entries):
     for _ in range(dc._COMPILE_AT):
         rec(x, y)
     sizes = [_instructions(run) for run in rec.runs]
-    assert sum(sizes) == len(rec.ops) // 4 == 1509 and max(sizes) <= dc._PIECE
-    assert notes == ["compiled 1509 records in 6 pieces"]
+    assert sum(sizes) == len(rec.ops) // 4 == 1403 and max(sizes) <= dc._PIECE
+    assert notes == ["compiled 1403 records in 6 pieces"]
     assert _bits(rec(y, x)) == _bits(entry.spray(y, x))
 
 
@@ -333,7 +333,7 @@ def test_a_stirred_six_ball_record_compiles_bit_identically():
         rec(*sites[0])
     for x, y in sites:
         assert _bits(rec(x, y)) == _bits(G(x, y))
-    assert len(rec.ops) // 4 == 6940 and len(rec.runs) == math.ceil(len(rec.ops) / 4 / dc._PIECE)
+    assert len(rec.ops) // 4 == 6673 and len(rec.runs) == math.ceil(len(rec.ops) / 4 / dc._PIECE)
     assert notes == [_compiled_note(rec)]
 
 
@@ -365,6 +365,6 @@ def test_a_record_compiles_once_per_field_at_its_128th_replay(caplog):
             S.geodesic_integrate(fresh, x1, [0.5 * c for c in y1], T=0.04, dt=2e-3)
     # the 128th call is the 48th of the second arc: stage 4 of step 12, after t = 11 dt
     assert [r.getMessage() for r in caplog.records] == [
-        "geodesic row 0 at t=0.022: spray compiled 296 records in 2 pieces"
+        "geodesic row 0 at t=0.022: spray compiled 286 records in 2 pieces"
     ] * 2
     assert fresh.replay is not G.replay and G.replay.replays == 240 and fresh.replay.replays == 160

@@ -3,7 +3,6 @@ and the beta tables give the same bits as the direct route, which evaluates
 alpha.matrix and beta.covector in separate passes and F^2 at every jet."""
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from finslerkit import navigation as N
 from finslerkit import spray as S
 from finslerkit.errors import MetricError
 
-from conftest import GALLERY_SPECS, sample_sites, squared, xy_derivatives
+from conftest import GALLERY_SPECS, count_jet_passes, sample_sites, squared, xy_derivatives
 
 
 def _bits(obj):
@@ -46,8 +45,7 @@ def _direct_metric(entry) -> M.FinslerField:
 
 def _direct_metric_entries(F, x, y):
     F2 = squared(F)
-    _, hess = dc.derivative_blocks(lambda ys: F2(x, ys), y, order=2)
-    return [[e * 0.5 for e in row] for row in hess]
+    return [[e * 0.5 for e in row] for row in dc.hessian(lambda ys: F2(x, ys), y)]
 
 
 def _direct_spray(F, x, y):
@@ -55,7 +53,7 @@ def _direct_spray(F, x, y):
     n = F.dim
     g_inv, _ = _linalg.spd_factor(_direct_metric_entries(F, x, y))
     F2 = squared(F)
-    grad, _ = dc.derivative_blocks(lambda xs: F2(xs, y), x)
+    _, grad = dc.gradient(lambda xs: F2(xs, y), x)
     rhs = [
         xy_derivatives(F2, x, y, x_dirs=[(y, 1)], y_dirs=[(dc.basis(n, l), 1)]).partial([1, 1])
         - grad[l]
@@ -67,19 +65,21 @@ def _direct_spray(F, x, y):
 def _direct_first_order_table(randers, x):
     """_first_order_table from alpha.matrix and beta.covector in separate passes."""
     n = randers.dim
-    b = randers.beta.covector(x)
-    a0, a_inv, gamma = S._levi_civita(randers.alpha, x)
-    db, _ = dc.derivative_blocks(randers.beta.covector, x)
+    a, a_inv, gamma = S._levi_civita(randers.alpha, x)
+    b, db = dc.gradient(randers.beta.covector, x)
     b_cov = [[db[j][i] - S._sum(b[l] * gamma[l][i][j] for l in range(n)) for j in range(n)] for i in range(n)]
     r = [[(b_cov[i][j] + b_cov[j][i]) * 0.5 for j in range(n)] for i in range(n)]
     s = [[(b_cov[i][j] - b_cov[j][i]) * 0.5 for j in range(n)] for i in range(n)]
     s_up = [[S._sum(a_inv[i][p] * s[p][j] for p in range(n)) for j in range(n)] for i in range(n)]
     s_form = [S._sum(b[i] * s_up[i][j] for i in range(n)) for j in range(n)]
-    return S.BetaTable(x=tuple(x), a=a0, a_inv=a_inv, b=b, gamma=gamma, b_cov=b_cov, r=r, s=s, s_up=s_up, s_form=s_form)
+    return [a, a_inv, b, gamma, b_cov, r, s, s_up, s_form]
 
 
-def _table_bits(t):
-    return _bits([t.a, t.a_inv, t.b, t.gamma, t.b_cov, t.r, t.s, t.s_up, t.s_form, t.s_form_cov, t.s_up_cov])
+_FIRST_ORDER = ("a", "a_inv", "b", "gamma", "b_cov", "r", "s", "s_up", "s_form")
+
+
+def _table_bits(t, fields=_FIRST_ORDER + ("s_form_cov", "s_up_cov")):
+    return _bits([getattr(t, f) for f in fields])
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -87,8 +87,8 @@ def _table_bits(t):
 
 def _inputs(entry):
     """(label, x, y, wrap): one float site, column arrays of 4 sites, and the
-    float site under an outer jet tag that moves x and y (wrap evaluates a
-    route on the seeded point and returns the jet root)."""
+    float site under outer jet tags that move x and (unless empty) y (wrap
+    evaluates a route on the seeded point and returns the jet root)."""
     pts, dirs = sample_sites(entry, 4, 13)
     x, y = pts[0].tolist(), dirs[0].tolist()
     u, w = (np.linspace(0.3, -0.4, entry.dim) + 0.1).tolist(), dirs[1].tolist()
@@ -97,7 +97,7 @@ def _inputs(entry):
         return route
 
     def jet(route):
-        return lambda xs, ys: xy_derivatives(route, xs, ys, x_dirs=[(u, 2)], y_dirs=[(w, 1)]).root
+        return lambda xs, ys: xy_derivatives(route, xs, ys, x_dirs=[(u, 2)], y_dirs=[(w, 1)] if ys else []).root
 
     yield "float", x, y, plain
     yield "columns", list(pts.T), list(dirs.T), plain
@@ -122,7 +122,11 @@ def test_beta_tables_equal_the_direct_route(monkeypatch, name, params):
     rd = entry.randers
     got = {}
     for label, x, _, wrap in _inputs(entry):
-        got[label] = _table_bits(wrap(lambda xs, ys: S.beta_table(rd, xs, order=2))(x, []))
+        table = wrap(lambda xs, ys: S.beta_table(rd, xs, order=2))(x, [])
+        got[label] = _table_bits(table)
+        # the first-order fields come from the value of the pass that differentiates them
+        first = wrap(lambda xs, ys: S.beta_table(rd, xs, order=1))(x, [])
+        assert _table_bits(table, _FIRST_ORDER) == _table_bits(first, _FIRST_ORDER), label
     monkeypatch.setattr(S, "_first_order_table", _direct_first_order_table)
     for label, x, _, wrap in _inputs(entry):
         assert got[label] == _table_bits(wrap(lambda xs, ys: S.beta_table(rd, xs, order=2))(x, [])), label
@@ -160,6 +164,15 @@ def test_metric_entries_evaluate_the_randers_data_once(name, params):
         assert len(site_calls) == 1
 
 
+@pytest.mark.parametrize("name,params", [("rotation2d", {}), ("bao_shen_s3", {"eps": 0.3})])
+def test_christoffels_evaluate_alpha_once(name, params):
+    alpha = gallery.make(name, **params).randers.alpha
+    calls = []
+    x = alpha.domain.sample_points(1, seed=4)[0].tolist()
+    S.christoffels(dataclasses.replace(alpha, matrix=_counted(alpha.matrix, calls)), x)
+    assert len(calls) == 1  # one x-gradient jet, which carries a at x
+
+
 @pytest.mark.parametrize("name,params", [("funk", {"n": 2}), ("bao_shen_s3", {"eps": 0.3})])
 def test_first_order_tables_do_the_navigation_x_work_once_per_pass(monkeypatch, name, params):
     # counts zermelo_riemannian's x-work (one source alpha.matrix per evaluation
@@ -176,7 +189,7 @@ def test_first_order_tables_do_the_navigation_x_work_once_per_pass(monkeypatch, 
     x = entry.metric.domain.sample_points(1, seed=4)[0].tolist()
     calls.clear()  # the constructor's drift check
     S.beta_table(entry.randers, x, order=1)
-    assert len(calls) == 2  # a and b at x, then one x-gradient jet for all coordinates
+    assert len(calls) == 1  # one x-gradient jet for all coordinates, which carries a and b at x
 
 
 def test_a_navigation_solve_evaluates_the_source_site_once():
@@ -225,17 +238,17 @@ def test_one_site_samplers_equal_the_broadcast_route(name, params):
 # jet passes per call of metric_entries, spray_from_metric(F)(x, y),
 # beta_table(order=2), riemann_entries and flag_curvatures under the entry's
 # spray; None where there is no Randers data.  A pass is one evaluation on
-# seeded jets: a directional_derivatives call or an order-1 derivative_blocks
-# call, which takes the whole gradient in one pass
+# seeded jets: a directional_derivatives call or a gradient call, which takes
+# the value and the whole gradient in one pass
 JET_PASSES = {
-    "euclidean": (3, 6, 3, 6, 10),
-    "minkowski": (3, 6, None, 21, 31),
-    "funk": (3, 6, 3, 6, 10),
-    "shen_flat": (3, 6, None, 21, 31),
-    "rotation2d": (3, 6, 3, 6, 10),
-    "cylinder": (6, 9, 3, 6, 13),
-    "bao_shen_s3": (6, 9, 3, 6, 13),
-    "slab": (3, 6, 3, 6, 10),
+    "euclidean": (3, 6, 2, 5, 10),
+    "minkowski": (3, 6, None, 15, 25),
+    "funk": (3, 6, 2, 5, 10),
+    "shen_flat": (3, 6, None, 15, 25),
+    "rotation2d": (3, 6, 2, 5, 10),
+    "cylinder": (6, 9, 2, 5, 13),
+    "bao_shen_s3": (6, 9, 2, 5, 13),
+    "slab": (3, 6, 2, 5, 10),
 }
 
 
@@ -245,22 +258,7 @@ def test_jet_passes_per_layer_call(monkeypatch, name, params):
     pts, dirs = sample_sites(entry, 2, 3)
     x, y, u = pts[0].tolist(), dirs[0].tolist(), dirs[1].tolist()
     F, G, rd = entry.metric, entry.spray, entry.randers
-    calls, real, real_blocks = [], dc.directional_derivatives, dc.derivative_blocks
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    def counting_blocks(f, z, order=1):
-        if order < 2:  # at order 2 its directional passes count
-            calls.append(1)
-        return real_blocks(f, z, order)
-
-    # every module attribute bound to them, as `from .diffcore import` copies the names
-    for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "finslerkit"]:
-        for attr, v in list(vars(mod).items()):
-            if v is real or v is real_blocks:
-                monkeypatch.setattr(mod, attr, counting if v is real else counting_blocks)
+    calls = count_jet_passes(monkeypatch)
     layers = (
         lambda: M.metric_entries(F, x, y),
         lambda: S.spray_from_metric(F)(x, y),
