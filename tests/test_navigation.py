@@ -3,13 +3,17 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from finslerkit import diffcore as dc
 from finslerkit import navigation as N
-from finslerkit.errors import DriftError
-from finslerkit.gallery import euclidean_alpha
-from finslerkit.metrics import ball_domain
+from finslerkit.errors import ConvergenceError, DriftError
+from finslerkit.gallery import euclidean_alpha, minkowski
+from finslerkit.metrics import FinslerField, ball_domain, whole_space_domain
+
+from conftest import count_jet_passes
 
 
 @pytest.fixture(scope="module")
@@ -334,3 +338,126 @@ def test_indicatrix_shift_propagates_nan(monkeypatch, euclid_ball, rotation):
 
     monkeypatch.setattr(N, "_scales", one_nan)
     assert math.isnan(N.indicatrix_shift_check(euclid_ball.finsler(), rotation, [0.3, -0.4], n_dirs=8))
+
+
+# -- Newton's method on the navigation scale ---------------------------------------
+
+MINKOWSKI_EPS = 0.3
+# fixed before measuring: the 50-digit roots leave only the float solve's error
+ORACLE_RTOL = 1e-13
+
+
+def _mp_navigation(x, y, v):
+    """F~(x, y) of the minkowski(n, 0.3) source, whose norm does not depend on
+    x: 1/t for the root of Phi(t y - v) = 1, bracketed by mpmath in (0, t0]
+    with t0 = (1 + Phi(v)) / Phi(y) and solved at 50 digits."""
+    with mp.workdps(50):
+        eps = mp.mpf(MINKOWSKI_EPS)
+
+        def phi(z):
+            q2 = mp.fsum(c * c for c in z)
+            return mp.sqrt(q2 + eps * mp.fsum(c**4 for c in z) / q2)
+
+        Y, V = [mp.mpf(c) for c in y], [mp.mpf(c) for c in v]
+        t0 = (1 + phi(V)) / phi(Y)
+        psi = lambda t: phi([t * a - b for a, b in zip(Y, V)]) - 1
+        return 1 / mp.findroot(psi, (mp.mpf(0), t0), solver="illinois")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("drift", [N.radial_drift, N.rotation_drift])
+def test_the_solve_matches_a_50_digit_root_of_a_non_riemannian_source(n, drift):
+    # no closed form: F~ of a quartic Minkowski norm (with v = -x the Funk
+    # metric of its unit ball) against mpmath at sites with Phi(-v) up to 0.95
+    F = minkowski(n, MINKOWSKI_EPS).metric
+    v = drift(F.domain)
+    rng = np.random.default_rng([n, 13])
+    sites, dirs = [], []
+    for target in (0.1, 0.3, 0.6, 0.9, 0.95):
+        for _ in range(3):
+            u = rng.normal(size=n).tolist()
+            scale = target / float(F(u, [-c for c in v(u)]))
+            sites.append([scale * c for c in u])
+            dirs.append(rng.normal(size=n).tolist())
+    expect = [_mp_navigation(x, y, v(x)) for x, y in zip(sites, dirs)]
+    assert max(float(F(x, [-c for c in v(x)])) for x in sites) == pytest.approx(0.95, abs=1e-12)
+    one = [N.zermelo_general(F, v, x, y) for x, y in zip(sites, dirs)]
+    cols = N.navigation_metric(F, v)([np.array(c) for c in zip(*sites)], [np.array(c) for c in zip(*dirs)])
+    for got in (one, list(cols)):
+        gaps = [float(abs(g - e) / e) for g, e in zip(got, expect)]
+        assert max(gaps) <= ORACLE_RTOL
+
+
+def test_a_solve_takes_a_few_jet_passes(monkeypatch):
+    # one pass per Newton step; bisection took ~57 psi evaluations a root
+    passes = count_jet_passes(monkeypatch)
+    rng = np.random.default_rng(21)
+    for n in (2, 3):
+        dom = ball_domain(n)
+        for F in (euclidean_alpha(n, dom).finsler(), minkowski(n, MINKOWSKI_EPS).metric):
+            for drift in (N.radial_drift(dom), N.rotation_drift(dom)):
+                xs = [list(0.8 * rng.uniform(-1.0, 1.0, n) / math.sqrt(n)) for _ in range(8)]
+                ys = [list(rng.normal(size=n)) for _ in range(8)]
+                for x, y in zip(xs, ys):
+                    passes.clear()
+                    N.zermelo_general(F, drift, x, y)
+                    assert 2 <= len(passes) <= 8
+                passes.clear()
+                N.navigation_metric(F, drift)([np.array(c) for c in zip(*xs)], [np.array(c) for c in zip(*ys)])
+                assert 2 <= len(passes) <= 8  # the sites step together
+
+
+def test_the_one_site_path_is_recorded_and_replays_bit_for_bit(euclid_ball, rotation):
+    nav = N.navigation_metric(euclid_ball.finsler(), rotation)
+    notes = []
+    rec = dc.Replay(nav.func, notes.append)
+    rng = np.random.default_rng(4)
+    x0, y0 = np.array([0.3, -0.2]), np.array([0.6, 0.5])
+    for _ in range(60):
+        x, y = (x0 + rng.uniform(-0.01, 0.01, 2)).tolist(), (y0 + rng.uniform(-0.01, 0.01, 2)).tolist()
+        got, direct = rec(x, y), nav(x, y)
+        assert type(got) is float and got.hex() == direct.hex()
+    assert rec.recordable and rec.out is not None
+    assert not [m for m in notes if m.startswith("not recorded")]
+    # a replay falls back where a site needs another step count: rare this close
+    assert notes.count("guard failed, stage evaluated directly") <= 6
+
+
+def _nan_at(site, F):
+    """F with NaN values at the base point `site` only, on floats and columns."""
+    def func(x, y):
+        at_site = np.logical_and.reduce([np.asarray(a) == b for a, b in zip(x, site)])
+        return F(x, y) * np.where(at_site, np.nan, 1.0)
+
+    return FinslerField(F.domain, func, name="nan-at-site")
+
+
+@pytest.mark.parametrize("source", ["euclidean", "minkowski"])
+def test_a_nan_source_never_gives_a_finite_value(source):
+    F = euclidean_alpha(2, whole_space_domain(2)).finsler() if source == "euclidean" else minkowski(2).metric
+    bad = [0.2, 0.1]
+    G, v = _nan_at(bad, F), N.rotation_drift(F.domain)
+    for solve in (lambda x, y: N.zermelo_general(G, v, x, y), N.navigation_metric(G, v)):
+        try:
+            assert math.isnan(solve(bad, [0.6, -0.3]))
+        except ConvergenceError:
+            pass
+    xs = [np.array([0.3, 0.2, -0.1]), np.array([0.0, 0.1, 0.4])]
+    ys = [np.array([0.5, 0.6, 0.1]), np.array([1.0, -0.3, 0.2])]
+    try:
+        got = N.navigation_metric(G, v)(xs, ys)
+    except ConvergenceError:
+        return
+    assert math.isnan(got[1])
+    for i in (0, 2):
+        one = N.zermelo_general(F, v, [xs[0][i], xs[1][i]], [ys[0][i], ys[1][i]])
+        assert got[i] == pytest.approx(one, rel=1e-15)
+
+
+def test_a_nan_drift_never_gives_a_finite_value(euclid_ball):
+    F = euclid_ball.finsler()
+    v = N.DriftField(euclid_ball.domain, lambda x: [x[0] * math.nan, 0.0 * x[1]], name="nan")
+    assert math.isnan(N.zermelo_general(F, v, [0.1, 0.2], [0.3, 0.4]))
+    xs, ys = [np.array([0.1, 0.2]), np.array([0.0, 0.3])], [np.array([0.3, 1.0]), np.array([0.4, 0.0])]
+    got = N.navigation_metric(F, v)(xs, ys)
+    assert np.isnan(got).all()

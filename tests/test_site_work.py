@@ -198,7 +198,7 @@ def test_a_navigation_solve_evaluates_the_source_site_once():
     alpha = dataclasses.replace(source, matrix=_counted(source.matrix, calls))
     drift = N.rotation_drift(alpha.domain)
     nav = N.zermelo_general(alpha.finsler(), drift, [0.1, -0.2], [0.6, 0.3])
-    # once per solve, not at each of the ~57 bracket and bisection steps
+    # once per solve, not at each of its ~5 Newton steps
     assert len(calls) == 1
     closed = N.zermelo_riemannian(source, drift).finsler()([0.1, -0.2], [0.6, 0.3])
     assert nav == pytest.approx(float(closed), rel=1e-12)
@@ -206,10 +206,14 @@ def test_a_navigation_solve_evaluates_the_source_site_once():
 
 def _broadcast_site(F):
     """F with a site that broadcasts x over the samples' columns and evaluates
-    F(xs, ys) on them: the route the one-site samplers took before F.at."""
+    F(xs, ys) on them: the route the one-site samplers took before F.at.  The
+    columns' shape is read from the base value, so ys may be jets."""
 
     def site(x):
-        return lambda ys: F([np.broadcast_to(np.asarray(c, dtype=float), np.shape(ys[0])) for c in x], ys)
+        def at(ys):
+            return F([np.broadcast_to(np.asarray(c, dtype=float), np.shape(dc.value(ys[0]))) for c in x], ys)
+
+        return at
 
     return dataclasses.replace(F, site=site)
 
