@@ -405,9 +405,6 @@ def _guard(cmp, expect):
 _ARITH = (operator.add, operator.sub, operator.mul, operator.truediv)
 _CMPS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
 _GUARDS = {(cmp, r): _guard(cmp, r) for cmp in _CMPS for r in (False, True)}
-# a record is compiled at this replay: compiling costs ~15 us a record, which
-# 100-175 replays of the interpreted loop pay back
-_COMPILE_AT = 128
 # records per compiled function: bounds the compiler's memory and source size
 _PIECE = 256
 
@@ -498,51 +495,43 @@ class Replay:
     thousand tuples freed at the end of a call would stay in CPython's tuple
     free lists and lift the peak RSS.
 
-    A loop interprets the record for its first 127 replays.  The 128th
-    (`_COMPILE_AT`; compiling costs what 100-175 replays save) compiles it to
-    straight-line Python: one local per slot, infix arithmetic, the guards
-    and other functions called by name, in functions of at most 256 records
-    each (`_PIECE`, which bounds the compiler's memory and source size), and
-    notes "compiled N records in K pieces".  The compiled code runs the same
-    operations in the same order, so it too is bit-identical to fn; a
-    comparison that comes out otherwise there falls back to fn as above, and
-    later calls keep the compiled code.  A field keeps one Replay for its
-    lifetime (`metrics.Field.replay`), so the replay count and the compiled
-    code carry over from one geodesic to the next; each geodesic re-binds
-    `note`.
+    The call that records fn also compiles the record to straight-line
+    Python: one local per slot, infix arithmetic, the guards and other
+    functions called by name, in functions of at most 256 records each
+    (`_PIECE`, which bounds the compiler's memory and source size), and
+    notes "compiled N records in K pieces"; every call, the recording one
+    included, runs the compiled code.  It runs the same operations in the
+    same order, so it is bit-identical to fn; a comparison that comes out
+    otherwise there falls back to fn as above, and later calls keep the
+    compiled code.  A field keeps one Replay for its lifetime
+    (`metrics.Field.replay`), so the compiled code carries over from one
+    geodesic to the next; each geodesic re-binds `note`.
     """
 
     def __init__(self, fn: Callable, note: Callable[[str], None]):
         self.fn, self.note = fn, note
-        self.out, self.recordable, self.replays, self.runs = None, True, 0, None
+        self.out, self.recordable, self.runs = None, True, None
 
     def __call__(self, x, y):
-        if self.out is None and self.recordable:
+        if self.runs is None and self.recordable:
             self.values = x + y
             self.ops, self._memo = [], {}
             args = [Recorded(self, i) for i in range(len(self.values))]
             try:
                 self.out = _nest(self.slot, self.fn(args[: len(x)], args[len(x) :]))
                 self._reuse_dead_slots()
+                self._compile()
             except (Unrecordable, TypeError) as e:
                 self.recordable = False
                 self.note(f"not recorded: {e}")
             except Exception:  # fn raises it again
                 pass
-        if self.out is not None:
-            self.replays += 1
-            if self.replays == _COMPILE_AT:
-                self._compile()
+        if self.runs is not None:
             v = self.values.copy()
             v[: len(x) + len(y)] = x + y
             try:
-                if self.runs is None:
-                    ops = iter(self.ops)
-                    for fn, out, a, b in zip(ops, ops, ops, ops):
-                        v[out] = fn(v[a], v[b])
-                else:
-                    for run in self.runs:
-                        run(v)
+                for run in self.runs:
+                    run(v)
                 return _nest(v.__getitem__, self.out)
             except GuardFailed:
                 out = self.fn(x, y)  # a call that raises needs no note
@@ -551,7 +540,7 @@ class Replay:
         return self.fn(x, y)
 
     def _compile(self):
-        """Replace the loop by one function of the value list per _PIECE records.
+        """Compile the record to one function of the value list per _PIECE records.
         A piece loads the slots it reads before writing them and stores back
         those that later pieces or the outputs read."""
         ops, infix = self.ops, dict(zip((*_ARITH, operator.pow), ("+", "-", "*", "/", "**")))

@@ -107,15 +107,24 @@ def _scales(F: FinslerField, v: DriftField, x, y):
     x and y hold one site of generic scalars (floats or a diffcore.Replay's
     recorded floats; no numpy) or column arrays of sites, solved together in
     their broadcast shape.  F.at(x) is taken once.  At y = 0, t = inf and
-    F~(x, 0) = 0 as F(x, 0) is; a NaN in F gives a NaN t.  Raises DriftError
-    where F(-v) >= 1 at a site, ConvergenceError where a site takes 100 steps.
+    F~(x, 0) = 0 as F(x, 0) is.  Where v = 0, F~ = F, and F(x, -v) and F(x, v)
+    are taken as 0 without evaluating F(x, 0), which a norm may compute as
+    0/0.  A NaN in F gives a NaN t.  Raises DriftError where F(-v) >= 1 at a
+    site, ConvergenceError where a site takes 100 steps.
     """
     cols = any(isinstance(c, np.ndarray) for c in (*x, *y))
     if cols:
         shape = np.broadcast_shapes(*(np.shape(c) for c in (*x, *y)))
         x, y = ([np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in z] for z in (x, y))
     vs, at = v(x), F.at(x)
-    p0 = at([-b for b in vs])
+    # fv, p0 = F(x, v), F(x, -v), taken as 0 where v = 0
+    if not cols:
+        still = all(c == 0.0 for c in vs)
+        fv, p0 = (0.0, 0.0) if still else (at(vs), at([-b for b in vs]))
+    else:
+        still = np.all([np.broadcast_to(c, x[0].shape) == 0.0 for c in vs], axis=0)
+        ones = [np.where(still, 1.0, c) for c in vs]  # stand in for v = 0
+        fv, p0 = (np.where(still, 0.0, at(d)) for d in (ones, [-c for c in ones]))
 
     def step(t):  # s = (psi(t) - 1) / psi'(t) from one jet pass along y, and s > 4 eps t
         res = directional_derivatives(at, [t * a - b for a, b in zip(y, vs)], [(y, 1)])
@@ -127,21 +136,20 @@ def _scales(F: FinslerField, v: DriftField, x, y):
             raise DriftError(f"drift too strong at ({', '.join(map(str, x))}): F(-v) = {p0} >= 1")
         if all(c == 0.0 for c in y):
             return np.inf
-        t = (1.0 + at(vs)) / at(y)
+        t = (1.0 + fv) / at(y)
         for _ in range(100):
             s, more = step(t)
             if not more:
                 return t - s
             t = t - s
     else:
-        p0 = np.broadcast_to(np.asarray(p0, dtype=float), x[0].shape)
         i = np.argmax(p0 >= 1.0)  # the first site with F(-v) >= 1, if any
         if p0[i] >= 1.0:
             raise DriftError(f"drift too strong at {tuple(float(c[i]) for c in x)}: F(-v) = {p0[i]} >= 1")
         active = moving = np.any([c != 0.0 for c in y], axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):  # F(x, 0) and psi' = 0 at rest
             # a site at rest starts anywhere finite and takes no step
-            t = (1.0 + np.asarray(at(vs), dtype=float)) / np.where(moving, at(y), 1.0)
+            t = (1.0 + fv) / np.where(moving, at(y), 1.0)
             for _ in range(100):
                 s, more = step(t)
                 t, active = np.where(active, t - s, t), active & more
@@ -227,6 +235,8 @@ def travel_time(
     `curve(t)` must return (position, velocity).  For a curve driven at the
     combined-force velocity the result is the elapsed parameter time.
     """
+    if n < 1:
+        raise ValueError(f"travel_time needs n >= 1 Simpson intervals, got n={n}")
     if n % 2:
         n += 1
     nodes = [curve(float(t)) for t in np.linspace(t0, t1, n + 1)]

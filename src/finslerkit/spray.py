@@ -51,14 +51,10 @@ def spray_from_metric(F: FinslerField) -> SprayField:
         g = metric_entries(F, x, y)
         g_inv, _ = _linalg.spd_factor(g)
 
-        def squared(xs):
-            f = F(xs, list(y))
-            return f * f
-
         def y_gradient(xs):  # the y-gradient of F(xs, .)^2 at y
             return gradient(F.squared_at(xs), y)[1]
 
-        _, grad = gradient(squared, x)
+        _, grad = gradient(lambda xs: F.squared_at(xs)(y), x)
         # one x-jet along y, shared by the n y-jets, whose tags come after it
         mixed = directional_derivatives(y_gradient, x, [(y, 1)]).partial([1])
         rhs = [mixed[l] - grad[l] for l in range(n)]
@@ -348,12 +344,12 @@ def geodesic_integrate(
     The state is a list of Python floats.  G and `speed_check` are recorded
     at their first evaluation and replayed at later ones (diffcore.Replay),
     bit-identically.  Each field keeps its one record (`replay`) for its
-    lifetime, so a later geodesic of the same field records nothing new, and
-    the record's 128th replay, counted over all those geodesics, compiles it
-    to straight-line Python in pieces of at most 256 records.  A stage where
-    a recorded comparison changes is evaluated directly.  The log says when
-    a field cannot be recorded, when a comparison changes and when a record
-    is compiled.
+    lifetime, so a later geodesic of the same field records nothing new.
+    The call that records a field compiles its record to straight-line
+    Python in pieces of at most 256 records, and every call runs that code.
+    A stage where a recorded comparison changes is evaluated directly.  The
+    log says when a field cannot be recorded, when a comparison changes and
+    when a record is compiled.
     """
     if not (0 < dt < math.inf and math.isfinite(T / dt)):
         raise ValueError(f"T must be finite and dt finite and positive, got T={T} and dt={dt}")

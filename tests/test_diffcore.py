@@ -426,7 +426,7 @@ def test_gradient_blocks_equal_the_univariate_passes(name, seed, mode):
         rec(x, y)
         x, y = pts[1].tolist(), dirs[1].tolist()
         pairs = rec(x, y)
-        assert notes == [] and rec.replays == 2
+        assert len(notes) == 1 and notes[0].startswith("compiled ")  # and no guard failed
         assert same_value(pairs, _both_routes(name, x, y))
     for gradient, direct in pairs:
         assert same_value(gradient, direct)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -193,6 +194,34 @@ def test_navigation_at_a_zero_tangent_vector_is_zero(euclid_ball, rotation):
     for i in (1, 3):
         one = N.zermelo_general(F, rotation, [xs[0][i], xs[1][i]], [ys[0][i], ys[1][i]])
         assert got[i] == pytest.approx(one, rel=1e-15) and got[i] > 0.0
+
+
+def test_a_zero_drift_site_never_evaluates_the_source_at_zero():
+    # minkowski computes F(x, 0) as 0/0; where v = 0, F~ = F needs neither
+    # F(x, -v) nor F(x, v), at one site, in a record and beside a drifting site
+    F = minkowski(2, MINKOWSKI_EPS).metric
+    v = N.radial_drift(ball_domain(2))
+    nav = N.navigation_metric(F, v)
+    origin, y = [0.0, 0.0], [0.6, 0.5]
+    xs, ys = [np.array([0.0, 0.3]), np.array([0.0, -0.2])], [np.array([0.6, 0.6]), np.array([0.5, 0.5])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = N.zermelo_general(F, v, origin, y)
+        got = nav(xs, ys)
+    assert one == pytest.approx(F(origin, y), rel=1e-15)
+    assert got[0] == pytest.approx(one, rel=1e-15)
+    assert got[1] == pytest.approx(N.zermelo_general(F, v, [0.3, -0.2], y), rel=1e-15)
+    notes = []
+    rec = dc.Replay(nav.func, notes.append)
+    assert rec(origin, y).hex() == nav(origin, y).hex()
+    assert rec.out is not None and notes[0].startswith("compiled ")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_travel_time_needs_a_positive_interval_count(euclid_ball, rotation, n):
+    seg = lambda t: ([0.5 * t - 0.25, 0.0], [0.5, 0.0])
+    with pytest.raises(ValueError, match=f"n={n}"):
+        N.travel_time(euclid_ball.finsler(), rotation, seg, 0.0, 1.0, n=n)
 
 
 def test_travel_time_of_a_stationary_curve_is_zero(euclid_ball, rotation):

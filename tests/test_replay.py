@@ -31,6 +31,10 @@ def _replay(fn):
     return dc.Replay(fn, notes.append), notes
 
 
+def _compiled_note(rec):
+    return f"compiled {len(rec.ops) // 4} records in {len(rec.runs)} piece{'s' * (len(rec.runs) != 1)}"
+
+
 def _site(dim, box):
     coords = [st.floats(lo, hi) for lo, hi in box]
     signed = st.tuples(st.floats(0.05, 1.0), st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1])
@@ -58,7 +62,7 @@ def test_replay_equals_direct_evaluation(name, params):
             rec, notes = _replay(fn)
             for x, y in (first, later):
                 assert _bits(rec(list(x), list(y))) == _bits(fn(list(x), list(y))), label
-            assert notes == [] and rec.out is not None, label
+            assert notes == [_compiled_note(rec)] and rec.out is not None, label
 
     check()
 
@@ -75,7 +79,7 @@ def test_replay_over_columns_equals_direct_batched_evaluation(name, params):
             rows = [np.atleast_1d(rec(x.tolist(), y.tolist())) for x, y in zip(pts, dirs)]
             batched = dc.values_array(fn(list(pts.T), list(dirs.T)), sites=(6,))
             assert np.array(rows, dtype=float).T.reshape(batched.shape).tobytes() == batched.tobytes(), label
-        assert notes == [] and rec.out is not None, label
+        assert notes == [_compiled_note(rec)] and rec.out is not None, label
 
 
 def _unrecordable(field):
@@ -123,7 +127,8 @@ def test_a_flipped_branch_falls_back_to_direct_evaluation(caplog):
     slow = S.geodesic_integrate(_unrecordable(G), [0.0, 0.0], [1.0, 0.2], T=0.1, dt=1e-2)
     assert fast.x[0, 0] < 0.05 < fast.x[-1, 0]
     assert fast.x.tobytes() == slow.x.tobytes() and fast.v.tobytes() == slow.v.tobytes()
-    messages = [r.getMessage() for r in caplog.records]
+    compiled, *messages = [r.getMessage() for r in caplog.records]
+    assert compiled == f"geodesic row 0 at t=0: spray {_compiled_note(G.replay)}"
     assert messages and all(
         m.startswith("geodesic row 0 at t=") and m.endswith(": spray guard failed, stage evaluated directly")
         for m in messages
@@ -167,7 +172,7 @@ def test_constants_keep_their_sign_and_type():
     rec, notes = _replay(f)
     rec([-1.0], [2.0])
     assert _bits(rec([-3.0], [5.0])) == _bits(f([-3.0], [5.0]))
-    assert notes == []
+    assert notes == [_compiled_note(rec)]
 
 
 def test_a_comparison_with_a_numpy_scalar_is_a_guard_that_holds():
@@ -175,9 +180,9 @@ def test_a_comparison_with_a_numpy_scalar_is_a_guard_that_holds():
     f = lambda x, y: x[0] * y[0] if x[0] * np.float64(2.0) < 1.0 else y[0]
     rec, notes = _replay(f)
     rec([0.1], [2.0])
-    assert _bits(rec([0.2], [3.0])) == _bits(f([0.2], [3.0])) and notes == []
+    assert _bits(rec([0.2], [3.0])) == _bits(f([0.2], [3.0])) and notes == [_compiled_note(rec)]
     assert _bits(rec([0.7], [3.0])) == _bits(f([0.7], [3.0]))
-    assert notes == ["guard failed, stage evaluated directly"]
+    assert notes[1:] == ["guard failed, stage evaluated directly"]
 
 
 def test_a_zero_seed_direction_is_a_guard():
@@ -190,7 +195,7 @@ def test_a_zero_seed_direction_is_a_guard():
         rec, notes = _replay(f)
         for x, y in (first, later, first):
             assert _bits(rec(x, y)) == _bits(f(x, y))
-        assert notes == ["guard failed, stage evaluated directly"]
+        assert notes == [_compiled_note(rec), "guard failed, stage evaluated directly"]
 
 
 def test_identical_records_are_merged():
@@ -210,12 +215,12 @@ def test_dead_slots_are_reused_and_outputs_kept():
     rec, notes = _replay(chain)
     rec([0.5], [0.9])
     assert len(rec.ops) == 150 * 4 and len(rec.values) <= 6  # 2 inputs, 2 constants, 2 live results
-    assert _bits(rec([0.3], [0.7])) == _bits(chain([0.3], [0.7])) and notes == []
+    assert _bits(rec([0.3], [0.7])) == _bits(chain([0.3], [0.7])) and notes == [_compiled_note(rec)]
     # x y is an output whose last read makes the second output: its slot is not reused
     f = lambda x, y: [x[0] * y[0], (x[0] * y[0]) * (x[0] * y[0])]
     rec, notes = _replay(f)
     rec([2.0], [3.0])
-    assert rec([0.5], [4.0]) == [2.0, 4.0] and notes == []
+    assert rec([0.5], [4.0]) == [2.0, 4.0] and notes == [_compiled_note(rec)]
 
 
 def test_replay_raises_what_direct_evaluation_raises():
@@ -250,10 +255,6 @@ def test_unrecordable_fields_are_evaluated_directly(fn):
 # -- compiled replays ----------------------------------------------------------------
 
 
-def _compiled_note(rec):
-    return f"compiled {len(rec.ops) // 4} records in {len(rec.runs)} piece{'s' * (len(rec.runs) != 1)}"
-
-
 def _sites(entry, m, seed):
     """m seeded sites of the entry as (x, y) pairs of lists of floats."""
     return [(x.tolist(), y.tolist()) for x, y in zip(*sample_sites(entry, m, seed))]
@@ -265,9 +266,6 @@ def test_a_compiled_replay_equals_direct_evaluation(name, params):
     sites = _sites(entry, 4, 6)
     for label, fn in (("spray", entry.spray), ("F", entry.metric)):
         rec, notes = _replay(fn)
-        for _ in range(dc._COMPILE_AT - 1):
-            rec(*sites[0])
-        assert rec.runs is None and notes == [], label
         for x, y in sites:
             assert _bits(rec(x, y)) == _bits(fn(x, y)), label
         assert notes == [_compiled_note(rec)], label
@@ -277,8 +275,7 @@ def test_a_guard_failing_after_compilation_falls_back_and_keeps_the_code():
     G = _kinked_spray()
     direct = []
     rec, notes = _replay(lambda x, y: (direct.append(1), G(x, y))[1])
-    for _ in range(dc._COMPILE_AT):
-        rec([0.0, 0.0], [1.0, 0.5])
+    rec([0.0, 0.0], [1.0, 0.5])
     runs = rec.runs
     assert notes == [_compiled_note(rec)] and len(direct) == 1  # the recording
     assert _bits(rec([0.07, 0.0], [1.0, 0.5])) == _bits(G([0.07, 0.0], [1.0, 0.5]))
@@ -287,17 +284,19 @@ def test_a_guard_failing_after_compilation_falls_back_and_keeps_the_code():
     assert rec.runs is runs and len(direct) == 2 and len(notes) == 2
 
 
-def test_short_arcs_are_not_compiled(caplog):
-    # fresh fields; the two arcs share one spray record: 112 replays in all, below 128
+def test_a_fresh_field_compiles_at_its_first_call(caplog):
+    # the speed check is evaluated at the start point before the first step's spray
     entry = gallery.make("bao_shen_s3")
-    G = entry.spray
-    (x0, y0), (x1, y1) = _sites(entry, 2, 2)
+    (x0, y0), = _sites(entry, 1, 2)
     with caplog.at_level(logging.DEBUG, logger="finslerkit"):
-        short = S.geodesic_integrate(G, x0, [0.5 * c for c in y0], T=0.016, dt=2e-3)  # 32 spray calls
-        arc = S.geodesic_integrate(G, x1, [0.5 * c for c in y1], T=0.04, dt=2e-3, speed_check=entry.metric)
-    assert len(short.t) == 9 and len(arc.t) == 21  # 80 spray calls and 21 speed checks
-    assert G.replay.replays == 112 and G.replay.runs is None and entry.metric.replay.replays == 21
-    assert caplog.records == []
+        arc = S.geodesic_integrate(
+            entry.spray, x0, [0.5 * c for c in y0], T=0.004, dt=2e-3, speed_check=entry.metric,
+        )
+    assert len(arc.t) == 3
+    assert [r.getMessage() for r in caplog.records] == [
+        "geodesic row 0 at t=0: speed check compiled 152 records in 1 piece",
+        "geodesic row 0 at t=0: spray compiled 1403 records in 6 pieces",
+    ]
 
 
 def _instructions(run):
@@ -309,8 +308,7 @@ def test_a_long_record_compiles_in_bounded_pieces(entries):
     entry = entries["bao_shen_s3"]
     rec, notes = _replay(entry.spray)
     x, y = [0.31, -0.22, 0.4], [0.2, 0.35, -0.15]
-    for _ in range(dc._COMPILE_AT):
-        rec(x, y)
+    rec(x, y)
     sizes = [_instructions(run) for run in rec.runs]
     assert sum(sizes) == len(rec.ops) // 4 == 1403 and max(sizes) <= dc._PIECE
     assert notes == ["compiled 1403 records in 6 pieces"]
@@ -329,8 +327,6 @@ def test_a_stirred_six_ball_record_compiles_bit_identically():
     G = S.randers_spray(zermelo_riemannian(gallery.euclidean_alpha(n, ball), V))
     rec, notes = _replay(G)
     sites = np.random.default_rng(3).uniform(-0.35, 0.35, size=(3, 2, n)).tolist()
-    for _ in range(dc._COMPILE_AT - 1):
-        rec(*sites[0])
     for x, y in sites:
         assert _bits(rec(x, y)) == _bits(G(x, y))
     assert len(rec.ops) // 4 == 6673 and len(rec.runs) == math.ceil(len(rec.ops) / 4 / dc._PIECE)
@@ -345,15 +341,14 @@ def test_a_second_geodesic_of_a_field_records_nothing_new():
     G, F = entry.spray, entry.metric
     kw = dict(T=0.04, dt=2e-3, speed_check=F)
     first = S.geodesic_integrate(G, [0.1, 0.2], [0.3, -0.1], **kw)
-    records = [(f.replay, f.replay.ops, f.replay.out) for f in (G, F)]
+    records = [(f.replay, f.replay.ops, f.replay.out, f.replay.runs) for f in (G, F)]
     again = S.geodesic_integrate(G, [0.1, 0.2], [0.3, -0.1], **kw)
-    assert [(f.replay, f.replay.ops, f.replay.out) for f in (G, F)] == records
+    assert [(f.replay, f.replay.ops, f.replay.out, f.replay.runs) for f in (G, F)] == records
     for a, b in ((first.x, again.x), (first.v, again.v), (first.speed, again.speed)):
         assert a.tobytes() == b.tobytes()
-    assert G.replay.replays == 160 and F.replay.replays == 42
 
 
-def test_a_record_compiles_once_per_field_at_its_128th_replay(caplog):
+def test_a_record_compiles_once_per_field_at_its_first_call(caplog):
     entry = gallery.make("rotation2d")
     (x0, y0), (x1, y1) = _sites(entry, 2, 8)
     G = entry.spray
@@ -363,8 +358,7 @@ def test_a_record_compiles_once_per_field_at_its_128th_replay(caplog):
         fresh = entry.spray  # a new field records and compiles again
         for _ in range(2):
             S.geodesic_integrate(fresh, x1, [0.5 * c for c in y1], T=0.04, dt=2e-3)
-    # the 128th call is the 48th of the second arc: stage 4 of step 12, after t = 11 dt
     assert [r.getMessage() for r in caplog.records] == [
-        "geodesic row 0 at t=0.022: spray compiled 286 records in 2 pieces"
+        "geodesic row 0 at t=0: spray compiled 286 records in 2 pieces"
     ] * 2
-    assert fresh.replay is not G.replay and G.replay.replays == 240 and fresh.replay.replays == 160
+    assert fresh.replay is not G.replay
