@@ -200,10 +200,14 @@ class Jet:
 
 class Grad(Jet):
     """First-order jet in n directions at once (vector forward mode): ``coeffs``
-    is [value, d_1, ..., d_n] under one tag.  Each d_k takes the float
-    operations, in the same order, of an order-1 Jet seeded along direction k,
-    so a gradient equals the n univariate passes bit for bit up to the sign of
-    a zero and a NaN from an infinite intermediate.  Other tags act as for Jet.
+    is [value, d_1, ..., d_n] under one tag, where None marks a tangent that is
+    structurally zero, as `gradient` seeds every coordinate but its own.
+    Every operation skips such a tangent: a + None is a, None - b is 0.0 - b,
+    a0 * None is None, and so are None / b0 and every function of None, so no
+    float operation runs on it.  Each other d_k takes the float operations, in
+    the same order, of an order-1 Jet seeded along direction k, so a gradient
+    equals the n univariate passes bit for bit up to the sign of a zero and a
+    NaN from an infinite intermediate.  Other tags act as for Jet.
     """
 
     __slots__ = ()
@@ -212,15 +216,16 @@ class Grad(Jet):
         return Grad(self.tag, [self.coeffs[0] + s, *self.coeffs[1:]])
 
     def _scalar_mul(self, s):
-        return Grad(self.tag, [c * s for c in self.coeffs])
+        return Grad(self.tag, [None if c is None else c * s for c in self.coeffs])
 
     def __neg__(self):
-        return Grad(self.tag, [-c for c in self.coeffs])
+        return Grad(self.tag, [None if c is None else -c for c in self.coeffs])
 
     def __add__(self, other):
         if isinstance(other, Jet):
             if other.tag == self.tag:
-                return Grad(self.tag, list(map(operator.add, self.coeffs, other.coeffs)))
+                pairs = zip(self.coeffs, other.coeffs)
+                return Grad(self.tag, [a if b is None else b if a is None else a + b for a, b in pairs])
             if other.tag > self.tag:
                 return other._scalar_add(self)
         return self._scalar_add(other)
@@ -228,7 +233,8 @@ class Grad(Jet):
     def __sub__(self, other):
         if isinstance(other, Jet):
             if other.tag == self.tag:
-                return Grad(self.tag, list(map(operator.sub, self.coeffs, other.coeffs)))
+                pairs = zip(self.coeffs, other.coeffs)
+                return Grad(self.tag, [a if b is None else 0.0 - b if a is None else a - b for a, b in pairs])
             return self + (-other)
         return self._scalar_add(-other)
 
@@ -238,8 +244,11 @@ class Grad(Jet):
                 a, b = self.coeffs, other.coeffs
                 a0, b0 = a[0], b[0]
                 out = [a0 * b0]
-                for k in range(1, len(a)):
-                    out.append(a0 * b[k] + a[k] * b0)
+                for ak, bk in zip(a[1:], b[1:]):
+                    if ak is None:
+                        out.append(None if bk is None else a0 * bk)
+                    else:
+                        out.append(ak * b0 if bk is None else a0 * bk + ak * b0)
                 return Grad(self.tag, out)
             if other.tag > self.tag:
                 return other._scalar_mul(self)
@@ -252,12 +261,15 @@ class Grad(Jet):
                 b0 = b[0]
                 q = a[0] / b0
                 out = [q]
-                for k in range(1, len(a)):
-                    out.append((a[k] - q * b[k]) / b0)
+                for ak, bk in zip(a[1:], b[1:]):
+                    if bk is None:
+                        out.append(None if ak is None else ak / b0)
+                    else:
+                        out.append(((0.0 if ak is None else ak) - q * bk) / b0)
                 return Grad(self.tag, out)
             if other.tag > self.tag:
                 return other.__rtruediv__(self)
-        return Grad(self.tag, [c / other for c in self.coeffs])
+        return Grad(self.tag, [None if c is None else c / other for c in self.coeffs])
 
     def __rtruediv__(self, other):
         # Python tries this first for Jet / Grad; a newer-tag Jet is the outer operand
@@ -265,28 +277,30 @@ class Grad(Jet):
             return Jet.__truediv__(other, self)
         b0 = self.coeffs[0]
         q = other / b0
-        return Grad(self.tag, [q, *[(0.0 - q * bk) / b0 for bk in self.coeffs[1:]]])
+        return Grad(self.tag, [q, *[None if bk is None else (0.0 - q * bk) / b0 for bk in self.coeffs[1:]]])
 
     def sqrt(self):
         s0 = sqrt(self.coeffs[0])
         d = 2.0 * s0
-        return Grad(self.tag, [s0, *[ak / d for ak in self.coeffs[1:]]])
+        return Grad(self.tag, [s0, *[None if ak is None else ak / d for ak in self.coeffs[1:]]])
 
     def log(self):
         a0 = self.coeffs[0]
-        return Grad(self.tag, [log(a0), *[ak / a0 for ak in self.coeffs[1:]]])
+        return Grad(self.tag, [log(a0), *[None if ak is None else ak / a0 for ak in self.coeffs[1:]]])
 
     def exp(self):
         e0 = exp(self.coeffs[0])
-        return Grad(self.tag, [e0, *[ak * e0 for ak in self.coeffs[1:]]])
+        return Grad(self.tag, [e0, *[None if ak is None else ak * e0 for ak in self.coeffs[1:]]])
 
     def sin(self):
         c0 = cos(self.coeffs[0])
-        return Grad(self.tag, [sin(self.coeffs[0]), *[ak * c0 for ak in self.coeffs[1:]]])
+        tangents = [None if ak is None else ak * c0 for ak in self.coeffs[1:]]
+        return Grad(self.tag, [sin(self.coeffs[0]), *tangents])
 
     def cos(self):
         s0 = sin(self.coeffs[0])
-        return Grad(self.tag, [cos(self.coeffs[0]), *[-1.0 * (ak * s0) for ak in self.coeffs[1:]]])
+        tangents = [None if ak is None else -1.0 * (ak * s0) for ak in self.coeffs[1:]]
+        return Grad(self.tag, [cos(self.coeffs[0]), *tangents])
 
 
 def _add(a: list, b: list) -> list:
@@ -394,17 +408,15 @@ class GuardFailed(Exception):
     """A recorded comparison comes out otherwise at replay."""
 
 
-def _guard(cmp, expect):
-    def check(p, q):
-        if cmp(p, q) != expect:  # a numpy constant in the record gives a numpy bool
-            raise GuardFailed
-
-    return check
-
-
 _ARITH = (operator.add, operator.sub, operator.mul, operator.truediv)
-_CMPS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
-_GUARDS = {(cmp, r): _guard(cmp, r) for cmp in _CMPS for r in (False, True)}
+_CMPS = dict(zip((operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne),
+                 ("<", "<=", ">", ">=", "==", "!=")))
+# one record function per comparison and outcome; its compiled line makes the check
+_GUARDS = {(cmp, r): lambda p, q: None for cmp in _CMPS for r in (False, True)}
+# the line a compiled record runs for each recorded function, on slots out, a, b; a
+# numpy constant in the record makes a comparison a numpy bool, so a guard tests != True, not is True
+_LINES = {f: f"s{{0}} = s{{1}} {op} s{{2}}" for f, op in zip((*_ARITH, operator.pow), ("+", "-", "*", "/", "**"))}
+_LINES.update({g: f"if (s{{1}} {_CMPS[cmp]} s{{2}}) != {r}: raise GuardFailed" for (cmp, r), g in _GUARDS.items()})
 # records per compiled function: bounds the compiler's memory and source size
 _PIECE = 256
 
@@ -436,10 +448,11 @@ def _compare(cmp):
     return op
 
 
-def _unary(f):
+def _unary(f, expr):
     def fn(u, _):  # every record has two operand slots
         return f(u)
 
+    _LINES[fn] = f"s{{0}} = {expr}"
     return lambda self: Recorded(self.tape, self.tape.emit(fn, self.slot, self.slot))
 
 
@@ -465,9 +478,9 @@ class Recorded:
     __add__, __sub__, __mul__, __truediv__ = (_binary(f) for f in _ARITH)
     __radd__, __rsub__, __rmul__, __rtruediv__ = (_binary(f, swap=True) for f in _ARITH)
     __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = (_compare(c) for c in _CMPS)
-    __neg__, __abs__ = _unary(operator.neg), _unary(abs)
-    # the generic functions above, which take math's on replayed floats
-    sqrt, log, exp, sin, cos = map(_unary, (sqrt, log, exp, sin, cos))
+    __neg__, __abs__ = _unary(operator.neg, "-s{1}"), _unary(abs, "abs(s{1})")
+    # the generic functions above, which take math's on replayed floats; compiled, math's
+    sqrt, log, exp, sin, cos = (_unary(f, f"math.{f.__name__}(s{{1}})") for f in (sqrt, log, exp, sin, cos))
     __float__ = __bool__ = __int__ = __index__ = __array__ = _refuse
 
     def __pow__(self, p):
@@ -496,21 +509,23 @@ class Replay:
     free lists and lift the peak RSS.
 
     The call that records fn also compiles the record to straight-line
-    Python: one local per slot, infix arithmetic, the guards and other
-    functions called by name, in functions of at most 256 records each
-    (`_PIECE`, which bounds the compiler's memory and source size), and
-    notes "compiled N records in K pieces"; every call, the recording one
+    Python: one local per slot, one line per record (infix arithmetic and
+    negation, `abs` and math's functions called directly, a guard as
+    ``if (s1 < s2) != True: raise GuardFailed``), in functions of at most
+    256 records each (`_PIECE`, which bounds the compiler's memory and
+    source size), notes "compiled N records in K pieces" and drops the
+    record, keeping its length as `records`; every call, the recording one
     included, runs the compiled code.  It runs the same operations in the
-    same order, so it is bit-identical to fn; a comparison that comes out
-    otherwise there falls back to fn as above, and later calls keep the
-    compiled code.  A field keeps one Replay for its lifetime
-    (`metrics.Field.replay`), so the compiled code carries over from one
-    geodesic to the next; each geodesic re-binds `note`.
+    same order and raises what they raise, so it is bit-identical to fn; a
+    comparison that comes out otherwise there falls back to fn as above,
+    and later calls keep the compiled code.  A field keeps one Replay for
+    its lifetime (`metrics.Field.replay`), so the compiled code carries over
+    from one geodesic to the next; each geodesic re-binds `note`.
     """
 
     def __init__(self, fn: Callable, note: Callable[[str], None]):
         self.fn, self.note = fn, note
-        self.out, self.recordable, self.runs = None, True, None
+        self.out, self.recordable, self.runs, self.records = None, True, None, 0
 
     def __call__(self, x, y):
         if self.runs is None and self.recordable:
@@ -526,6 +541,7 @@ class Replay:
                 self.note(f"not recorded: {e}")
             except Exception:  # fn raises it again
                 pass
+            self.ops = None  # the compiled code or fn replaces the record
         if self.runs is not None:
             v = self.values.copy()
             v[: len(x) + len(y)] = x + y
@@ -543,21 +559,15 @@ class Replay:
         """Compile the record to one function of the value list per _PIECE records.
         A piece loads the slots it reads before writing them and stores back
         those that later pieces or the outputs read."""
-        ops, infix = self.ops, dict(zip((*_ARITH, operator.pow), ("+", "-", "*", "/", "**")))
-        scope, runs, live = {}, [], set()
-        names = {}  # function -> its name in scope
+        ops, scope, runs, live = self.ops, {"math": math, "GuardFailed": GuardFailed}, [], set()
         _nest(live.add, self.out)
         for start in reversed(range(0, len(ops), 4 * _PIECE)):
             body, loads, written = [], set(), set()
             for i in range(start, min(start + 4 * _PIECE, len(ops)), 4):
                 fn, out, a, b = ops[i : i + 4]
                 loads.update({a, b} - written)
-                written.add(out)
-                if fn in infix:
-                    body.append(f"    s{out} = s{a} {infix[fn]} s{b}")
-                else:
-                    name = names.setdefault(fn, f"f{len(names)}")
-                    body.append(f"    s{out} = {name}(s{a}, s{b})")
+                written.add(out)  # a guard's slot is never read, so never loaded or stored
+                body.append("    " + _LINES[fn].format(out, a, b))
             stores, live = live & written, loads | (live - written)
             src = "\n".join(
                 ["def run(v):", *(f"    s{k} = v[{k}]" for k in sorted(loads)), *body,
@@ -565,10 +575,8 @@ class Replay:
             )
             exec(compile(src, "<replay>", "exec"), scope)
             runs.append(scope.pop("run"))
-        scope.update((name, fn) for fn, name in names.items())
-        self.runs = runs[::-1]
-        k = len(runs)
-        self.note(f"compiled {len(ops) // 4} records in {k} piece{'s' * (k != 1)}")
+        self.runs, self.records, k = runs[::-1], len(ops) // 4, len(runs)
+        self.note(f"compiled {self.records} records in {k} piece{'s' * (k != 1)}")
 
     def _reuse_dead_slots(self):
         """End a recording: drop the merge keys and renumber the slots in place so a
@@ -671,7 +679,8 @@ class TaylorResult:
 
 def _component(obj, tag: int, d: int):
     if isinstance(obj, Jet) and obj.tag == tag:
-        return obj.coeffs[d] if d < len(obj.coeffs) else 0.0
+        c = obj.coeffs[d] if d < len(obj.coeffs) else None
+        return 0.0 if c is None else c  # None: a structurally zero Grad tangent
     # value independent of this variable
     return obj if d == 0 else 0.0
 
@@ -719,7 +728,10 @@ def joint_derivative(f: Callable, x: Sequence, y: Sequence, dx: Sequence, dy: Se
 def gradient(f: Callable, z: Sequence):
     """(f(z), d1) with d1[k] = df/dz^k, each nested like the value of f (a
     generic scalar or a nested list of them), from one evaluation of f on
-    Grad jets that carry all n tangents.
+    Grad jets that carry all n tangents.  Each coordinate is seeded with a
+    structurally zero tangent (None) in every direction but its own, so an
+    operation whose operands do not depend on z^k takes no float operation
+    for d_k, and d_k of a value that does not depend on z^k is the float 0.0.
 
     The value is coefficient 0 of the pass, which takes the float operations
     of f(z), so it equals f(z) bit for bit unless f raises to an integer
@@ -727,7 +739,7 @@ def gradient(f: Callable, z: Sequence):
     fixed y takes f = lambda xs: H(xs, y), one in y f = lambda ys: H(x, ys).
     """
     n, t = len(z), next(_TAGS)
-    root = f([Grad(t, [p, *basis(n, k)]) for k, p in enumerate(z)])
+    root = f([Grad(t, [p, *(1.0 if j == k else None for j in range(n))]) for k, p in enumerate(z)])
     f0, *d1 = (_nest(lambda u: _component(u, t, k), root) for k in range(n + 1))
     return f0, d1
 

@@ -1,11 +1,12 @@
 """Jet evaluation against exact values and the finite-difference oracle."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from finslerkit import diffcore as dc
@@ -365,16 +366,20 @@ def _univariate(fn, z):
     return [dc.directional_derivatives(fn, z, [(dc.basis(n, k), 1)]).partial([1]) for k in range(n)]
 
 
-def same_value(u, v):
-    """u == v leaf by leaf (so 0.0 == -0.0): floats, arrays (broadcast) and
-    jets, a jet equal to a non-jet when its higher coefficients are zero."""
+def same_value(u, v, bits=False):
+    """u == v leaf by leaf (so 0.0 == -0.0), or with `bits` bit for bit up to
+    the sign of a zero: floats, arrays (broadcast) and jets, a jet equal to a
+    non-jet when its higher coefficients are zero."""
+    same = functools.partial(same_value, bits=bits)
     if isinstance(u, (list, tuple)):
-        return len(u) == len(v) and all(map(same_value, u, v))
+        return len(u) == len(v) and all(map(same, u, v))
     tags = [w.tag for w in (u, v) if isinstance(w, dc.Jet)]
     if tags:
         a, b = ([w] if not isinstance(w, dc.Jet) or w.tag != max(tags) else w.coeffs for w in (u, v))
         m = max(len(a), len(b))
-        return all(map(same_value, a + [0.0] * (m - len(a)), b + [0.0] * (m - len(b))))
+        return all(map(same, a + [0.0] * (m - len(a)), b + [0.0] * (m - len(b))))
+    if bits:
+        return exact(u + 0.0) == exact(v + 0.0)  # -0.0 + 0.0 is 0.0
     return bool(np.all(np.asarray(u) == np.asarray(v)))
 
 
@@ -501,3 +506,93 @@ def test_derivative_blocks_take_one_evaluation_at_order_1():
         assert len(calls) == 1 and len(d1) == n
         assert f0 == math.sin(z[0]) * z[-1]
         assert d1[0] == math.cos(z[0]) * z[-1] + (math.sin(z[0]) if n == 1 else 0.0)
+
+
+# -- structurally zero tangents --------------------------------------------------
+
+_BINARY = {"+": lambda u, v: u + v, "-": lambda u, v: u - v, "*": lambda u, v: u * v, "/": lambda u, v: u / v}
+_FUNCTIONS = {"sqrt": dc.sqrt, "log": dc.log, "exp": dc.exp, "sin": dc.sin, "cos": dc.cos}
+_STEP = st.tuples(
+    st.sampled_from(["same", "scalar", "reflected", "older", "newer", "pow", "function"]),
+    st.integers(0, 63), st.integers(0, 63), st.sampled_from(sorted(_BINARY)), st.sampled_from(sorted(_FUNCTIONS)),
+    st.floats(0.1, 2.0) | st.floats(-2.0, -0.1), st.integers(-2, 3),
+)
+
+
+def _program(steps, older):
+    """A straight-line program on a point list: registers start as the
+    coordinates and the float 0.7, each step appends one, and the program
+    returns every register, nested as [last, [0.7, all registers]]."""
+
+    def run(z):
+        regs = [*z, 0.7]
+        for kind, i, j, op, fn, c, p in steps:
+            u, v, binary = regs[i % len(regs)], regs[j % len(regs)], _BINARY[op]
+            if kind == "same":
+                regs.append(binary(u, v))
+            elif kind == "scalar":
+                regs.append(binary(u, c))
+            elif kind == "reflected":  # __radd__, __rsub__, __rmul__, __rtruediv__
+                regs.append(binary(c, u))
+            elif kind == "older":  # a jet of an older tag is a constant of the pass
+                regs.append(binary(u, older) if p % 2 else binary(older, u))
+            elif kind == "newer":  # a nested pass of a newer tag, read at order 0 or 1
+                newer = dc.Jet(next(dc._TAGS), [c, 0.5])
+                regs.append(dc._component(binary(u, newer) if p % 2 else binary(newer, u), newer.tag, p % 2))
+            elif kind == "pow":
+                regs.append(u**p)
+            else:
+                regs.append(_FUNCTIONS[fn](u))
+        return [regs[-1], [regs[len(z)], regs]]
+
+    return run
+
+
+def _leaves(u):
+    if isinstance(u, (list, tuple)):
+        return [leaf for e in u for leaf in _leaves(e)]
+    return _leaves(u.coeffs) if isinstance(u, dc.Jet) else [u]
+
+
+def _outcome(route):
+    try:
+        return route()
+    except (ArithmeticError, ValueError) as e:  # a pole, a domain error or an overflow
+        return type(e)
+
+
+@given(
+    z=st.lists(st.floats(0.2, 1.5) | st.floats(-1.5, -0.2), min_size=2, max_size=3),
+    steps=st.lists(_STEP, min_size=1, max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_structurally_zero_tangents_equal_the_zero_seeded_passes(z, steps):
+    # the univariate pass along k seeds every coordinate, with tangent 0.0 off k,
+    # as gradient seeded before None marked a structurally zero tangent
+    n, older = len(z), dc.Jet(next(dc._TAGS), [0.6, -0.3])
+    run = _program(steps, older)
+
+    def univariate():
+        passes = []
+        for k in range(n):
+            t = next(dc._TAGS)
+            out = run([dc.Jet(t, [p, 1.0 if j == k else 0.0]) for j, p in enumerate(z)])
+            assume(all(math.isfinite(leaf) for leaf in _leaves(out)))
+            passes.append([dc._nest(lambda u: dc._component(u, t, d), out) for d in (0, 1)])
+        return passes
+
+    passes, grad = _outcome(univariate), _outcome(lambda: dc.gradient(run, z))
+    event("raises" if isinstance(passes, type) else "compared")
+    if isinstance(passes, type):
+        assert grad is passes
+        return
+    f0, d1 = grad
+    for k, (value, partial) in enumerate(passes):
+        assert same_value(f0, value, bits=True) and same_value(d1[k], partial, bits=True)
+    assert all(leaf is not None for leaf in _leaves(d1))
+    # column arrays of sites, and a constant f, return no marker either
+    with np.errstate(all="ignore"):
+        columns = _outcome(lambda: dc.gradient(run, [np.array([p, 0.9 * p]) for p in z]))
+    if not isinstance(columns, type):
+        assert all(leaf is not None for leaf in _leaves(columns))
+    assert dc.gradient(lambda zs: [1.5, [2.0]], z) == ([1.5, [2.0]], [[0.0, [0.0]]] * n)

@@ -32,7 +32,7 @@ def _replay(fn):
 
 
 def _compiled_note(rec):
-    return f"compiled {len(rec.ops) // 4} records in {len(rec.runs)} piece{'s' * (len(rec.runs) != 1)}"
+    return f"compiled {rec.records} records in {len(rec.runs)} piece{'s' * (len(rec.runs) != 1)}"
 
 
 def _site(dim, box):
@@ -201,7 +201,7 @@ def test_a_zero_seed_direction_is_a_guard():
 def test_identical_records_are_merged():
     rec, _ = _replay(lambda x, y: (x[0] * y[0] + 1.0) * (x[0] * y[0] + 1.0))
     rec([2.0], [3.0])
-    assert len(rec.ops) == 3 * 4  # (function, out, a, b) per record
+    assert rec.records == 3 and rec.ops is None  # the record list is dropped once compiled
     assert rec([0.5], [4.0]) == 9.0
 
 
@@ -214,7 +214,7 @@ def test_dead_slots_are_reused_and_outputs_kept():
 
     rec, notes = _replay(chain)
     rec([0.5], [0.9])
-    assert len(rec.ops) == 150 * 4 and len(rec.values) <= 6  # 2 inputs, 2 constants, 2 live results
+    assert rec.records == 150 and len(rec.values) <= 6  # 2 inputs, 2 constants, 2 live results
     assert _bits(rec([0.3], [0.7])) == _bits(chain([0.3], [0.7])) and notes == [_compiled_note(rec)]
     # x y is an output whose last read makes the second output: its slot is not reused
     f = lambda x, y: [x[0] * y[0], (x[0] * y[0]) * (x[0] * y[0])]
@@ -223,15 +223,52 @@ def test_dead_slots_are_reused_and_outputs_kept():
     assert rec([0.5], [4.0]) == [2.0, 4.0] and notes == [_compiled_note(rec)]
 
 
+def _raised(fn, x, y):
+    with pytest.raises((ArithmeticError, ValueError)) as info:
+        fn(x, y)
+    return type(info.value), str(info.value)
+
+
 def test_replay_raises_what_direct_evaluation_raises():
-    pole, _ = _replay(lambda x, y: 1.0 / (x[0] - 0.5))
-    pole([0.0], [1.0])
-    with pytest.raises(ZeroDivisionError):
-        pole([0.5], [1.0])
-    root, _ = _replay(lambda x, y: dc.sqrt(x[0]))
-    root([4.0], [1.0])
-    with pytest.raises(ValueError):
-        root([-1.0], [1.0])
+    # a geodesic stops at the exception a stage raises, so replays must raise the same
+    for fn, bad in (
+        (lambda x, y: 1.0 / (x[0] - 0.5), 0.5),  # a pole: ZeroDivisionError
+        (lambda x, y: dc.sqrt(x[0]), -1.0),  # math.sqrt of a negative: ValueError
+        (lambda x, y: dc.log(x[0] - 0.5), 0.5),
+        (lambda x, y: dc.exp(x[0]), 1e3),  # OverflowError
+    ):
+        rec, notes = _replay(fn)
+        rec([4.0], [1.0])
+        assert _raised(rec, [bad], [1.0]) == _raised(fn, [bad], [1.0])
+        assert notes == [_compiled_note(rec)]
+
+
+def _every_inline_op(x, y):
+    """-, abs, the five functions and all six comparisons, each on its own input."""
+    u = dc.sqrt(x[0] * x[0] + y[0] * y[0])
+    v = dc.log(u) + dc.exp(-x[1]) - dc.sin(y[1]) * dc.cos(abs(x[0] - y[2]))
+    tests = (x[0] < 0.5, x[1] <= 0.5, y[0] > 0.5, y[1] >= 0.5, x[2] == 0.25, y[2] != 0.25)
+    for k, holds in enumerate(tests, 1):
+        v = v * (1.0 + k * u) if holds else -v / k
+    return [v, -u]
+
+
+def test_every_inline_line_replays_bit_for_bit_and_falls_back_on_a_flip():
+    rec, notes = _replay(_every_inline_op)
+    x, y = [0.2, 0.3, 0.25], [0.7, 0.8, 0.9]
+    assert _bits(rec(x, y)) == _bits(_every_inline_op(x, y))
+    # the compiled code calls abs and math's functions and raises GuardFailed, nothing else
+    names = {name for run in rec.runs for name in run.__code__.co_names}
+    assert names == {"math", "sqrt", "log", "exp", "sin", "cos", "abs", "GuardFailed"}
+    x, y = [0.1, 0.4, 0.25], [0.6, 0.9, 0.3]
+    assert _bits(rec(x, y)) == _bits(_every_inline_op(x, y)) and notes == [_compiled_note(rec)]
+    for k, (side, i, value) in enumerate(
+        [(x, 0, 0.6), (x, 1, 0.6), (y, 0, 0.4), (y, 1, 0.4), (x, 2, 0.3), (y, 2, 0.25)], 1
+    ):
+        flipped = [list(x), list(y)]
+        flipped[side is y][i] = value
+        assert _bits(rec(*flipped)) == _bits(_every_inline_op(*flipped))
+        assert notes[1:] == ["guard failed, stage evaluated directly"] * k
 
 
 @pytest.mark.parametrize(
@@ -295,13 +332,14 @@ def test_a_fresh_field_compiles_at_its_first_call(caplog):
     assert len(arc.t) == 3
     assert [r.getMessage() for r in caplog.records] == [
         "geodesic row 0 at t=0: speed check compiled 152 records in 1 piece",
-        "geodesic row 0 at t=0: spray compiled 1403 records in 6 pieces",
+        "geodesic row 0 at t=0: spray compiled 1316 records in 6 pieces",
     ]
 
 
 def _instructions(run):
-    """Records in one compiled piece: one infix operator or call each."""
-    return sum(i.opname in ("BINARY_OP", "CALL") for i in dis.get_instructions(run))
+    """Records in one compiled piece: one infix operator, call, negation or guard's raise each."""
+    opnames = ("BINARY_OP", "CALL", "UNARY_NEGATIVE", "RAISE_VARARGS")
+    return sum(i.opname in opnames for i in dis.get_instructions(run))
 
 
 def test_a_long_record_compiles_in_bounded_pieces(entries):
@@ -310,8 +348,8 @@ def test_a_long_record_compiles_in_bounded_pieces(entries):
     x, y = [0.31, -0.22, 0.4], [0.2, 0.35, -0.15]
     rec(x, y)
     sizes = [_instructions(run) for run in rec.runs]
-    assert sum(sizes) == len(rec.ops) // 4 == 1403 and max(sizes) <= dc._PIECE
-    assert notes == ["compiled 1403 records in 6 pieces"]
+    assert sum(sizes) == rec.records == 1316 and max(sizes) <= dc._PIECE
+    assert notes == ["compiled 1316 records in 6 pieces"]
     assert _bits(rec(y, x)) == _bits(entry.spray(y, x))
 
 
@@ -329,7 +367,7 @@ def test_a_stirred_six_ball_record_compiles_bit_identically():
     sites = np.random.default_rng(3).uniform(-0.35, 0.35, size=(3, 2, n)).tolist()
     for x, y in sites:
         assert _bits(rec(x, y)) == _bits(G(x, y))
-    assert len(rec.ops) // 4 == 6673 and len(rec.runs) == math.ceil(len(rec.ops) / 4 / dc._PIECE)
+    assert rec.records == 6673 and len(rec.runs) == math.ceil(rec.records / dc._PIECE)
     assert notes == [_compiled_note(rec)]
 
 
@@ -341,9 +379,9 @@ def test_a_second_geodesic_of_a_field_records_nothing_new():
     G, F = entry.spray, entry.metric
     kw = dict(T=0.04, dt=2e-3, speed_check=F)
     first = S.geodesic_integrate(G, [0.1, 0.2], [0.3, -0.1], **kw)
-    records = [(f.replay, f.replay.ops, f.replay.out, f.replay.runs) for f in (G, F)]
+    records = [(f.replay, f.replay.records, f.replay.out, f.replay.runs) for f in (G, F)]
     again = S.geodesic_integrate(G, [0.1, 0.2], [0.3, -0.1], **kw)
-    assert [(f.replay, f.replay.ops, f.replay.out, f.replay.runs) for f in (G, F)] == records
+    assert [(f.replay, f.replay.records, f.replay.out, f.replay.runs) for f in (G, F)] == records
     for a, b in ((first.x, again.x), (first.v, again.v), (first.speed, again.speed)):
         assert a.tobytes() == b.tobytes()
 
@@ -359,6 +397,6 @@ def test_a_record_compiles_once_per_field_at_its_first_call(caplog):
         for _ in range(2):
             S.geodesic_integrate(fresh, x1, [0.5 * c for c in y1], T=0.04, dt=2e-3)
     assert [r.getMessage() for r in caplog.records] == [
-        "geodesic row 0 at t=0: spray compiled 286 records in 2 pieces"
+        "geodesic row 0 at t=0: spray compiled 265 records in 2 pieces"
     ] * 2
     assert fresh.replay is not G.replay
